@@ -178,9 +178,18 @@ def _module_from_json(doc: dict):
     return group, almost_mod.GModule.from_generator_maps(group, carrier, gen_maps)
 
 
+def _require_keys(doc, keys: Sequence[str]) -> None:
+    if not isinstance(doc, dict):
+        raise InputError("input document must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise InputError(f"input document is missing {key!r}")
+
+
 def cmd_almost(args) -> int:
     doc = _load_json(args.input)
     if args.subcommand == "check-derivation":
+        _require_keys(doc, ("group", "module"))
         group, module = _module_from_json(doc)
         d = doc.get("derivation")
         if not isinstance(d, list) or len(d) != group.order:
@@ -189,6 +198,7 @@ def cmd_almost(args) -> int:
         print("true" if ok else "false")
         return EXIT_OK
     # untwist
+    _require_keys(doc, ("group", "E", "A"))
     group = group_from_json(doc["group"])
     e_set = gset_from_json(group, doc["E"])
     a_set = gset_from_json(group, doc["A"])

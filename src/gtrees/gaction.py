@@ -175,7 +175,7 @@ class GSet:
     ) -> "GSet":
         if labels is None:
             labels = tuple(range(size))
-        s = cls(group, tuple(tuple(row) for row in element_images), tuple(labels))
+        s = cls(group, tuple([tuple(row) for row in element_images]), tuple(labels))
         s.validate()
         return s
 
@@ -249,9 +249,6 @@ class GSet:
                 out.append(orb)
         return out
 
-    def orbit_reps(self) -> list[int]:
-        return [min(orb) for orb in self.orbits()]
-
     def stabilizer(self, p: int) -> frozenset[int]:
         if not 0 <= p < self.size:
             raise PreconditionError(f"point {p} outside the carrier")
@@ -267,8 +264,8 @@ class GSet:
         if not self.is_action_closed(pts):
             raise PreconditionError("subset is not action-closed")
         renum = {p: i for i, p in enumerate(pts)}
-        rows = [tuple(renum[self.act[g][p]] for p in pts) for g in self.group.elements]
-        return GSet(self.group, tuple(rows), tuple(self.labels[p] for p in pts))
+        rows = [tuple([renum[self.act[g][p]] for p in pts]) for g in self.group.elements]
+        return GSet(self.group, tuple(rows), tuple([self.labels[p] for p in pts]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError, InternalCheckError, PreconditionError
 from .gaction import FiniteGroup, GSet, group_from_json, group_to_json
+
+# per vertex: (edge, eps, other endpoint), eps +1 when leaving iota
+Adjacency = list[list[tuple[int, int, int]]]
 
 
 @dataclass(frozen=True)
@@ -46,12 +50,9 @@ class GGraph:
     def n_edges(self) -> int:
         return self.edges.size
 
-    def endpoints(self, e: int) -> tuple[int, int]:
-        return self.iota[e], self.tau[e]
-
-    def adjacency(self) -> list[list[tuple[int, int, int]]]:
+    def adjacency(self) -> Adjacency:
         """Per vertex: (edge, eps, other endpoint), eps +1 when leaving iota."""
-        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n_vertices)]
+        adj: Adjacency = [[] for _ in range(self.n_vertices)]
         for e in range(self.n_edges):
             u, v = self.iota[e], self.tau[e]
             adj[u].append((e, 1, v))
@@ -114,10 +115,6 @@ class GPath:
     def end(self) -> int:
         return self.vertices[-1]
 
-    @property
-    def edge_set(self) -> frozenset[int]:
-        return frozenset(e for e, _ in self.steps)
-
 
 class _UnionFind:
     def __init__(self, n: int):
@@ -173,8 +170,8 @@ def reorient(t: GGraph, flips: Iterable[int]) -> GGraph:
         raise PreconditionError("flip-set contains a missing edge")
     if not t.edges.is_action_closed(fl):
         raise PreconditionError("flip-set is not action-closed")
-    iota = tuple(t.tau[e] if e in fl else t.iota[e] for e in range(t.n_edges))
-    tau = tuple(t.iota[e] if e in fl else t.tau[e] for e in range(t.n_edges))
+    iota = tuple([t.tau[e] if e in fl else t.iota[e] for e in range(t.n_edges)])
+    tau = tuple([t.iota[e] if e in fl else t.tau[e] for e in range(t.n_edges)])
     return GGraph(t.vertices, t.edges, iota, tau)
 
 
@@ -223,7 +220,7 @@ def compress(t: GGraph, eprime: Iterable[int]) -> CompressResult:
         if v != sink_of[comp_of[v]] and out_deg[v] != 1:
             raise PreconditionError(f"vertex {v} is not oriented towards a unique sink")
 
-    phi = tuple(sink_of[comp_of[v]] for v in range(t.n_vertices))
+    phi = tuple([sink_of[comp_of[v]] for v in range(t.n_vertices)])
     sinks = sorted(set(phi))
 
     # phi must be equivariant; the sink set is then action-closed
@@ -241,8 +238,8 @@ def compress(t: GGraph, eprime: Iterable[int]) -> CompressResult:
     new_vertices = t.vertices.restrict(sinks)
     new_edges = t.edges.restrict(keep)
     vidx = {v: i for i, v in enumerate(sinks)}
-    iota = tuple(vidx[phi[t.iota[e]]] for e in keep)
-    tau = tuple(vidx[phi[t.tau[e]]] for e in keep)
+    iota = tuple([vidx[phi[t.iota[e]]] for e in keep])
+    tau = tuple([vidx[phi[t.tau[e]]] for e in keep])
     tree = GGraph(new_vertices, new_edges, iota, tau)
     rep = validate(tree)
     if not rep.is_tree:
@@ -344,6 +341,46 @@ def subdivide(t: GGraph, f: int) -> SubdivideResult:
     )
 
 
+def bfs_parents(
+    adj: Adjacency,
+    root: int,
+    crossable: Optional[Callable[[int, int], bool]] = None,
+    stop: Optional[int] = None,
+) -> dict[int, tuple[int, int, int]]:
+    """Breadth-first search from root over an adjacency from GGraph.adjacency.
+
+    Maps every reached vertex, in the order reached, to (previous vertex,
+    eps, edge); the root maps to (-1, 0, -1).  Only entries (e, eps, other)
+    with crossable(e, other) are followed, and the search ends once the
+    vertex stop leaves the queue.
+    """
+    parent: dict[int, tuple[int, int, int]] = {root: (-1, 0, -1)}
+    queue = deque((root,))
+    while queue:
+        v = queue.popleft()
+        if v == stop:
+            break
+        for e, eps, other in adj[v]:
+            if other not in parent and (crossable is None or crossable(e, other)):
+                parent[other] = (v, eps, e)
+                queue.append(other)
+    return parent
+
+
+def path_to(parent: dict[int, tuple[int, int, int]], v: int) -> GPath:
+    """The path from the root of a bfs_parents search to the reached vertex v."""
+    verts = [v]
+    steps: list[tuple[int, int]] = []
+    prev, eps, e = parent[v]
+    while prev != -1:
+        steps.append((e, eps))
+        verts.append(prev)
+        prev, eps, e = parent[prev]
+    verts.reverse()
+    steps.reverse()
+    return GPath(tuple(verts), tuple(steps))
+
+
 def geodesic(t: GGraph, a: int, b: int) -> GPath:
     """The unique reduced path between two vertices of a connected graph."""
     if not (0 <= a < t.n_vertices and 0 <= b < t.n_vertices):
@@ -351,28 +388,7 @@ def geodesic(t: GGraph, a: int, b: int) -> GPath:
     rep = validate(t)
     if not rep.connected:
         raise PreconditionError("geodesic needs a connected graph")
-    adj = t.adjacency()
-    parent: dict[int, tuple[int, int, int]] = {a: (-1, 0, -1)}
-    queue = [a]
-    while queue:
-        v = queue.pop(0)
-        if v == b:
-            break
-        for e, eps, other in adj[v]:
-            if other not in parent:
-                parent[other] = (v, eps, e)
-                queue.append(other)
-    verts = [b]
-    steps: list[tuple[int, int]] = []
-    cur = b
-    while cur != a:
-        prev, eps, e = parent[cur]
-        steps.append((e, eps))
-        verts.append(prev)
-        cur = prev
-    verts.reverse()
-    steps.reverse()
-    return GPath(tuple(verts), tuple(steps))
+    return path_to(bfs_parents(t.adjacency(), a, stop=b), b)
 
 
 def translate_path(t: GGraph, p: GPath, g: int) -> GPath:
@@ -438,8 +454,11 @@ def ggraph_from_json(doc: dict) -> GGraph:
     vertices = build(nv, act["vertices"], vlab)
     edges = build(ne, act["edges"], elab)
     iota, tau = doc["iota"], doc["tau"]
-    if len(iota) != ne or len(tau) != ne:
-        raise InputError("iota/tau length must equal the edge count")
+    for name, ends in (("iota", iota), ("tau", tau)):
+        if not isinstance(ends, list) or len(ends) != ne:
+            raise InputError(f"{name} must list one vertex per edge")
+        if not all(type(v) is int and 0 <= v < nv for v in ends):
+            raise InputError(f"{name} must hold vertex indices below {nv}")
     t = GGraph(vertices, edges, tuple(iota), tuple(tau))
     fails = t.equivariance_failures()
     if fails:

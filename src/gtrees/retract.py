@@ -19,10 +19,13 @@ from typing import Iterable, Optional
 from .errors import InternalCheckError, PreconditionError
 from .gaction import is_conjugate_incomparable
 from .ggraph import (
+    Adjacency,
     GGraph,
     GPath,
+    _UnionFind,
+    bfs_parents,
     compress,
-    geodesic,
+    path_to,
     reorient,
     slide,
     validate,
@@ -36,12 +39,6 @@ class Filtration:
     vdeg: tuple[int, ...]
     edeg: tuple[int, ...]
     kappa: int
-
-    def vertex_level(self, alpha: int) -> list[int]:
-        return [v for v, d in enumerate(self.vdeg) if d == alpha]
-
-    def edge_level(self, alpha: int) -> list[int]:
-        return [e for e, d in enumerate(self.edeg) if d == alpha]
 
 
 @dataclass(frozen=True)
@@ -61,6 +58,12 @@ class RetractState:
     u_set: frozenset[int]
     move_log: tuple[Move, ...] = ()
     _vstab: tuple[frozenset[int], ...] = field(default=(), compare=False, repr=False)
+    _adj: Adjacency = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # built per snapshot, so dataclasses.replace in with_tree never
+        # carries the adjacency of the tree before a move
+        object.__setattr__(self, "_adj", self.tree.adjacency())
 
     @property
     def w_set(self) -> frozenset[int]:
@@ -77,7 +80,7 @@ def make_state(tree: GGraph, u_set: Iterable[int], filtration: Optional[Filtrati
     u = frozenset(u_set)
     if filtration is None:
         filtration = build_filtration(tree, u)
-    vstab = tuple(tree.vertices.stabilizer(v) for v in range(tree.n_vertices))
+    vstab = tuple([tree.vertices.stabilizer(v) for v in range(tree.n_vertices)])
     return RetractState(tree, filtration, u, (), vstab)
 
 
@@ -108,6 +111,7 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
     _retract_precheck(tree, u)
     nv, ne = tree.n_vertices, tree.n_edges
     vstab = [tree.vertices.stabilizer(v) for v in range(nv)]
+    adj = tree.adjacency()
     edge_level: dict[int, int] = {}
     vertex_level: dict[int, int] = {v: 0 for v in u}
 
@@ -145,7 +149,7 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
                     break
             if target is None:
                 raise InternalCheckError("no placed vertex absorbs the stabilizer of a placed vertex")
-            path = geodesic(tree, w, target)
+            path = path_to(bfs_parents(adj, w, stop=target), target)
             cut = next(
                 i
                 for i in range(1, len(path.vertices))
@@ -165,8 +169,8 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
             place_edges(lowest_fresh_orbit(), gamma)
 
     kappa = 1 + max(edge_level.values(), default=0)
-    vdeg = tuple(vertex_level[v] for v in range(nv))
-    edeg = tuple(edge_level[e] for e in range(ne))
+    vdeg = tuple([vertex_level[v] for v in range(nv)])
+    edeg = tuple([edge_level[e] for e in range(ne)])
     return Filtration(vdeg, edeg, kappa)
 
 
@@ -190,15 +194,14 @@ def check_filtration(tree: GGraph, u_set: Iterable[int], filt: Filtration) -> li
     for e in range(ne):
         if max(filt.vdeg[tree.iota[e]], filt.vdeg[tree.tau[e]]) > filt.edeg[e]:
             problems.append(f"(1) edge {e} enters a level before both endpoints")
-    from .ggraph import _UnionFind
-
-    for beta in range(filt.kappa + 1):
-        uf = _UnionFind(nv)
-        for e in range(ne):
-            if filt.edeg[e] < beta:
-                if not uf.union(tree.iota[e], tree.tau[e]):
-                    problems.append(f"(1) level set below {beta} contains a cycle")
-                    break
+    # the edges below beta hold a cycle exactly when beta exceeds the degree
+    # of the first edge that closes one, adding edges in degree order
+    uf = _UnionFind(nv)
+    for e in sorted(range(ne), key=filt.edeg.__getitem__):
+        if not uf.union(tree.iota[e], tree.tau[e]):
+            for beta in range(max(0, filt.edeg[e] + 1), filt.kappa + 1):
+                problems.append(f"(1) level set below {beta} contains a cycle")
+            break
 
     # (2) level zero is exactly the retract, and holds no edges
     if {v for v in range(nv) if filt.vdeg[v] == 0} != u:
@@ -225,44 +228,21 @@ def check_filtration(tree: GGraph, u_set: Iterable[int], filt: Filtration) -> li
 def paths_P(state: RetractState, w: int) -> list[GPath]:
     """All reduced paths from w whose pointwise stabilizer equals stab(w),
     which end strictly below deg(w), and whose edges stay in the window
-    {deg(w), deg(w)+1}.  Sorted by (length, steps)."""
+    {deg(w), deg(w)+1}.  Sorted by (length, steps).
+
+    The search only crosses window edges into vertices z with
+    stab(w) <= stab(z).  In a tree the path to each vertex is unique, and
+    both conditions hold for a path exactly when they hold for each of its
+    prefixes, so this reaches precisely the endpoints of qualifying paths,
+    along those paths, without visiting the rest of the tree.
+    """
     if w in state.u_set:
         raise PreconditionError("descent paths are defined for outside vertices only")
-    tree, filt = state.tree, state.filtration
-    dw = filt.vdeg[w]
-    adj = tree.adjacency()
-    parent: dict[int, tuple[int, int, int]] = {w: (-1, 0, -1)}
-    order = [w]
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for e, eps, other in adj[v]:
-            if other not in parent:
-                parent[other] = (v, eps, e)
-                order.append(other)
-    out = []
-    for v in order:
-        if v == w or filt.vdeg[v] >= dw:
-            continue
-        verts = [v]
-        steps = []
-        cur = v
-        ok = True
-        while cur != w:
-            prev, eps, e = parent[cur]
-            if filt.edeg[e] not in (dw, dw + 1):
-                ok = False
-                break
-            steps.append((e, eps))
-            verts.append(prev)
-            cur = prev
-        if not ok:
-            continue
-        verts.reverse()
-        steps.reverse()
-        if all(state.vstab(w) <= state.vstab(z) for z in verts):
-            out.append(GPath(tuple(verts), tuple(steps)))
+    vdeg, edeg, vstab = state.filtration.vdeg, state.filtration.edeg, state._vstab
+    dw = vdeg[w]
+    window, sw = (dw, dw + 1), vstab[w]
+    parent = bfs_parents(state._adj, w, lambda e, z: edeg[e] in window and sw <= vstab[z])
+    out = [path_to(parent, v) for v in parent if vdeg[v] < dw]
     out.sort(key=lambda p: (p.length, p.steps))
     return out
 
@@ -372,9 +352,11 @@ def eliminate_problematic(state: RetractState) -> RetractState:
     and no other edge's incidence changes.  The degree map never changes.
     """
     filt = state.filtration
+    # the tree only changes on a slide, so the problematic set is recomputed
+    # exactly then
+    _, bad_v = problematic(state)
     for alpha in range(1, filt.kappa):
         while True:
-            _, bad_v = problematic(state)
             level_bad = sorted(v for v in bad_v if filt.vdeg[v] == alpha)
             if not level_bad:
                 if bad_v and min(filt.vdeg[v] for v in bad_v) < alpha:
@@ -422,7 +404,7 @@ def eliminate_problematic(state: RetractState) -> RetractState:
             bad = check_filtration(state.tree, state.u_set, filt)
             if bad:
                 raise InternalCheckError("filtration broke during sliding: " + "; ".join(bad))
-    _, bad_v = problematic(state)
+            _, bad_v = problematic(state)
     if bad_v:
         raise InternalCheckError("problematic vertices survived elimination")
     return state

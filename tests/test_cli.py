@@ -105,6 +105,16 @@ def test_retract_run_schema_error_exit_two(tmp_path):
     assert main(["retract", "run", "--input", str(inp)]) == 2
 
 
+def test_retract_run_bad_incidence_exit_two(tmp_path, capsys):
+    inp = tmp_path / "inst.json"
+    for tau in (["1", 2, 3], [1, 2, 4], [1, 2, -1], [1, 2, 3.0], [1, 2, True], 7):
+        doc = make_instance_doc()
+        doc["tau"] = tau
+        inp.write_text(json.dumps(doc))
+        assert main(["retract", "run", "--input", str(inp)]) == 2, tau
+        assert "input error" in capsys.readouterr().err
+
+
 def test_retract_run_deterministic(tmp_path):
     doc = make_instance_doc(u=(0, 3))
     inp = tmp_path / "inst.json"
@@ -177,3 +187,15 @@ def test_almost_untwist(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["round_trip_ok"] is True
     assert len(out["hat"]) == 3
+
+
+def test_almost_missing_keys_exit_two(tmp_path, capsys):
+    inp = tmp_path / "bad.json"
+    for sub, doc in (
+        ("untwist", {"E": {}}),
+        ("untwist", [1, 2]),
+        ("check-derivation", {"derivation": [0]}),
+    ):
+        inp.write_text(json.dumps(doc))
+        assert main(["almost", sub, "--input", str(inp)]) == 2, (sub, doc)
+        assert "input error" in capsys.readouterr().err
