@@ -175,7 +175,12 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
 
 
 def check_filtration(tree: GGraph, u_set: Iterable[int], filt: Filtration) -> list[str]:
-    """Executable form of the four filtration conditions; empty means valid."""
+    """Executable form of the four filtration conditions; empty means valid.
+
+    The conditions are stated for a tree.  On a graph with a cycle, (1)
+    reports the cycle, and (4) asks whether paths_P finds some window path
+    (see there), not whether the BFS tree of the whole graph holds one.
+    """
     u = frozenset(u_set)
     problems: list[str] = []
     nv, ne = tree.n_vertices, tree.n_edges
@@ -235,6 +240,10 @@ def paths_P(state: RetractState, w: int) -> list[GPath]:
     both conditions hold for a path exactly when they hold for each of its
     prefixes, so this reaches precisely the endpoints of qualifying paths,
     along those paths, without visiting the rest of the tree.
+
+    The input is meant to be a tree.  On a graph with a cycle, each vertex
+    the windowed search reaches gets one path, its first shortest path
+    inside the window; the rest of the graph plays no part.
     """
     if w in state.u_set:
         raise PreconditionError("descent paths are defined for outside vertices only")

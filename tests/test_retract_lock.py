@@ -100,3 +100,19 @@ def test_check_filtration_reports_cycles_per_level():
         "(1) level set below 6 contains a cycle",
         "(4) no descent path from vertex 4",
     ]
+
+
+def test_check_filtration_on_a_cycle_uses_window_paths():
+    # a square 1-2-0-3-1: vertex 1 descends to 0 through 3 on degree-1 edges,
+    # while 1-2-0 runs over degree-3 edges outside its window {1, 2}; a BFS
+    # over the whole graph would reach 0 through 2 first and find no path
+    group = FiniteGroup.trivial()
+    t = GGraph(
+        GSet.trivial_action(group, 4),
+        GSet.trivial_action(group, 4),
+        (1, 2, 1, 3),
+        (2, 0, 3, 0),
+    )
+    filt = Filtration(vdeg=(0, 1, 3, 1), edeg=(3, 3, 1, 1), kappa=4)
+    assert [p.vertices for p in paths_P(make_state(t, {0}, filt), 1)] == [(1, 3, 0)]
+    assert check_filtration(t, {0}, filt) == ["(1) level set below 4 contains a cycle"]
