@@ -39,26 +39,26 @@ class AbelianGroup:
         size = 1
         for f in factors:
             size *= f
-
-        def decode(i):
-            out = []
-            for f in reversed(factors):
-                out.append(i % f)
-                i //= f
-            return tuple(reversed(out))
-
-        def encode(t):
-            i = 0
-            for f, x in zip(factors, t):
-                i = i * f + (x % f)
-            return i
-
-        add = tuple(
-            tuple(encode(tuple(a + b for a, b in zip(decode(i), decode(j)))) for j in range(size))
-            for i in range(size)
-        )
-        neg = tuple(encode(tuple(-a for a in decode(i))) for i in range(size))
+        codec = cls((), (), 0, factors)  # decode and encode read only the factors
+        elems = [codec.decode(i) for i in range(size)]
+        add = tuple(tuple(codec.encode([a + b for a, b in zip(x, y)]) for y in elems) for x in elems)
+        neg = tuple(codec.encode([-a for a in x]) for x in elems)
         return cls(add, neg, 0, factors)
+
+    def decode(self, i: int) -> tuple[int, ...]:
+        """The mixed-radix tuple of element i of a group built by from_factors."""
+        out = []
+        for f in reversed(self.factors):
+            out.append(i % f)
+            i //= f
+        return tuple(reversed(out))
+
+    def encode(self, t: Sequence[int]) -> int:
+        """The element index of a tuple of integers, each reduced mod its factor."""
+        i = 0
+        for f, x in zip(self.factors, t):
+            i = i * f + (x % f)
+        return i
 
     @classmethod
     def from_table(cls, table: Sequence[Sequence[int]]) -> "AbelianGroup":
@@ -88,12 +88,6 @@ class AbelianGroup:
         if any(v is None for v in neg):
             raise InputError("some element has no negative")
         return cls(add, tuple(neg), zero)
-
-    def sum_of(self, items: Iterable[int]) -> int:
-        acc = self.zero
-        for x in items:
-            acc = self.add[acc][x]
-        return acc
 
     def sub(self, a: int, b: int) -> int:
         return self.add[a][self.neg[b]]
@@ -227,17 +221,6 @@ def function_gset(e_set: GSet, a_set: GSet, size_limit: int = 100_000) -> GSet:
         for g in e_set.group.elements
     ]
     return GSet.build(e_set.group, len(fns), rows, labels=fns)
-
-
-def almost_equal(f1: Sequence[int], f2: Sequence[int]) -> bool:
-    """Whether two functions differ in only finitely many places (always, here)."""
-    return len(difference_set(f1, f2)) < float("inf")
-
-
-def difference_set(f1: Sequence[int], f2: Sequence[int]) -> frozenset[int]:
-    if len(f1) != len(f2):
-        raise InputError("functions over different point sets")
-    return frozenset(e for e in range(len(f1)) if f1[e] != f2[e])
 
 
 # ---------------------------------------------------------------------------

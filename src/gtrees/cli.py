@@ -5,7 +5,7 @@ Subcommands: `retract run`, `stallings core|member|census`,
 `almost check-derivation|untwist`.
 
 Exit codes: 0 success, 1 verification mismatch, 2 malformed input,
-3 precondition failure, 4 internal check failure.
+3 precondition failure, 4 internal check failure or any other error.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def cmd_retract_run(args) -> int:
         raise InputError("instance document is missing 'retract_U'")
     tree = ggraph_from_json(doc)
     u = doc["retract_U"]
-    if not isinstance(u, list) or not all(isinstance(v, int) for v in u):
-        raise InputError("'retract_U' must be a list of vertex indices")
+    if not isinstance(u, list) or not all(isinstance(v, int) and 0 <= v < tree.n_vertices for v in u):
+        raise InputError(f"'retract_U' must be a list of vertex indices below {tree.n_vertices}")
     result = retract_tree(tree, u)
     out_doc = {
         "tree": ggraph_to_json(result.tree),
@@ -149,22 +149,11 @@ def _module_from_json(doc: dict):
     mdoc = doc["module"]
     if "factors" not in mdoc or "action" not in mdoc:
         raise InputError("module document needs factors and action matrices")
-    factors = [int(f) for f in mdoc["factors"]]
+    factors = mdoc["factors"]
+    if not isinstance(factors, list) or not all(type(f) is int for f in factors):
+        raise InputError("module factors must be a list of integers")
     carrier = almost_mod.AbelianGroup.from_factors(factors)
     k = len(factors)
-
-    def decode(i):
-        out = []
-        for f in reversed(factors):
-            out.append(i % f)
-            i //= f
-        return list(reversed(out))
-
-    def encode(t):
-        i = 0
-        for f, x in zip(factors, t):
-            i = i * f + (x % f)
-        return i
 
     gen_maps = []
     for mat in mdoc["action"]:
@@ -172,8 +161,8 @@ def _module_from_json(doc: dict):
             raise InputError("action matrix has the wrong shape")
         img = []
         for i in range(carrier.size):
-            t = decode(i)
-            img.append(encode([sum(mat[r][c] * t[c] for c in range(k)) for r in range(k)]))
+            t = carrier.decode(i)
+            img.append(carrier.encode([sum(mat[r][c] * t[c] for c in range(k)) for r in range(k)]))
         gen_maps.append(img)
     return group, almost_mod.GModule.from_generator_maps(group, carrier, gen_maps)
 
@@ -206,9 +195,12 @@ def cmd_almost(args) -> int:
     pair = almost_mod.untwist(e_set, a_set, transversal)
     out_doc = {"transversal": list(pair.transversal), "g_of": list(pair.g_of)}
     if "function" in doc:
-        phi = tuple(doc["function"])
-        if len(phi) != e_set.size:
+        phi = doc["function"]
+        if not isinstance(phi, list) or len(phi) != e_set.size:
             raise InputError("function must assign a value to every point of E")
+        if not all(type(x) is int and 0 <= x < a_set.size for x in phi):
+            raise InputError(f"function values must be point indices of A below {a_set.size}")
+        phi = tuple(phi)
         hat = pair.hat(phi)
         out_doc["hat"] = list(hat)
         out_doc["round_trip_ok"] = pair.tilde(hat) == phi
@@ -309,6 +301,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_MISMATCH
     except (InternalCheckError, AssertionError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # any other failure is a defect, not a mismatch: one line, no traceback
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -225,31 +225,16 @@ def express_in_generators(gens: Sequence[Word], w: Word, out_alphabet: Alphabet)
             + ", ".join(format_word(g) for g in gens)
         )
 
-    parent: dict[int, Optional[tuple[int, int, int]]] = {h.base: None}
-    order = [h.base]
-    tree_edges: set[tuple[int, int, int]] = set()
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for lab in range(h.alphabet.size):
-            nxt = h.out[v][lab]
-            if nxt is not None and nxt not in parent:
-                parent[nxt] = (v, lab, 1)
-                tree_edges.add((v, lab, nxt))
-                order.append(nxt)
-            nxt = h.inn[v][lab]
-            if nxt is not None and nxt not in parent:
-                parent[nxt] = (v, lab, -1)
-                tree_edges.add((nxt, lab, v))
-                order.append(nxt)
+    parent = h.bfs_parents()
+    tree_edges = {
+        (u, lab, v) if sg == 1 else (v, lab, u) for v, (u, lab, sg) in parent.items() if u != -1
+    }
 
     def word_to(v: int) -> Word:
         letters = []
-        while parent[v] is not None:
-            u, lab, sg = parent[v]
+        while v != h.base:
+            v, lab, sg = parent[v]
             letters.append((lab, sg))
-            v = u
         return Word(h.alphabet, [lt for lt in reversed(letters)])
 
     petal_of: dict[tuple[int, int, int], tuple[int, int]] = {}

@@ -162,9 +162,6 @@ class GSet:
     def size(self) -> int:
         return len(self.labels)
 
-    def apply(self, g: int, p: int) -> int:
-        return self.act[g][p]
-
     @classmethod
     def build(
         cls,
@@ -192,10 +189,10 @@ class GSet:
             raise InputError("need one permutation per group generator")
         per_gen = {}
         for g, img in zip(group.generators, gen_images):
-            t = tuple(img)
-            if len(t) != size or sorted(t) != list(range(size)):
+            ints = isinstance(img, (list, tuple)) and all(type(p) is int for p in img)
+            if not ints or sorted(img) != list(range(size)):
                 raise InputError("generator image is not a permutation of the points")
-            per_gen[g] = t
+            per_gen[g] = tuple(img)
         rows = []
         for a in group.elements:
             row = list(range(size))

@@ -174,14 +174,18 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
     return Filtration(vdeg, edeg, kappa)
 
 
-def check_filtration(tree: GGraph, u_set: Iterable[int], filt: Filtration) -> list[str]:
-    """Executable form of the four filtration conditions; empty means valid.
+def check_filtration(state: RetractState) -> list[str]:
+    """Executable form of the four filtration conditions on state.filtration
+    over state.tree and the retract state.u_set; empty means valid.
 
-    The conditions are stated for a tree.  On a graph with a cycle, (1)
-    reports the cycle, and (4) asks whether paths_P finds some window path
-    (see there), not whether the BFS tree of the whole graph holds one.
+    The caller's state is checked as it stands (make_state builds one from a
+    tree, a retract and a filtration), so its stabilizers and adjacency are
+    not derived again.  The conditions are stated for a tree.  On a graph
+    with a cycle, (1) reports the cycle, and (4) asks whether paths_P finds
+    some window path (see there), not whether the BFS tree of the whole
+    graph holds one.
     """
-    u = frozenset(u_set)
+    tree, u, filt = state.tree, state.u_set, state.filtration
     problems: list[str] = []
     nv, ne = tree.n_vertices, tree.n_edges
 
@@ -218,7 +222,6 @@ def check_filtration(tree: GGraph, u_set: Iterable[int], filt: Filtration) -> li
     # automatic here; orbit-closure was checked above.
 
     # (4) every outside vertex has a descent path
-    state = make_state(tree, u, filt)
     for w in sorted(state.w_set):
         if not paths_P(state, w):
             problems.append(f"(4) no descent path from vertex {w}")
@@ -311,25 +314,34 @@ def problematic(state: RetractState) -> tuple[frozenset[int], frozenset[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _slide_endpoint(tree: GGraph, moving_edge: int, step_edge: int, step_eps: int, log: list[Move]) -> GGraph:
+def _log_move(state: RetractState, log: list[Move], kind: str, detail: dict, tree: GGraph) -> GGraph:
+    """Record the move that produced tree and return tree.
+
+    The move's pre digest is the post digest of the move before it, in log or
+    else in state.move_log; state.tree is digested only before the first
+    move.  So each tree version is digested once.
+    """
+    before = log or state.move_log
+    pre = before[-1].post if before else state.tree.state_digest()
+    log.append(Move(kind, detail, pre, tree.state_digest()))
+    return tree
+
+
+def _slide_endpoint(
+    state: RetractState, tree: GGraph, moving_edge: int, step_edge: int, step_eps: int, log: list[Move]
+) -> GGraph:
     """One equivariant sliding operation: move the tau-endpoint of the orbit
     of moving_edge along step_edge traversed with sign step_eps, restoring the
     step edge's stored orientation afterwards."""
-    flipped_step = step_eps == -1
-    if flipped_step:
-        pre = tree.state_digest()
-        tree = reorient(tree, tree.edges.orbit(step_edge))
-        log.append(Move("reorient", {"orbit_of": step_edge}, pre, tree.state_digest()))
-    pre = tree.state_digest()
+    if step_eps == -1:
+        tree = _log_move(state, log, "reorient", {"orbit_of": step_edge}, reorient(tree, tree.edges.orbit(step_edge)))
     try:
-        tree = slide(tree, moving_edge, step_edge)
+        moved = slide(tree, moving_edge, step_edge)
     except PreconditionError as exc:
         raise InternalCheckError(f"problem-reducing slide became illegal: {exc}") from exc
-    log.append(Move("slide", {"edge": moving_edge, "along": step_edge}, pre, tree.state_digest()))
-    if flipped_step:
-        pre = tree.state_digest()
-        tree = reorient(tree, tree.edges.orbit(step_edge))
-        log.append(Move("reorient", {"orbit_of": step_edge}, pre, tree.state_digest()))
+    tree = _log_move(state, log, "slide", {"edge": moving_edge, "along": step_edge}, moved)
+    if step_eps == -1:
+        tree = _log_move(state, log, "reorient", {"orbit_of": step_edge}, reorient(tree, tree.edges.orbit(step_edge)))
     return tree
 
 
@@ -394,23 +406,18 @@ def eliminate_problematic(state: RetractState) -> RetractState:
 
             log: list[Move] = []
             tree = state.tree
-            flipped_moving = eps1 == -1
-            if flipped_moving:
-                pre = tree.state_digest()
-                tree = reorient(tree, tree.edges.orbit(e1))
-                log.append(Move("reorient", {"orbit_of": e1}, pre, tree.state_digest()))
+            if eps1 == -1:
+                tree = _log_move(state, log, "reorient", {"orbit_of": e1}, reorient(tree, tree.edges.orbit(e1)))
             for e, eps in chosen.steps[1:i]:
-                tree = _slide_endpoint(tree, e1, e, eps, log)
-            if flipped_moving:
-                pre = tree.state_digest()
-                tree = reorient(tree, tree.edges.orbit(e1))
-                log.append(Move("reorient", {"orbit_of": e1}, pre, tree.state_digest()))
+                tree = _slide_endpoint(state, tree, e1, e, eps, log)
+            if eps1 == -1:
+                tree = _log_move(state, log, "reorient", {"orbit_of": e1}, reorient(tree, tree.edges.orbit(e1)))
             state = state.with_tree(tree, log)
 
             after = _problem_orbit_count(state, alpha + 1)
             if after >= before:
                 raise InternalCheckError("problem-reducing step did not reduce problematic orbits")
-            bad = check_filtration(state.tree, state.u_set, filt)
+            bad = check_filtration(state)
             if bad:
                 raise InternalCheckError("filtration broke during sliding: " + "; ".join(bad))
             _, bad_v = problematic(state)
@@ -452,9 +459,7 @@ def compress_to_U(state: RetractState) -> RetractResult:
         if is_lower(state, tree.iota[e], tree.tau[e]):
             flips |= orb
     if flips:
-        pre = tree.state_digest()
-        tree = reorient(tree, flips)
-        log.append(Move("reorient", {"flips": sorted(flips)}, pre, tree.state_digest()))
+        tree = _log_move(state, log, "reorient", {"flips": sorted(flips)}, reorient(tree, flips))
     state = state.with_tree(tree, log)
     log = []
     for e in range(tree.n_edges):
@@ -484,11 +489,8 @@ def compress_to_U(state: RetractState) -> RetractResult:
         raise InternalCheckError("distinguished edges do not biject onto the outside vertices")
 
     keep = [e for e in range(tree.n_edges) if e not in set(removed)]
-    pre = tree.state_digest()
     res = compress(tree, keep)
-    log.append(
-        Move("compress", {"removed": removed}, pre, res.tree.state_digest())
-    )
+    _log_move(state, log, "compress", {"removed": removed}, res.tree)
 
     u_labels = {tree.vertices.labels[v] for v in state.u_set}
     if set(res.tree.vertices.labels) != u_labels:
@@ -512,21 +514,19 @@ def retract_tree(tree: GGraph, u_set: Iterable[int]) -> RetractResult:
     the input edges with unchanged stabilizers, plus the equivariant pairing
     of removed edges with outside vertices.
     """
-    u = frozenset(u_set)
-    _retract_precheck(tree, u)
-    state = make_state(tree, u)
+    # build_filtration runs the input prechecks first
+    state = make_state(tree, u_set)
     for w in sorted(state.w_set):
         if not is_conjugate_incomparable(tree.group, state.vstab(w)):
             raise PreconditionError("an outside vertex has conjugate-comparable stabilizer")
-    bad = check_filtration(tree, u, state.filtration)
+    bad = check_filtration(state)
     if bad:
         raise InternalCheckError("freshly built filtration invalid: " + "; ".join(bad))
     state = eliminate_problematic(state)
     result = compress_to_U(state)
 
-    # postconditions of the pipeline
-    if not validate(result.tree).is_tree:
-        raise InternalCheckError("pipeline output is not a G-tree")
+    # postconditions of the pipeline; compress has already checked that the
+    # output is a G-tree
     if len(result.removed_edges) != len(state.w_set):
         raise InternalCheckError("removed edge count differs from the outside vertex count")
     old_stab = {tree.edges.labels[e]: tree.edges.stabilizer(e) for e in range(tree.n_edges)}

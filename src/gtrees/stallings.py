@@ -11,6 +11,7 @@ base into the core.
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Iterable, Iterator, Optional
 
 from .errors import AlphabetMismatch, InputError, InternalCheckError, PreconditionError
@@ -156,19 +157,30 @@ class CoreGraph:
             raise PreconditionError("census word must be cyclically reduced")
         return frozenset(v for v in self.core_vertices() if self.read(w, v) == v)
 
+    def bfs_parents(self) -> dict[int, tuple[int, int, int]]:
+        """Breadth-first search from the base, labels ascending, out-edge
+        before in-edge.
+
+        Maps every reached vertex, in the order reached, to (previous vertex,
+        label, sign), sign +1 when the vertex was reached along an out-edge
+        and -1 along an in-edge; the base maps to (-1, -1, 0).
+        """
+        parent = {self.base: (-1, -1, 0)}
+        queue = deque((self.base,))
+        while queue:
+            v = queue.popleft()
+            for lab in range(self.alphabet.size):
+                for nxt, sg in ((self.out[v][lab], 1), (self.inn[v][lab], -1)):
+                    if nxt is not None and nxt not in parent:
+                        parent[nxt] = (v, lab, sg)
+                        queue.append(nxt)
+        return parent
+
     # -- canonical form ----------------------------------------------------
 
     def canonical_form(self) -> "CoreGraph":
         """Breadth-first relabeling from the base with fixed label order."""
-        order: dict[int, int] = {self.base: 0}
-        queue = [self.base]
-        while queue:
-            v = queue.pop(0)
-            for lab in range(self.alphabet.size):
-                for nxt in (self.out[v][lab], self.inn[v][lab]):
-                    if nxt is not None and nxt not in order:
-                        order[nxt] = len(order)
-                        queue.append(nxt)
+        order = {v: i for i, v in enumerate(self.bfs_parents())}
         if len(order) != self.n_vertices:
             raise InternalCheckError("based graph is not connected")
         edges = [(order[u], lab, order[v]) for u, lab, v in self.edges()]
@@ -191,14 +203,9 @@ class CoreGraph:
     def coset_labels(self) -> tuple[str, ...]:
         """Shortest-word coset names H1, Hx, ... for human-readable reports."""
         words = {self.base: Word.identity(self.alphabet)}
-        queue = [self.base]
-        while queue:
-            v = queue.pop(0)
-            for lab in range(self.alphabet.size):
-                for nxt, sg in ((self.out[v][lab], 1), (self.inn[v][lab], -1)):
-                    if nxt is not None and nxt not in words:
-                        words[nxt] = words[v] * Word.gen(self.alphabet, lab, sg)
-                        queue.append(nxt)
+        for v, (prev, lab, sg) in self.bfs_parents().items():
+            if prev != -1:
+                words[v] = words[prev] * Word.gen(self.alphabet, lab, sg)
         return tuple(
             "H" + format_word(words[v]) if v in words else f"H?{v}" for v in range(self.n_vertices)
         )

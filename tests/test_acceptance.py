@@ -28,7 +28,7 @@ from gtrees.counterexample import (
 )
 from gtrees.gaction import FiniteGroup, GSet
 from gtrees.ggraph import compress, reorient, slide, subdivide, validate
-from gtrees.retract import build_filtration, check_filtration, retract_tree
+from gtrees.retract import build_filtration, check_filtration, make_state, retract_tree
 from gtrees.stallings import from_generators
 from gtrees.words import XY, parse_generators
 
@@ -125,7 +125,7 @@ def test_criterion_6_filtration_validity(corpus):
     t0 = time.perf_counter()
     for t, u in corpus:
         filt = build_filtration(t, u)
-        problems = check_filtration(t, u, filt)
+        problems = check_filtration(make_state(t, u, filt))
         assert problems == [], problems
     elapsed = time.perf_counter() - t0
     report(6, elapsed, "filtration conditions (1)-(4) hold verbatim on all 500 instances")

@@ -11,11 +11,9 @@ from gtrees.almost import (
     ag_add,
     ag_shift,
     ag_sub,
-    almost_equal,
     check_derivation,
     check_function_derivation,
     coset_retraction,
-    difference_set,
     function_action,
     function_gset,
     hochschild_v,
@@ -36,6 +34,7 @@ def test_abelian_group_from_factors_and_table():
     z6 = AbelianGroup.from_factors([2, 3])
     assert z6.size == 6
     assert z6.add[z6.zero][3] == 3
+    assert z6.decode(5) == (1, 2) and z6.encode((1, 2)) == 5 and z6.encode((3, -1)) == 5
     table = [[(i + j) % 5 for j in range(5)] for i in range(5)]
     z5 = AbelianGroup.from_table(table)
     assert z5.size == 5 and z5.neg[2] == 3
@@ -223,13 +222,6 @@ def test_function_gset_and_action_law():
     fs = function_gset(e, a)
     assert fs.size == 9
     fs.validate()
-
-
-def test_almost_equality_literal():
-    assert almost_equal((0, 1, 2), (0, 1, 2))
-    assert difference_set((0, 1, 2), (0, 2, 2)) == frozenset({1})
-    with pytest.raises(InputError):
-        difference_set((0,), (0, 1))
 
 
 def untwist_fixture():

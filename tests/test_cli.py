@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+import gtrees.cli as cli
 from gtrees.cli import main
 from gtrees.counterexample import default_data, documented_mutations
 from gtrees.gaction import FiniteGroup, GSet, group_to_json, gset_to_json
@@ -199,3 +202,58 @@ def test_almost_missing_keys_exit_two(tmp_path, capsys):
         inp.write_text(json.dumps(doc))
         assert main(["almost", sub, "--input", str(inp)]) == 2, (sub, doc)
         assert "input error" in capsys.readouterr().err
+
+
+def _derivation_doc(factors):
+    return {
+        "group": group_to_json(FiniteGroup.cyclic(2)),
+        "module": {"factors": factors, "action": [[[-1]]]},
+        "derivation": [0, 1],
+    }
+
+
+def _untwist_doc(function):
+    g = FiniteGroup.cyclic(3)
+    return {
+        "group": group_to_json(g),
+        "E": gset_to_json(GSet.regular(g)),
+        "A": gset_to_json(GSet.from_generator_images(g, 3, [[1, 2, 0]])),
+        "function": function,
+    }
+
+
+def _instance_doc(**changes):
+    doc = make_instance_doc()
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (["almost", "check-derivation"], _derivation_doc(["a"])),
+        (["almost", "untwist"], _untwist_doc(5)),
+        (["almost", "untwist"], _untwist_doc([0, 1, 3])),
+        (["retract", "run"], _instance_doc(action={"vertices": [["a", 1, 2, 3]], "edges": [[0, 1, 2]]})),
+        (["retract", "run"], _instance_doc(retract_U=[4])),
+        (["retract", "run"], _instance_doc(retract_U=[-1])),
+    ],
+    ids=["factor-not-int", "function-not-list", "function-value-range", "action-not-int", "u-too-big", "u-negative"],
+)
+def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, command, doc):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc))
+    assert main(command + ["--input", str(inp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_unexpected_exception_exits_four_with_one_line(tmp_path, capsys, monkeypatch):
+    def broken(tree, u):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr(cli, "retract_tree", broken)
+    inp = tmp_path / "inst.json"
+    inp.write_text(json.dumps(make_instance_doc()))
+    assert main(["retract", "run", "--input", str(inp)]) == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: first line second line\n"

@@ -43,7 +43,7 @@ def test_build_filtration_single_edge():
     assert filt.vdeg == (0, 1)
     assert filt.edeg == (1,)
     assert filt.kappa == 2
-    assert check_filtration(t, {0}, filt) == []
+    assert check_filtration(make_state(t, {0}, filt)) == []
 
 
 def test_build_filtration_u_equals_v():
@@ -51,7 +51,7 @@ def test_build_filtration_u_equals_v():
     filt = build_filtration(t, {0, 1, 2})
     assert filt.vdeg == (0, 0, 0)
     assert sorted(filt.edeg) == [1, 2]  # one orbit consumed per stage
-    assert check_filtration(t, {0, 1, 2}, filt) == []
+    assert check_filtration(make_state(t, {0, 1, 2}, filt)) == []
 
 
 def test_build_filtration_star_with_leaf_retract():
@@ -60,7 +60,7 @@ def test_build_filtration_star_with_leaf_retract():
     filt = build_filtration(t, {1, 2, 3})
     assert filt.vdeg == (1, 0, 0, 0)
     assert filt.edeg[0] == 1
-    assert check_filtration(t, {1, 2, 3}, filt) == []
+    assert check_filtration(make_state(t, {1, 2, 3}, filt)) == []
 
 
 def test_build_filtration_requires_retract():
@@ -75,7 +75,7 @@ def test_build_filtration_requires_retract():
 def test_build_filtration_equivariant_instance():
     t = z2_mirror_tree()
     filt = build_filtration(t, {0})
-    assert check_filtration(t, {0}, filt) == []
+    assert check_filtration(make_state(t, {0}, filt)) == []
     assert filt.vdeg[2] == filt.vdeg[3]  # constant on orbits
     assert filt.edeg[1] == filt.edeg[2]
 
@@ -156,7 +156,7 @@ def test_eliminate_problematic_on_crooked_path():
     state = make_state(crooked_path(), {0})
     out = eliminate_problematic(state)
     assert problematic(out) == (frozenset(), frozenset())
-    assert check_filtration(out.tree, out.u_set, out.filtration) == []
+    assert check_filtration(out) == []
     kinds = [m.kind for m in out.move_log]
     assert "slide" in kinds
     # this instance needs both temporary reorientations (the moved orbit and

@@ -8,12 +8,14 @@ logs and results of a seeded corpus must keep their recorded digest.
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from instgen import random_instance
 from retract_oracle import oracle_paths_P, oracle_problematic
 
+import gtrees.gaction as ga
 import gtrees.retract as rt
 from gtrees.gaction import FiniteGroup, GSet
 from gtrees.ggraph import GGraph, ggraph_to_json
@@ -58,6 +60,30 @@ def test_retract_corpus_matches_golden_digest(corpus):
     assert h.hexdigest() == GOLDEN_SHA256
 
 
+def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
+    # the input is checked once, by build_filtration, and each tree the
+    # pipeline passes through is digested once: before a move, the digest is
+    # the one the previous move left
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(ga, "retraction_map")
+    count(rt, "validate")
+    count(GGraph, "state_digest")
+    for t, u in corpus:
+        calls.clear()
+        res = retract_tree(t, u)
+        assert calls == {"retraction_map": 1, "validate": 1, "state_digest": len(res.move_log) + 1}
+
+
 def _assert_matches_oracle(state):
     for w in sorted(state.w_set):
         assert paths_P(state, w) == oracle_paths_P(state, w), w
@@ -92,7 +118,7 @@ def test_check_filtration_reports_cycles_per_level():
         (1, 2, 0, 3, 3),
     )
     filt = Filtration(vdeg=(0, 1, 1, 2, 3), edeg=(1, 1, 1, 2, 5), kappa=6)
-    assert check_filtration(t, {0}, filt) == [
+    assert check_filtration(make_state(t, {0}, filt)) == [
         "(1) level set below 2 contains a cycle",
         "(1) level set below 3 contains a cycle",
         "(1) level set below 4 contains a cycle",
@@ -115,4 +141,4 @@ def test_check_filtration_on_a_cycle_uses_window_paths():
     )
     filt = Filtration(vdeg=(0, 1, 3, 1), edeg=(3, 3, 1, 1), kappa=4)
     assert [p.vertices for p in paths_P(make_state(t, {0}, filt), 1)] == [(1, 3, 0)]
-    assert check_filtration(t, {0}, filt) == ["(1) level set below 4 contains a cycle"]
+    assert check_filtration(make_state(t, {0}, filt)) == ["(1) level set below 4 contains a cycle"]
