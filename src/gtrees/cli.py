@@ -155,10 +155,15 @@ def _module_from_json(doc: dict):
     carrier = almost_mod.AbelianGroup.from_factors(factors)
     k = len(factors)
 
+    action = mdoc["action"]
+    if not isinstance(action, list):
+        raise InputError("module action must be a list of matrices")
     gen_maps = []
-    for mat in mdoc["action"]:
-        if len(mat) != k or any(len(row) != k for row in mat):
+    for mat in action:
+        if not isinstance(mat, list) or len(mat) != k or any(not isinstance(row, list) or len(row) != k for row in mat):
             raise InputError("action matrix has the wrong shape")
+        if not all(type(x) is int for row in mat for x in row):
+            raise InputError("action matrix entries must be integers")
         img = []
         for i in range(carrier.size):
             t = carrier.decode(i)

@@ -28,6 +28,10 @@ from .words import XY, Alphabet, Word, format_word, multiply, parse_word, power_
 
 AUX = Alphabet.of("X", "Y")
 
+#: largest depth `verify_all` accepts; words stay three syllables at every
+#: depth, so the cap only bounds the run time (a few seconds at the cap)
+N_MAX_CAP = 256
+
 
 # ---------------------------------------------------------------------------
 # fixture data
@@ -204,27 +208,51 @@ def _census_value(core: CoreGraph, word: Word) -> str:
 # ---------------------------------------------------------------------------
 
 
-def express_in_generators(gens: Sequence[Word], w: Word, out_alphabet: Alphabet) -> Word:
-    """Rewrite w over new letters, one per generator.
+class RunCache:
+    """The folded cores, loop bases and derived endomorphisms of one run.
 
-    Works via the folded graph of the subgroup: the walk of w is decomposed
-    against a spanning tree, and the loop basis must match the generators up
-    to inversion.  The result is certified by substituting back.
+    `verify_all` makes one per call and passes it to every verifier, so each
+    generator tuple is folded once per call and `phi` is derived once.  A
+    verifier called without one makes its own, which lives for that call.
     """
-    gens = tuple(g for g in gens if not g.is_identity())
-    if not gens:
-        raise InputError("cannot rewrite over an empty generating set")
-    if len(gens) > out_alphabet.size:
-        raise InputError("not enough output letters for the generators")
-    h = from_generators(gens)
-    if w.alphabet != h.alphabet:
-        raise InputError("word and generators live over different alphabets")
-    if not h.contains(w):
-        raise VerificationMismatch(
-            f"{format_word(w)} is not in the subgroup generated by "
-            + ", ".join(format_word(g) for g in gens)
-        )
 
+    def __init__(self) -> None:
+        self._cores: dict = {}
+        self._bases: dict = {}
+        self._phis: dict = {}
+
+    def core(self, gens: Sequence[Word], alphabet: Optional[Alphabet] = None) -> CoreGraph:
+        """`from_generators(gens, alphabet)`, folded once per run."""
+        key = (tuple(gens), alphabet)
+        if key not in self._cores:
+            self._cores[key] = from_generators(key[0], alphabet=alphabet)
+        return self._cores[key]
+
+    def loop_basis(self, gens: tuple[Word, ...]) -> dict[tuple[int, int, int], tuple[int, int]]:
+        """`_loop_basis` of the folded graph of gens, once per run."""
+        if gens not in self._bases:
+            self._bases[gens] = _loop_basis(self.core(gens), gens)
+        return self._bases[gens]
+
+    def phi(self, data: ExampleData) -> "PhiEndo":
+        """`derive_phi(data)`, once per run; a mismatch is raised on every call."""
+        if data not in self._phis:
+            try:
+                self._phis[data] = derive_phi(data, cache=self)
+            except VerificationMismatch as exc:
+                self._phis[data] = exc
+        phi = self._phis[data]
+        if isinstance(phi, VerificationMismatch):
+            raise phi
+        return phi
+
+
+def _loop_basis(h: CoreGraph, gens: tuple[Word, ...]) -> dict[tuple[int, int, int], tuple[int, int]]:
+    """Match the loops of h's edges outside its BFS tree with the generators.
+
+    Maps each such edge (u, label, v) to (generator index, ±1); raises
+    VerificationMismatch when some loop is no generator or its inverse.
+    """
     parent = h.bfs_parents()
     tree_edges = {
         (u, lab, v) if sg == 1 else (v, lab, u) for v, (u, lab, sg) in parent.items() if u != -1
@@ -260,6 +288,35 @@ def express_in_generators(gens: Sequence[Word], w: Word, out_alphabet: Alphabet)
             )
         used.add(hit[0])
         petal_of[trip] = hit
+    return petal_of
+
+
+def express_in_generators(
+    gens: Sequence[Word], w: Word, out_alphabet: Alphabet, *, cache: Optional[RunCache] = None
+) -> Word:
+    """Rewrite w over new letters, one per generator.
+
+    Works via the folded graph of the subgroup: the walk of w is decomposed
+    against a spanning tree, and the loop basis must match the generators up
+    to inversion.  The result is certified by substituting back.  The walk
+    goes letter by letter, so w should be short; the verifiers rewrite only
+    fixture words, never the depth-n words.
+    """
+    gens = tuple(g for g in gens if not g.is_identity())
+    if not gens:
+        raise InputError("cannot rewrite over an empty generating set")
+    if len(gens) > out_alphabet.size:
+        raise InputError("not enough output letters for the generators")
+    cache = cache or RunCache()
+    h = cache.core(gens)
+    if w.alphabet != h.alphabet:
+        raise InputError("word and generators live over different alphabets")
+    if not h.contains(w):
+        raise VerificationMismatch(
+            f"{format_word(w)} is not in the subgroup generated by "
+            + ", ".join(format_word(g) for g in gens)
+        )
+    petal_of = cache.loop_basis(gens)
 
     out_letters = []
     cur = h.base
@@ -311,32 +368,35 @@ class PhiEndo:
         return substitute(w, self.emb)
 
 
-def derive_phi(data: ExampleData) -> PhiEndo:
+def derive_phi(data: ExampleData, *, cache: Optional[RunCache] = None) -> PhiEndo:
     if len(data.gw_gens) != AUX.size:
         raise VerificationMismatch("the rank-two subgroup does not have two generators")
+    cache = cache or RunCache()
     emb = {AUX.names[i]: data.gw_gens[i] for i in range(AUX.size)}
     images = {
-        AUX.names[i]: express_in_generators(data.gw_gens, data.t_images[i], AUX)
+        AUX.names[i]: express_in_generators(data.gw_gens, data.t_images[i], AUX, cache=cache)
         for i in range(AUX.size)
     }
-    start = express_in_generators(data.gw_gens, data.base_rhs, AUX)
+    start = express_in_generators(data.gw_gens, data.base_rhs, AUX, cache=cache)
     return PhiEndo(emb, images, start)
 
 
-def t_conjugate(data: ExampleData, phi: PhiEndo, w: Word, times: int = 1) -> Word:
+def t_conjugate(
+    data: ExampleData, phi: PhiEndo, w: Word, times: int = 1, *, cache: Optional[RunCache] = None
+) -> Word:
     """w^(t^times) for w in the rank-two subgroup, via the relators."""
-    expr = express_in_generators(data.gw_gens, w, AUX)
+    expr = express_in_generators(data.gw_gens, w, AUX, cache=cache)
     return phi.embed(phi.apply(expr, times))
 
 
-def ge_t2_generators(data: ExampleData, phi: PhiEndo) -> list[Word]:
+def ge_t2_generators(data: ExampleData, phi: PhiEndo, *, cache: Optional[RunCache] = None) -> list[Word]:
     """The t^2-conjugates of the edge-group generators, derived from the relators."""
     out = []
     for g in data.ge_gens:
         if g == data.base_lhs:
             out.append(data.base_rhs)
         else:
-            out.append(t_conjugate(data, phi, g, times=2))
+            out.append(t_conjugate(data, phi, g, times=2, cache=cache))
     return out
 
 
@@ -345,7 +405,7 @@ def ge_t2_generators(data: ExampleData, phi: PhiEndo) -> list[Word]:
 # ---------------------------------------------------------------------------
 
 
-def verify_schreier(data: ExampleData, part: str, n: int) -> Report:
+def verify_schreier(data: ExampleData, part: str, n: int, *, cache: Optional[RunCache] = None) -> Report:
     """Census of x^{2^n} y^{2^n} x^{2^n} over the part's subgroup.
 
     The word is cyclically reduced, so the census decides membership in every
@@ -359,14 +419,14 @@ def verify_schreier(data: ExampleData, part: str, n: int) -> Report:
         gens, miss = data.ge_gens, 1
     else:
         raise InputError("part must be 'i' or 'ii'")
-    core = from_generators(gens)
+    core = (cache or RunCache()).core(gens)
     expected = "empty" if n == miss else "base"
     computed = _census_value(core, power_word(n))
     report.add(f"schreier.{part}.census", n, expected, computed)
     return report
 
 
-def verify_really(data: ExampleData, n: int) -> Report:
+def verify_really(data: ExampleData, n: int, *, cache: Optional[RunCache] = None) -> Report:
     """The conjugation identities, by iterating the doubling endomorphism.
 
     Chain: (base_lhs)^{t^2} = base_rhs embeds the auxiliary start word, and
@@ -376,7 +436,7 @@ def verify_really(data: ExampleData, n: int) -> Report:
     """
     report = Report("conjugation identities")
     try:
-        phi = derive_phi(data)
+        phi = (cache or RunCache()).phi(data)
     except VerificationMismatch as exc:
         report.fail("really.derive", n, str(exc))
         return report
@@ -415,17 +475,18 @@ def verify_really(data: ExampleData, n: int) -> Report:
     return report
 
 
-def verify_stabilizer_inclusions(data: ExampleData) -> Report:
+def verify_stabilizer_inclusions(data: ExampleData, *, cache: Optional[RunCache] = None) -> Report:
     """Membership checks for the documented conjugate subgroups."""
     report = Report("stabilizer inclusions")
-    gu_core = from_generators(data.gu_gens)
-    gw_core = from_generators(data.gw_gens)
+    cache = cache or RunCache()
+    gu_core = cache.core(data.gu_gens)
+    gw_core = cache.core(data.gw_gens)
     for g in data.ge_gens:
         report.add("stab.ge-in-gu", None, True, gu_core.contains(g), note=format_word(g))
     try:
-        phi = derive_phi(data)
-        derived_ge_t2 = ge_t2_generators(data, phi)
-        derived_gf_t = [t_conjugate(data, phi, g, 1) for g in data.gw_gens]
+        phi = cache.phi(data)
+        derived_ge_t2 = ge_t2_generators(data, phi, cache=cache)
+        derived_gf_t = [t_conjugate(data, phi, g, 1, cache=cache) for g in data.gw_gens]
     except VerificationMismatch as exc:
         report.fail("stab.derive", None, str(exc))
         return report
@@ -437,25 +498,23 @@ def verify_stabilizer_inclusions(data: ExampleData) -> Report:
         "stab.ge-t2-documented",
         None,
         True,
-        from_generators(derived_ge_t2).canonical_key()
-        == from_generators(data.documented_ge_t2).canonical_key(),
+        cache.core(derived_ge_t2).canonical_key() == cache.core(data.documented_ge_t2).canonical_key(),
         note="derived t^2-conjugate of the edge group equals its documented form",
     )
     report.add(
         "stab.gf-t-documented",
         None,
         True,
-        from_generators(derived_gf_t).canonical_key()
-        == from_generators(data.documented_gf_t).canonical_key(),
+        cache.core(derived_gf_t).canonical_key() == cache.core(data.documented_gf_t).canonical_key(),
         note="derived t-conjugate of the second edge group equals its documented form",
     )
-    doc_core = from_generators(data.documented_ge_t2)
+    doc_core = cache.core(data.documented_ge_t2)
     report.add("stab.base-rhs-in-ge-t2", None, True, doc_core.contains(data.base_rhs))
     report.add("stab.x4-not-in-ge-t2", None, False, doc_core.contains(data.gw_gens[0]))
     return report
 
 
-def fixed_point_profile(data: ExampleData, n_max: int) -> Report:
+def fixed_point_profile(data: ExampleData, n_max: int, *, cache: Optional[RunCache] = None) -> Report:
     """Which tree vertices and edges the element xyx fixes, per coset family.
 
     For each n, four censuses decide the fixed incident edges of the two
@@ -465,17 +524,21 @@ def fixed_point_profile(data: ExampleData, n_max: int) -> Report:
     w-family vertices always are).
     """
     report = Report("fixed-point profile")
+    cache = cache or RunCache()
     try:
-        phi = derive_phi(data)
-        aux_ii = [express_in_generators(data.gw_gens, w, AUX) for w in ge_t2_generators(data, phi)]
-        aux_iii = [express_in_generators(data.gw_gens, w, AUX) for w in data.t_images]
+        phi = cache.phi(data)
+        aux_ii = [
+            express_in_generators(data.gw_gens, w, AUX, cache=cache)
+            for w in ge_t2_generators(data, phi, cache=cache)
+        ]
+        aux_iii = [express_in_generators(data.gw_gens, w, AUX, cache=cache) for w in data.t_images]
     except VerificationMismatch as exc:
         report.fail("fixed.derive", None, str(exc))
         return report
-    core_i = from_generators(data.ge_gens)
-    core_ii = from_generators(aux_ii, alphabet=AUX)
-    core_iii = from_generators(aux_iii, alphabet=AUX)
-    gw_core = from_generators(data.gw_gens)
+    core_i = cache.core(data.ge_gens)
+    core_ii = cache.core(aux_ii, alphabet=AUX)
+    core_iii = cache.core(aux_iii, alphabet=AUX)
+    gw_core = cache.core(data.gw_gens)
 
     for n in range(n_max + 1):
         word_xy = power_word(n)
@@ -530,26 +593,33 @@ def fixed_point_profile(data: ExampleData, n_max: int) -> Report:
 
 
 def verify_all(data: Optional[ExampleData] = None, n_max: int = 10, parts: Optional[Sequence[str]] = None) -> Report:
-    """Run every verifier up to the depth bound and aggregate one report."""
+    """Run every verifier up to the depth bound and aggregate one report.
+
+    The depth bound must lie in 0..N_MAX_CAP; each generator tuple is folded
+    and `phi` derived once per call.
+    """
+    if not 0 <= n_max <= N_MAX_CAP:
+        raise InputError(f"n_max must lie between 0 and {N_MAX_CAP}, got {n_max}")
     data = data or default_data()
     wanted = set(parts) if parts else {"schreier", "really", "stabilizers", "fixed"}
     bad = wanted - {"schreier", "really", "stabilizers", "fixed"}
     if bad:
         raise InputError(f"unknown parts: {sorted(bad)}")
     t0 = time.perf_counter()
+    cache = RunCache()
     report = Report(f"verification up to n = {n_max}")
     for n in range(n_max + 1):
-        report.add("wordlength", n, 3 * 2**n, len(power_word(n)))
+        report.add("wordlength", n, 3 * 2**n, power_word(n).length())
     if "schreier" in wanted:
         for n in range(n_max + 1):
-            report.extend(verify_schreier(data, "i", n))
-            report.extend(verify_schreier(data, "ii", n))
+            report.extend(verify_schreier(data, "i", n, cache=cache))
+            report.extend(verify_schreier(data, "ii", n, cache=cache))
     if "really" in wanted:
         for n in range(n_max + 1):
-            report.extend(verify_really(data, n))
+            report.extend(verify_really(data, n, cache=cache))
     if "stabilizers" in wanted:
-        report.extend(verify_stabilizer_inclusions(data))
+        report.extend(verify_stabilizer_inclusions(data, cache=cache))
     if "fixed" in wanted:
-        report.extend(fixed_point_profile(data, n_max))
+        report.extend(fixed_point_profile(data, n_max, cache=cache))
     report.runtime_seconds = time.perf_counter() - t0
     return report

@@ -219,7 +219,8 @@ class GSet:
         if self.act[self.group.identity] != tuple(range(m)):
             raise InputError("identity does not act trivially")
         for g in range(n):
-            if sorted(self.act[g]) != list(range(m)):
+            row = self.act[g]
+            if not all(type(p) is int for p in row) or sorted(row) != list(range(m)):
                 raise InputError(f"element {g} does not act by a permutation")
         mult = self.group.mult
         for g in range(n):
@@ -402,6 +403,8 @@ def gset_from_json(group: FiniteGroup, doc: dict) -> GSet:
     size = points if isinstance(points, int) else len(points)
     labels = None if isinstance(points, int) else points
     action = doc["action"]
+    if not isinstance(action, list) or not all(isinstance(row, list) for row in action):
+        raise InputError("gset action must be a list of permutation rows")
     if len(action) == len(group.generators):
         return GSet.from_generator_images(group, size, action, labels)
     if len(action) == group.order:

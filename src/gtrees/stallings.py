@@ -17,6 +17,11 @@ from typing import Iterable, Iterator, Optional
 from .errors import AlphabetMismatch, InputError, InternalCheckError, PreconditionError
 from .words import Alphabet, Word, format_word
 
+#: most letters `from_generators` folds: the unfolded graph has one vertex
+#: per letter, and a short exponent such as x^(10^12) asks for more than fits
+#: in memory
+MAX_FOLD_LETTERS = 1_000_000
+
 
 class LabeledGraphBuilder:
     """Mutable based graph with letter-labeled oriented edges; may be unfolded."""
@@ -45,19 +50,22 @@ class LabeledGraphBuilder:
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("loop word over a different alphabet")
         cur = self.base
-        for k, (idx, sg) in enumerate(w.letters):
-            nxt = self.base if k == len(w.letters) - 1 else self.add_vertex()
-            if sg > 0:
-                self.add_edge(cur, idx, nxt)
-            else:
-                self.add_edge(nxt, idx, cur)
-            cur = nxt
+        left = w.length()
+        for idx, exp in w.syllables:
+            for _ in range(abs(exp)):
+                left -= 1
+                nxt = self.base if left == 0 else self.add_vertex()
+                if exp > 0:
+                    self.add_edge(cur, idx, nxt)
+                else:
+                    self.add_edge(nxt, idx, cur)
+                cur = nxt
 
 
 class CoreGraph:
     """Folded based graph of a subgroup; immutable after construction."""
 
-    __slots__ = ("alphabet", "n_vertices", "base", "out", "inn", "generators", "_core")
+    __slots__ = ("alphabet", "n_vertices", "base", "out", "inn", "generators", "_core", "_runs")
 
     def __init__(
         self,
@@ -81,6 +89,7 @@ class CoreGraph:
         self.inn = tuple(tuple(row) for row in inn)
         self.generators = generators
         self._core = None
+        self._runs = None
 
     # -- structure ---------------------------------------------------------
 
@@ -131,13 +140,60 @@ class CoreGraph:
         self._core = core
         return core
 
+    def _letter_runs(self) -> tuple[tuple[tuple[tuple[int, ...], int, bool], ...], ...]:
+        """Each letter's partial injection, cut into cycles and paths.
+
+        `_letter_runs()[lab][v]` is (vertices, i, cyclic): the cycle or maximal path
+        of lab-edges through v, in out-edge order, and v's index in it; an
+        isolated vertex is a path of one.  Built on first use.
+        """
+        if self._runs is None:
+            per_label = []
+            for lab in range(self.alphabet.size):
+                place: list = [None] * self.n_vertices
+                # paths start where no lab-edge comes in; what is left lies on cycles
+                starts = [v for v in range(self.n_vertices) if self.inn[v][lab] is None]
+                for first in starts + list(range(self.n_vertices)):
+                    if place[first] is not None:
+                        continue
+                    seq = [first]
+                    nxt = self.out[first][lab]
+                    while nxt is not None and nxt != first:
+                        seq.append(nxt)
+                        nxt = self.out[nxt][lab]
+                    run = tuple(seq)
+                    for i, v in enumerate(run):
+                        place[v] = (run, i, nxt is not None)
+                per_label.append(tuple(place))
+            self._runs = tuple(per_label)
+        return self._runs
+
     # -- queries -----------------------------------------------------------
 
     def read(self, w: Word, start: int) -> Optional[int]:
-        """Walk w from a vertex; None when the walk leaves the graph."""
+        """Walk w from a vertex; None when the walk leaves the graph.
+
+        A syllable x^k moves in one step along the cycle or path of x-edges
+        through the current vertex, so the cost is per syllable, not per
+        letter.
+        """
+        out, inn, runs = self.out, self.inn, self._runs
         cur = start
-        for idx, sg in w.letters:
-            cur = self.out[cur][idx] if sg > 0 else self.inn[cur][idx]
+        for idx, exp in w.syllables:
+            if exp == 1:
+                cur = out[cur][idx]
+            elif exp == -1:
+                cur = inn[cur][idx]
+            else:
+                runs = runs or self._letter_runs()
+                run, i, cyclic = runs[idx][cur]
+                i += exp
+                if cyclic:
+                    cur = run[i % len(run)]
+                elif 0 <= i < len(run):
+                    cur = run[i]
+                else:
+                    return None
             if cur is None:
                 return None
         return cur
@@ -321,6 +377,9 @@ def from_generators(gens: Iterable[Word], alphabet: Alphabet | None = None) -> C
     for g in nonempty:
         if g.alphabet != alphabet:
             raise AlphabetMismatch("subgroup generators over different alphabets")
+    letters = sum(g.length() for g in nonempty)
+    if letters > MAX_FOLD_LETTERS:
+        raise InputError(f"generators have {letters} letters; at most {MAX_FOLD_LETTERS} can be folded")
     builder = LabeledGraphBuilder(alphabet)
     for g in nonempty:
         builder.add_word_loop(g)

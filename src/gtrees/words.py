@@ -1,8 +1,16 @@
 """Free-group word arithmetic over a fixed finite alphabet.
 
-Words are kept freely reduced at all times: every constructor and every
-operation reduces eagerly, so downstream code may assume reduced form.
-All values are immutable.
+A word is stored as its freely reduced *syllables*: pairs (generator index,
+exponent) with a nonzero integer exponent of any size and different
+generators in adjacent syllables.  That form is unique, so equality and
+hashing compare syllables, and x^{2^n} y^{2^n} x^{2^n} takes three syllables
+at every n.  Every constructor and operation returns the reduced form, so
+downstream code may assume it.
+
+`Word(alphabet, letters)` builds a word from (generator index, ±1) letters
+in one linear pass, and `w.letters` is the letter view, derived from the
+syllables on first access and cached; code that must stay cheap on long
+words reads `w.syllables` instead.  All values are immutable.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from typing import Iterable, Mapping
 from .errors import AlphabetMismatch, InputError
 
 Letter = tuple[int, int]  # (generator index, sign in {+1, -1})
+Syllable = tuple[int, int]  # (generator index, nonzero exponent)
 
 _FORBIDDEN_IN_NAMES = set("^-,*() \t\n") | set("0123456789")
 
@@ -51,56 +60,92 @@ class Alphabet:
 XY = Alphabet.of("x", "y")
 
 
-def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for idx, sg in letters:
-        if sg not in (1, -1):
-            raise InputError(f"letter sign must be +1 or -1, got {sg}")
-        if out and out[-1][0] == idx and out[-1][1] == -sg:
-            out.pop()
+def _push(out: list[Syllable], gen: int, exp: int) -> None:
+    """Append gen^exp to a reduced syllable list, reducing at the junction."""
+    if out and out[-1][0] == gen:
+        exp += out[-1][1]
+        if exp:
+            out[-1] = (gen, exp)
         else:
-            out.append((idx, sg))
-    return tuple(out)
+            out.pop()
+    elif exp:
+        out.append((gen, exp))
 
 
 class Word:
-    """A freely reduced word; letters are (generator index, sign) pairs."""
+    """A freely reduced word, stored as syllables (generator index, exponent)."""
 
-    __slots__ = ("alphabet", "letters", "_hash")
+    __slots__ = ("alphabet", "syllables", "_letters", "_len", "_hash")
 
     def __init__(self, alphabet: Alphabet, letters: Iterable[Letter] = ()):
-        self.alphabet = alphabet
-        self.letters = _reduce(letters)
-        for idx, _ in self.letters:
-            if not 0 <= idx < alphabet.size:
+        out: list[Syllable] = []
+        for idx, sg in letters:
+            if sg not in (1, -1):
+                raise InputError(f"letter sign must be +1 or -1, got {sg}")
+            _push(out, idx, sg)
+        size = alphabet.size
+        for idx, _ in out:
+            if not 0 <= idx < size:
                 raise InputError(f"letter index {idx} out of range")
+        self.alphabet = alphabet
+        self.syllables = tuple(out)
+        self._letters = None
+        self._len = None
         self._hash = None
 
     @classmethod
+    def _of(cls, alphabet: Alphabet, syllables: tuple[Syllable, ...]) -> "Word":
+        """A word from syllables the caller guarantees to be reduced."""
+        w = cls.__new__(cls)
+        w.alphabet = alphabet
+        w.syllables = syllables
+        w._letters = None
+        w._len = None
+        w._hash = None
+        return w
+
+    @classmethod
     def identity(cls, alphabet: Alphabet) -> "Word":
-        return cls(alphabet)
+        return cls._of(alphabet, ())
 
     @classmethod
     def gen(cls, alphabet: Alphabet, index: int, sign: int = 1) -> "Word":
         return cls(alphabet, [(index, sign)])
 
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        """The word letter by letter; |w| pairs, so only for short words."""
+        if self._letters is None:
+            out: list[Letter] = []
+            for idx, exp in self.syllables:
+                out += [(idx, 1)] * exp if exp > 0 else [(idx, -1)] * -exp
+            self._letters = tuple(out)
+        return self._letters
+
+    def length(self) -> int:
+        """Number of letters; unlike len(), also beyond sys.maxsize."""
+        if self._len is None:
+            self._len = sum([abs(exp) for _, exp in self.syllables])
+        return self._len
+
     def is_identity(self) -> bool:
-        return not self.letters
+        return not self.syllables
 
     def is_cyclically_reduced(self) -> bool:
-        if len(self.letters) < 2:
+        syl = self.syllables
+        if len(syl) < 2:
             return True
-        (i0, s0), (i1, s1) = self.letters[0], self.letters[-1]
-        return not (i0 == i1 and s0 == -s1)
+        (i0, e0), (i1, e1) = syl[0], syl[-1]
+        return not (i0 == i1 and (e0 > 0) != (e1 > 0))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return self.length()
 
     def __mul__(self, other: "Word") -> "Word":
         return multiply(self, other)
 
     def __invert__(self) -> "Word":
-        return Word(self.alphabet, [(i, -s) for i, s in reversed(self.letters)])
+        return Word._of(self.alphabet, tuple([(i, -e) for i, e in reversed(self.syllables)]))
 
     def inverse(self) -> "Word":
         return ~self
@@ -120,11 +165,11 @@ class Word:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Word):
             return NotImplemented
-        return self.alphabet == other.alphabet and self.letters == other.letters
+        return self.alphabet == other.alphabet and self.syllables == other.syllables
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.alphabet, self.letters))
+            self._hash = hash((self.alphabet, self.syllables))
         return self._hash
 
     def __repr__(self) -> str:
@@ -142,15 +187,23 @@ def multiply(a: Word, b: Word) -> Word:
     """Freely reduced concatenation."""
     _require_same_alphabet(a, b)
     # only the junction can cancel since both factors are reduced
-    la, lb = list(a.letters), b.letters
-    j = 0
-    while la and j < len(lb) and la[-1][0] == lb[j][0] and la[-1][1] == -lb[j][1]:
-        la.pop()
-        j += 1
-    w = Word.__new__(Word)
-    w.alphabet = a.alphabet
-    w.letters = tuple(la) + lb[j:]
-    w._hash = None
+    sa, sb = a.syllables, b.syllables
+    i, j = len(sa), 0
+    length = a.length() + b.length()
+    while i and j < len(sb) and sa[i - 1][0] == sb[j][0]:
+        ea, eb = sa[i - 1][1], sb[j][1]
+        if ea + eb == 0:
+            length -= 2 * abs(ea)
+            i -= 1
+            j += 1
+            continue
+        if (ea > 0) != (eb > 0):
+            length -= 2 * min(abs(ea), abs(eb))
+        w = Word._of(a.alphabet, sa[: i - 1] + ((sb[j][0], ea + eb),) + sb[j + 1 :])
+        w._len = length
+        return w
+    w = Word._of(a.alphabet, sa[:i] + sb[j:])
+    w._len = length
     return w
 
 
@@ -166,18 +219,32 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     Returns (core, conjugator) with core cyclically reduced and
     w == conjugate(core, conjugator).
     """
-    letters = w.letters
-    i, j = 0, len(letters)
-    while j - i >= 2 and letters[i][0] == letters[j - 1][0] and letters[i][1] == -letters[j - 1][1]:
+    syl = w.syllables
+    i, j = 0, len(syl)
+    while j - i >= 2 and syl[i][0] == syl[j - 1][0] and syl[i][1] == -syl[j - 1][1]:
         i += 1
         j -= 1
-    core = Word(w.alphabet, letters[i:j])
-    conjugator = ~Word(w.alphabet, letters[:i])
-    return core, conjugator
+    prefix, core = syl[:i], syl[i:j]
+    if len(core) >= 2 and core[0][0] == core[-1][0] and (core[0][1] > 0) != (core[-1][1] > 0):
+        # the outer syllables cancel in part: strip the shorter one and as
+        # much of the longer one, which leaves the core cyclically reduced
+        (gen, e0), (_, e1) = core[0], core[-1]
+        if abs(e0) < abs(e1):
+            prefix += ((gen, e0),)
+            core = core[1:-1] + ((gen, e1 + e0),)
+        else:
+            prefix += ((gen, -e1),)
+            core = ((gen, e0 + e1),) + core[1:-1]
+    return Word._of(w.alphabet, core), ~Word._of(w.alphabet, prefix)
 
 
 def substitute(w: Word, images: Mapping[str, Word]) -> Word:
-    """Extend a generator assignment to a homomorphism and apply it to w."""
+    """Extend a generator assignment to a homomorphism and apply it to w.
+
+    A syllable whose image is one syllable (h, f) becomes (h, e*f) in one
+    step.  Any other image v enters through its cyclic reduction
+    v = c^-1 u c as c^-1 u^e c, so only the core u is repeated.
+    """
     for nm in w.alphabet.names:
         if nm not in images:
             raise InputError(f"missing image for generator {nm!r}")
@@ -186,15 +253,29 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     for v in vals[1:]:
         if v.alphabet != target:
             raise AlphabetMismatch("substitution images live over different alphabets")
-    out: list[Letter] = []
-    for idx, sg in w.letters:
-        img = vals[idx].letters if sg > 0 else (~vals[idx]).letters
-        for lt in img:
-            if out and out[-1][0] == lt[0] and out[-1][1] == -lt[1]:
-                out.pop()
-            else:
-                out.append(lt)
-    return Word(target, out)
+    split: dict[int, tuple] = {}
+    out: list[Syllable] = []
+    for idx, exp in w.syllables:
+        img = vals[idx].syllables
+        if len(img) == 1:
+            _push(out, img[0][0], img[0][1] * exp)
+            continue
+        if idx not in split:
+            core, conj = cyclic_reduce(vals[idx])
+            split[idx] = ((~conj).syllables, core.syllables, conj.syllables)
+        head, core, tail = split[idx]
+        for gen, e in head:
+            _push(out, gen, e)
+        if len(core) == 1:
+            _push(out, core[0][0], core[0][1] * exp)
+        elif core:
+            run = core if exp > 0 else tuple([(gen, -e) for gen, e in reversed(core)])
+            for _ in range(abs(exp)):
+                for gen, e in run:
+                    _push(out, gen, e)
+        for gen, e in tail:
+            _push(out, gen, e)
+    return Word._of(target, tuple(out))
 
 
 def power_word(n: int, base: int = 1, alphabet: Alphabet = XY) -> Word:
@@ -204,9 +285,7 @@ def power_word(n: int, base: int = 1, alphabet: Alphabet = XY) -> Word:
     if n < 0 or base < 0:
         raise InputError("power_word takes natural arguments")
     b = base * (2**n)
-    block_x = [(0, 1)] * b
-    block_y = [(1, 1)] * b
-    return Word(alphabet, block_x + block_y + block_x)
+    return Word._of(alphabet, ((0, b), (1, b), (0, b)) if b else ())
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +299,7 @@ def parse_word(alphabet: Alphabet, text: str, upper_inverse: bool | None = None)
     if upper_inverse is None:
         upper_inverse = all(nm == nm.lower() for nm in alphabet.names)
     by_len = sorted(range(alphabet.size), key=lambda i: -len(alphabet.names[i]))
-    letters: list[Letter] = []
+    out: list[Syllable] = []
     pos = 0
     n = len(text)
     while pos < n:
@@ -250,31 +329,20 @@ def parse_word(alphabet: Alphabet, text: str, upper_inverse: bool | None = None)
                 pos += 1
             while pos < n and text[pos].isdigit():
                 pos += 1
-            if pos == m or text[m:pos] == "-":
-                raise InputError(f"bad exponent at position {m} of {text!r}")
-            exp = int(text[m:pos])
-        total = sign * exp
-        if total:
-            letters.extend([(idx, 1 if total > 0 else -1)] * abs(total))
-    return Word(alphabet, letters)
+            try:
+                exp = int(text[m:pos])
+            except ValueError:
+                raise InputError(f"bad exponent at position {m} of {text!r}") from None
+        _push(out, idx, sign * exp)
+    return Word._of(alphabet, tuple(out))
 
 
 def format_word(w: Word) -> str:
     """Canonical text form; round-trips exactly through parse_word."""
     if w.is_identity():
         return "1"
-    parts = []
-    run_idx, run_sign, run_len = None, 0, 0
-    for idx, sg in list(w.letters) + [(-1, 0)]:
-        if idx == run_idx and sg == run_sign:
-            run_len += 1
-            continue
-        if run_idx is not None and run_idx >= 0:
-            k = run_sign * run_len
-            nm = w.alphabet.names[run_idx]
-            parts.append(nm if k == 1 else f"{nm}^{k}")
-        run_idx, run_sign, run_len = idx, sg, 1
-    return "".join(parts)
+    names = w.alphabet.names
+    return "".join([names[idx] if exp == 1 else f"{names[idx]}^{exp}" for idx, exp in w.syllables])
 
 
 def parse_generators(alphabet: Alphabet, text: str, upper_inverse: bool | None = None) -> list[Word]:

@@ -52,6 +52,21 @@ def test_counterexample_verify_ok(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n_max", ["-3", "257"])
+def test_counterexample_verify_depth_out_of_range_exits_two(capsys, n_max):
+    assert main(["counterexample", "verify", "--n-max", n_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: n_max must lie between 0 and 256")
+
+
+def test_stallings_member_huge_exponent(capsys):
+    assert main(["stallings", "member", "x^2,y^2", "x^" + "9" * 30]) == 0
+    assert capsys.readouterr().out.strip() == "false"
+    assert main(["stallings", "member", "x^2,y^2", "x^" + "9" * 29 + "8"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+
+
 def test_counterexample_verify_json_report(tmp_path):
     out = tmp_path / "report.json"
     assert main(["counterexample", "verify", "--n-max", "2", "--report", "json", "--out", str(out)]) == 0
@@ -222,6 +237,14 @@ def _untwist_doc(function):
     }
 
 
+def _untwist_element_rows_doc(row):
+    return {
+        "group": {"generator_permutations": [[1, 0]]},
+        "E": {"points": 2, "action": [[0, 1], row]},
+        "A": {"points": 2, "action": [[0, 1]]},
+    }
+
+
 def _instance_doc(**changes):
     doc = make_instance_doc()
     doc.update(changes)
@@ -232,13 +255,16 @@ def _instance_doc(**changes):
     "command, doc",
     [
         (["almost", "check-derivation"], _derivation_doc(["a"])),
+        (["almost", "check-derivation"], {**_derivation_doc([4]), "module": {"factors": [4], "action": [[["a"]]]}}),
+        (["almost", "untwist"], _untwist_element_rows_doc(["a", 0])),
+        (["almost", "untwist"], _untwist_element_rows_doc([1, 2])),
         (["almost", "untwist"], _untwist_doc(5)),
         (["almost", "untwist"], _untwist_doc([0, 1, 3])),
         (["retract", "run"], _instance_doc(action={"vertices": [["a", 1, 2, 3]], "edges": [[0, 1, 2]]})),
         (["retract", "run"], _instance_doc(retract_U=[4])),
         (["retract", "run"], _instance_doc(retract_U=[-1])),
     ],
-    ids=["factor-not-int", "function-not-list", "function-value-range", "action-not-int", "u-too-big", "u-negative"],
+    ids=["factor-not-int", "matrix-entry-not-int", "element-row-not-int", "element-row-range", "function-not-list", "function-value-range", "action-not-int", "u-too-big", "u-negative"],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, command, doc):
     inp = tmp_path / "in.json"
