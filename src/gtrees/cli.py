@@ -63,6 +63,8 @@ def _alphabet_from_flag(names: Optional[str]) -> Alphabet:
 
 def cmd_retract_run(args) -> int:
     doc = _load_json(args.input)
+    if not isinstance(doc, dict):
+        raise InputError("instance document must be a JSON object")
     if "retract_U" not in doc:
         raise InputError("instance document is missing 'retract_U'")
     tree = ggraph_from_json(doc)

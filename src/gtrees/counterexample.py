@@ -78,8 +78,25 @@ class ExampleData:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExampleData":
+        if not isinstance(doc, dict):
+            raise InputError("fixture document must be a JSON object")
+
         def words(key):
-            return tuple(parse_word(XY, s) for s in doc[key])
+            texts = doc[key]
+            if not isinstance(texts, list) or not all(isinstance(s, str) for s in texts):
+                raise InputError(f"fixture {key!r} must be a list of words")
+            return tuple(parse_word(XY, s) for s in texts)
+
+        def word(key):
+            if not isinstance(doc[key], str):
+                raise InputError(f"fixture {key!r} must be a word")
+            return parse_word(XY, doc[key])
+
+        def exponent(key, default):
+            try:
+                return int(doc.get(key, default))
+            except (TypeError, ValueError, OverflowError):
+                raise InputError(f"fixture {key!r} must be an integer") from None
 
         try:
             return cls(
@@ -87,13 +104,13 @@ class ExampleData:
                 gw_gens=words("gw_gens"),
                 ge_gens=words("ge_gens"),
                 t_images=words("t_images"),
-                base_lhs=parse_word(XY, doc["base_lhs"]),
-                base_rhs=parse_word(XY, doc["base_rhs"]),
+                base_lhs=word("base_lhs"),
+                base_rhs=word("base_rhs"),
                 schreier_small_gens=words("schreier_small_gens"),
                 documented_ge_t2=words("documented_ge_t2"),
                 documented_gf_t=words("documented_gf_t"),
-                tau_e_exp=int(doc.get("tau_e_exp", 2)),
-                tau_f_exp=int(doc.get("tau_f_exp", 1)),
+                tau_e_exp=exponent("tau_e_exp", 2),
+                tau_f_exp=exponent("tau_f_exp", 1),
             )
         except KeyError as exc:
             raise InputError(f"fixture document is missing {exc.args[0]!r}") from None

@@ -372,20 +372,32 @@ def group_to_json(group: FiniteGroup) -> dict:
     }
 
 
+def _int_rows(rows) -> bool:
+    """Whether a JSON value is a list of lists of integers."""
+    return isinstance(rows, list) and all(isinstance(row, list) and all(type(x) is int for x in row) for row in rows)
+
+
 def group_from_json(doc: dict) -> FiniteGroup:
     if not isinstance(doc, dict):
         raise InputError("group document must be an object")
     if "mult_table" in doc:
         table = doc["mult_table"]
+        if not _int_rows(table):
+            raise InputError("mult_table must be a list of rows of element indices")
         gens = doc.get("generators")
         if gens is None:
             gens = list(range(len(table)))
+        elif not isinstance(gens, list) or not all(type(g) is int for g in gens):
+            raise InputError("generators must be a list of element indices")
         group = FiniteGroup.from_mult_table(table, gens)
         if "order" in doc and doc["order"] != group.order:
             raise InputError("declared order does not match the table")
         return group
     if "generator_permutations" in doc:
-        return FiniteGroup.from_generator_permutations(doc["generator_permutations"])
+        perms = doc["generator_permutations"]
+        if not _int_rows(perms):
+            raise InputError("generator_permutations must be a list of integer lists")
+        return FiniteGroup.from_generator_permutations(perms)
     raise InputError("group document needs mult_table or generator_permutations")
 
 
@@ -400,6 +412,8 @@ def gset_from_json(group: FiniteGroup, doc: dict) -> GSet:
     if not isinstance(doc, dict) or "points" not in doc or "action" not in doc:
         raise InputError("gset document needs points and action")
     points = doc["points"]
+    if not (type(points) is int and points >= 0 or isinstance(points, list)):
+        raise InputError("gset points must be a count or a list of labels")
     size = points if isinstance(points, int) else len(points)
     labels = None if isinstance(points, int) else points
     action = doc["action"]

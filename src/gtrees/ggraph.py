@@ -426,13 +426,27 @@ def ggraph_to_json(t: GGraph) -> dict:
     }
 
 
+def _label_from_json(x):
+    """A vertex or edge label read back from JSON, lists as tuples at every depth."""
+    if isinstance(x, list):
+        return tuple(_label_from_json(y) for y in x)
+    if isinstance(x, dict):
+        raise InputError("vertex/edge labels must be numbers, strings or lists of them")
+    return x
+
+
 def ggraph_from_json(doc: dict) -> GGraph:
+    if not isinstance(doc, dict):
+        raise InputError("instance document must be a JSON object")
     for key in ("group", "vertices", "edges", "iota", "tau", "action"):
         if key not in doc:
             raise InputError(f"instance document is missing {key!r}")
     group = group_from_json(doc["group"])
     vlab = doc["vertices"]
     elab = doc["edges"]
+    for name, lab in (("vertices", vlab), ("edges", elab)):
+        if not (type(lab) is int and lab >= 0 or isinstance(lab, list)):
+            raise InputError(f"{name} must be a count or a list of labels")
     nv = vlab if isinstance(vlab, int) else len(vlab)
     ne = elab if isinstance(elab, int) else len(elab)
     act = doc["action"]
@@ -440,9 +454,9 @@ def ggraph_from_json(doc: dict) -> GGraph:
         raise InputError("action must give vertex and edge permutations")
 
     def build(size, rows, labels):
-        labels = None if isinstance(labels, int) else [
-            tuple(x) if isinstance(x, list) else x for x in labels
-        ]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise InputError("action must give lists of permutation rows")
+        labels = None if isinstance(labels, int) else [_label_from_json(x) for x in labels]
         if labels is not None and len(set(labels)) != len(labels):
             raise InputError("vertex/edge labels must be pairwise distinct")
         if len(rows) == len(group.generators):

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import repeat
 from typing import Iterable, Iterator, Optional
 
 from .errors import AlphabetMismatch, InputError, InternalCheckError, PreconditionError
+from .ggraph import _UnionFind
 from .words import Alphabet, Word, format_word
 
 #: most letters `from_generators` folds: the unfolded graph has one vertex
@@ -46,20 +48,30 @@ class LabeledGraphBuilder:
         self.edges.append((u, label, v))
 
     def add_word_loop(self, w: Word) -> None:
-        """Attach a loop at the base spelling w (a letter (i,-1) adds a reverse edge)."""
+        """Attach a loop at the base spelling w (a letter (i,-1) adds a reverse edge).
+
+        The loop's inner vertices are new and numbered in reading order, and
+        each syllable adds its edges in one step.
+        """
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("loop word over a different alphabet")
-        cur = self.base
-        left = w.length()
+        if w.is_identity():
+            return
+        n = self.n_vertices
+        self.n_vertices += w.length() - 1
+        path = [self.base, *range(n, self.n_vertices), self.base]
+        edges = self.edges
+        p = 0
         for idx, exp in w.syllables:
-            for _ in range(abs(exp)):
-                left -= 1
-                nxt = self.base if left == 0 else self.add_vertex()
-                if exp > 0:
-                    self.add_edge(cur, idx, nxt)
-                else:
-                    self.add_edge(nxt, idx, cur)
-                cur = nxt
+            if exp == 1:
+                edges.append((path[p], idx, path[p + 1]))
+            elif exp == -1:
+                edges.append((path[p + 1], idx, path[p]))
+            elif exp > 0:
+                edges.extend(zip(path[p : p + exp], repeat(idx), path[p + 1 : p + exp + 1]))
+            else:
+                edges.extend(zip(path[p + 1 : p - exp + 1], repeat(idx), path[p : p - exp]))
+            p += abs(exp)
 
 
 class CoreGraph:
@@ -78,8 +90,9 @@ class CoreGraph:
         self.alphabet = alphabet
         self.n_vertices = n_vertices
         self.base = base
-        out: list[list[Optional[int]]] = [[None] * alphabet.size for _ in range(n_vertices)]
-        inn: list[list[Optional[int]]] = [[None] * alphabet.size for _ in range(n_vertices)]
+        k = alphabet.size
+        out: list[list[Optional[int]]] = [[None] * k for _ in range(n_vertices)]
+        inn: list[list[Optional[int]]] = [[None] * k for _ in range(n_vertices)]
         for u, lab, v in edges:
             if out[u][lab] is not None or inn[v][lab] is not None:
                 raise InternalCheckError("edge set is not folded")
@@ -115,30 +128,14 @@ class CoreGraph:
 
     def core_vertices(self) -> frozenset[int]:
         """Vertices on some cyclically reduced closed path (degree-1 trimming)."""
-        if self._core is not None:
-            return self._core
-        if self.n_edges == 0:
-            core = frozenset({self.base})
-        else:
-            alive = set(range(self.n_vertices))
-            deg = {v: self.degree(v) for v in alive}
-            changed = True
-            while changed:
-                changed = False
-                for v in sorted(alive):
-                    if deg[v] <= 1:
-                        alive.discard(v)
-                        changed = True
-                        for lab in range(self.alphabet.size):
-                            w = self.out[v][lab]
-                            if w is not None and w in alive:
-                                deg[w] -= 1
-                            w = self.inn[v][lab]
-                            if w is not None and w in alive:
-                                deg[w] -= 1
-            core = frozenset(alive)
-        self._core = core
-        return core
+        if self._core is None:
+            ends = [[w for w in self.out[v] + self.inn[v] if w is not None] for v in range(self.n_vertices)]
+            if any(ends):
+                alive = _peel(ends)
+                self._core = frozenset(v for v in range(self.n_vertices) if alive[v])
+            else:
+                self._core = frozenset({self.base})
+        return self._core
 
     def _letter_runs(self) -> tuple[tuple[tuple[tuple[int, ...], int, bool], ...], ...]:
         """Each letter's partial injection, cut into cycles and paths.
@@ -284,29 +281,38 @@ class CoreGraph:
         return "\n".join(lines)
 
 
-def _trim_spurs(n: int, base: int, edges: set[tuple[int, int, int]]) -> tuple[int, int, list]:
-    """Drop degree-1 vertices other than the base, renumber densely."""
-    deg: dict[int, int] = {v: 0 for v in range(n)}
+def _peel(ends: list[list[int]], keep: int = -1) -> list[bool]:
+    """Which vertices survive repeatedly dropping those of degree at most one.
+
+    `ends[v]` lists the far end of every edge at v (a loop twice); the vertex
+    `keep` is never dropped.  A degree-1 queue visits each vertex once, and
+    the survivors do not depend on the order of removal.
+    """
+    deg = [len(e) for e in ends]
+    alive = [True] * len(ends)
+    queue = [v for v, d in enumerate(deg) if d <= 1 and v != keep]
+    while queue:
+        v = queue.pop()
+        alive[v] = False
+        for w in ends[v]:
+            if alive[w]:
+                deg[w] -= 1
+                if deg[w] == 1 and w != keep:
+                    queue.append(w)
+    return alive
+
+
+def _trim_spurs(n: int, base: int, edges: list[tuple[int, int, int]]) -> tuple[int, int, list]:
+    """Drop vertices of degree at most one other than the base, renumber densely."""
+    ends: list[list[int]] = [[] for _ in range(n)]
     for u, _, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    alive = set(range(n))
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            if v != base and deg[v] <= 1:
-                alive.discard(v)
-                changed = True
-                for u, lab, t in list(edges):
-                    if u == v or t == v:
-                        edges.discard((u, lab, t))
-                        other = t if u == v else u
-                        if other in alive and other != v:
-                            deg[other] -= 1
-    renum = {v: i for i, v in enumerate(sorted(alive))}
-    new_edges = [(renum[u], lab, renum[v]) for u, lab, v in edges]
-    return len(alive), renum[base], new_edges
+        ends[u].append(v)
+        ends[v].append(u)
+    alive = _peel(ends, base)
+    kept = [v for v in range(n) if alive[v]]
+    renum = {v: i for i, v in enumerate(kept)}
+    new_edges = [(renum[u], lab, renum[v]) for u, lab, v in edges if alive[u] and alive[v]]
+    return len(renum), renum[base], new_edges
 
 
 def fold(
@@ -317,52 +323,61 @@ def fold(
     """Fold a based labeled graph.
 
     Identifies exactly the vertex pairs forced by label-determinism; the
-    language of closed base paths is unchanged.  The default strategy picks
-    the lowest-index conflict first; passing an rng randomizes the order
-    (the result is order-independent either way).
+    language of closed base paths is unchanged.  Every vertex class keeps
+    one out-slot and one in-slot per label, and a worklist holds the vertex
+    pairs still to be identified.  Placing the builder's edges in the slots
+    seeds it with one pair per edge that finds its slot taken; merging two
+    classes moves the absorbed class's slots into the survivor and adds one
+    pair per slot both fill.  Each merge costs O(alphabet size), so folding
+    is near-linear in the number of edges.  Passing an rng shuffles the
+    edges, and so the initial worklist; the folded partition is unique, and
+    classes are numbered by their smallest vertex, so the result does not
+    depend on the order either way.
     """
+    k = builder.alphabet.size
     n = builder.n_vertices
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
+    out = [-1] * (n * k)  # out[v*k + lab]: a vertex the lab-edge from v's class enters
+    inn = [-1] * (n * k)
+    pending = []
     edges = list(builder.edges)
-    while True:
-        conflicts = []
-        seen_out: dict[tuple[int, int], int] = {}
-        seen_in: dict[tuple[int, int], int] = {}
-        for u, lab, v in edges:
-            ru, rv = find(u), find(v)
-            w = seen_out.get((ru, lab))
-            if w is None:
-                seen_out[(ru, lab)] = rv
-            elif w != rv:
-                conflicts.append((w, rv))
-            w = seen_in.get((rv, lab))
-            if w is None:
-                seen_in[(rv, lab)] = ru
-            elif w != ru:
-                conflicts.append((w, ru))
-        if not conflicts:
-            break
-        pick = rng.choice(conflicts) if rng is not None else min(conflicts)
-        union(*pick)
+    if rng is not None:
+        rng.shuffle(edges)
+    for u, lab, v in edges:
+        i, j = u * k + lab, v * k + lab
+        if out[i] < 0:
+            out[i] = v
+        elif out[i] != v:
+            pending.append((out[i], v))
+        if inn[j] < 0:
+            inn[j] = u
+        elif inn[j] != u:
+            pending.append((inn[j], u))
 
-    roots = sorted({find(v) for v in range(n)})
-    renum = {r: i for i, r in enumerate(roots)}
-    folded_edges = {(renum[find(u)], lab, renum[find(v)]) for u, lab, v in edges}
-    n2, base2, edges2 = _trim_spurs(len(roots), renum[find(builder.base)], folded_edges)
+    uf = _UnionFind(n)
+    find = uf.find
+    while pending:
+        a, b = pending.pop()
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        uf.union(ra, rb)  # the smaller root survives
+        keep, gone = (ra, rb) if ra < rb else (rb, ra)
+        for table in (out, inn):
+            for i in range(gone * k, gone * k + k):
+                t = table[i]
+                if t >= 0:
+                    j = i + (keep - gone) * k
+                    s = table[j]
+                    if s < 0:
+                        table[j] = t
+                    elif s != t:
+                        pending.append((s, t))
+
+    parent = uf.parent
+    folded = [
+        (u, lab, find(out[u * k + lab])) for u in range(n) if parent[u] == u for lab in range(k) if out[u * k + lab] >= 0
+    ]
+    n2, base2, edges2 = _trim_spurs(n, find(builder.base), folded)
     return CoreGraph(builder.alphabet, n2, base2, edges2, generators)
 
 

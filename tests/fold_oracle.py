@@ -1,0 +1,110 @@
+"""Reference folding: the scan-all-edges `fold`, `_trim_spurs` and
+`core_vertices` that `gtrees.stallings` replaced with worklist and queue
+versions.
+
+Each pass of `fold` rescans every edge and unions one conflict, and the
+trimming loops rescan the whole vertex (or edge) set for every removal, so
+this is quadratic; the differential tests in `test_fold_worklist.py` compare
+the fast code with it on small and medium graphs.
+"""
+
+from __future__ import annotations
+
+import random
+
+from gtrees.stallings import CoreGraph, LabeledGraphBuilder
+
+
+def trim_spurs(n: int, base: int, edges: set[tuple[int, int, int]]) -> tuple[int, int, list]:
+    """Drop degree-1 vertices other than the base, renumber densely."""
+    deg: dict[int, int] = {v: 0 for v in range(n)}
+    for u, _, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    alive = set(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(alive):
+            if v != base and deg[v] <= 1:
+                alive.discard(v)
+                changed = True
+                for u, lab, t in list(edges):
+                    if u == v or t == v:
+                        edges.discard((u, lab, t))
+                        other = t if u == v else u
+                        if other in alive and other != v:
+                            deg[other] -= 1
+    renum = {v: i for i, v in enumerate(sorted(alive))}
+    new_edges = [(renum[u], lab, renum[v]) for u, lab, v in edges]
+    return len(alive), renum[base], new_edges
+
+
+def fold(builder: LabeledGraphBuilder, generators=(), rng: random.Random | None = None) -> CoreGraph:
+    """Union the lowest-index conflict (or a random one), rescan, repeat."""
+    n = builder.n_vertices
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            parent[rb] = ra
+
+    edges = list(builder.edges)
+    while True:
+        conflicts = []
+        seen_out: dict[tuple[int, int], int] = {}
+        seen_in: dict[tuple[int, int], int] = {}
+        for u, lab, v in edges:
+            ru, rv = find(u), find(v)
+            w = seen_out.get((ru, lab))
+            if w is None:
+                seen_out[(ru, lab)] = rv
+            elif w != rv:
+                conflicts.append((w, rv))
+            w = seen_in.get((rv, lab))
+            if w is None:
+                seen_in[(rv, lab)] = ru
+            elif w != ru:
+                conflicts.append((w, ru))
+        if not conflicts:
+            break
+        pick = rng.choice(conflicts) if rng is not None else min(conflicts)
+        union(*pick)
+
+    roots = sorted({find(v) for v in range(n)})
+    renum = {r: i for i, r in enumerate(roots)}
+    folded_edges = {(renum[find(u)], lab, renum[find(v)]) for u, lab, v in edges}
+    n2, base2, edges2 = trim_spurs(len(roots), renum[find(builder.base)], folded_edges)
+    return CoreGraph(builder.alphabet, n2, base2, edges2, generators)
+
+
+def core_vertices(core: CoreGraph) -> frozenset[int]:
+    """Vertices on some cyclically reduced closed path, by repeated sweeps."""
+    if core.n_edges == 0:
+        return frozenset({core.base})
+    alive = set(range(core.n_vertices))
+    deg = {v: core.degree(v) for v in alive}
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(alive):
+            if deg[v] <= 1:
+                alive.discard(v)
+                changed = True
+                for lab in range(core.alphabet.size):
+                    w = core.out[v][lab]
+                    if w is not None and w in alive:
+                        deg[w] -= 1
+                    w = core.inn[v][lab]
+                    if w is not None and w in alive:
+                        deg[w] -= 1
+    return frozenset(alive)

@@ -159,6 +159,20 @@ def test_moves_slide_and_subdivide(tmp_path, capsys):
     assert main(["moves", "slide", "--input", str(inp), "--edge", "1", "--along", "0"]) == 3
 
 
+def test_moves_subdivide_twice_reads_nested_labels(tmp_path, capsys):
+    # a second subdivision labels its new vertex ("mid", ("half2", 0)): JSON
+    # nests the lists, and reading it back must give hashable labels
+    t = tree_with_trivial_group([(0, 1), (1, 2)])
+    inp = tmp_path / "t.json"
+    inp.write_text(json.dumps(ggraph_to_json(t)))
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    assert main(["moves", "subdivide", "--input", str(inp), "--edge", "0", "--out", str(once)]) == 0
+    assert main(["moves", "subdivide", "--input", str(once), "--edge", "2", "--out", str(twice)]) == 0
+    assert main(["moves", "subdivide", "--input", str(twice), "--edge", "0"]) == 0
+    sub = ggraph_from_json(json.loads(twice.read_text()))
+    assert sub.n_vertices == 5 and ("mid", ("half2", 0)) in sub.vertices.labels
+
+
 def test_moves_compress_and_reorient(tmp_path, capsys):
     t = tree_with_trivial_group([(1, 0), (1, 2)])
     inp = tmp_path / "t.json"
@@ -251,6 +265,11 @@ def _instance_doc(**changes):
     return doc
 
 
+def _untwist_group_doc(group):
+    one_point = {"points": 1, "action": [[0]]}
+    return {"group": group, "E": one_point, "A": one_point}
+
+
 @pytest.mark.parametrize(
     "command, doc",
     [
@@ -263,13 +282,35 @@ def _instance_doc(**changes):
         (["retract", "run"], _instance_doc(action={"vertices": [["a", 1, 2, 3]], "edges": [[0, 1, 2]]})),
         (["retract", "run"], _instance_doc(retract_U=[4])),
         (["retract", "run"], _instance_doc(retract_U=[-1])),
+        (["almost", "untwist"], _untwist_group_doc({"generator_permutations": [["a", 0]]})),
+        (["almost", "untwist"], _untwist_group_doc({"mult_table": 5})),
+        (["almost", "untwist"], _untwist_group_doc({"mult_table": [[0]], "generators": "0"})),
+        (["counterexample", "verify"], {"gu_gens": 5}),
+        (["counterexample", "verify"], {**default_data().to_json(), "base_lhs": 3}),
+        (["counterexample", "verify"], {**default_data().to_json(), "tau_e_exp": "two"}),
+        (["counterexample", "verify"], [1, 2]),
+        (["retract", "run"], _instance_doc(vertices="abcd")),
+        (["retract", "run"], _instance_doc(edges=2.5)),
+        (["retract", "run"], _instance_doc(vertices=[0, 1, {"a": 1}, 3])),
+        (["retract", "run"], _instance_doc(action={"vertices": 5, "edges": [[0, 1, 2]]})),
+        (["moves", "subdivide", "--edge", "0"], 5),
+        (["retract", "run"], 5),
+        (["almost", "untwist"], {**_untwist_doc([0, 1, 2]), "A": {"points": 2.5, "action": [[0, 1]]}}),
     ],
-    ids=["factor-not-int", "matrix-entry-not-int", "element-row-not-int", "element-row-range", "function-not-list", "function-value-range", "action-not-int", "u-too-big", "u-negative"],
+    ids=[
+        "factor-not-int", "matrix-entry-not-int", "element-row-not-int", "element-row-range", "function-not-list",
+        "function-value-range", "action-not-int", "u-too-big", "u-negative", "permutation-not-int",
+        "mult-table-not-list", "generators-not-list", "fixture-words-not-list", "fixture-word-not-text",
+        "fixture-exponent-not-int", "fixture-not-object", "vertices-text", "edges-float", "label-object",
+        "action-rows-not-list", "instance-not-object", "retract-instance-not-object",
+        "points-float",
+    ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, command, doc):
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps(doc))
-    assert main(command + ["--input", str(inp)]) == 2
+    flag = "--fixture" if command[0] == "counterexample" else "--input"
+    assert main(command + [flag, str(inp)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1
 
