@@ -69,7 +69,7 @@ def cmd_retract_run(args) -> int:
         raise InputError("instance document is missing 'retract_U'")
     tree = ggraph_from_json(doc)
     u = doc["retract_U"]
-    if not isinstance(u, list) or not all(isinstance(v, int) and 0 <= v < tree.n_vertices for v in u):
+    if not isinstance(u, list) or not all(type(v) is int and 0 <= v < tree.n_vertices for v in u):
         raise InputError(f"'retract_U' must be a list of vertex indices below {tree.n_vertices}")
     result = retract_tree(tree, u)
     out_doc = {

@@ -157,6 +157,8 @@ class GSet:
     group: FiniteGroup
     act: tuple[tuple[int, ...], ...]
     labels: tuple[Hashable, ...]
+    # every point's stabilizer, filled on the first stabilizer query
+    _stabs: Optional[tuple[frozenset[int], ...]] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -235,7 +237,7 @@ class GSet:
     def orbit(self, p: int) -> frozenset[int]:
         if not 0 <= p < self.size:
             raise PreconditionError(f"point {p} outside the carrier")
-        return frozenset(self.act[g][p] for g in self.group.elements)
+        return frozenset([row[p] for row in self.act])
 
     def orbits(self) -> list[frozenset[int]]:
         seen: set[int] = set()
@@ -248,9 +250,34 @@ class GSet:
         return out
 
     def stabilizer(self, p: int) -> frozenset[int]:
+        """The elements fixing p.
+
+        The first query builds every point's stabilizer in one pass over the
+        action table (see stabilizers); later queries are lookups.
+        """
         if not 0 <= p < self.size:
             raise PreconditionError(f"point {p} outside the carrier")
-        return frozenset(g for g in self.group.elements if self.act[g][p] == p)
+        return self.stabilizers()[p]
+
+    def stabilizers(self) -> tuple[frozenset[int], ...]:
+        """Every point's stabilizer, indexed by point, built once per G-set.
+
+        Points with the same stabilizer share one frozenset.
+        """
+        if self._stabs is None:
+            object.__setattr__(self, "_stabs", self._stabilizer_table())
+        return self._stabs
+
+    def _stabilizer_table(self) -> tuple[frozenset[int], ...]:
+        interned: dict[tuple[int, ...], frozenset[int]] = {}
+        table = []
+        for p, column in enumerate(zip(*self.act)):
+            key = tuple([g for g, q in enumerate(column) if q == p])
+            stab = interned.get(key)
+            if stab is None:
+                stab = interned[key] = frozenset(key)
+            table.append(stab)
+        return tuple(table)
 
     def is_action_closed(self, subset: Iterable[int]) -> bool:
         ss = set(subset)
@@ -331,7 +358,7 @@ def retraction_map(s: GSet, u_set: Iterable[int]) -> Optional[dict[int, int]]:
         raise PreconditionError("subset is not action-closed")
     ret = {p: p for p in u}
     outside = [p for p in range(s.size) if p not in u]
-    stabs = {p: s.stabilizer(p) for p in range(s.size)}
+    stabs = s.stabilizers()
     done: set[int] = set()
     for p in outside:
         if p in done:

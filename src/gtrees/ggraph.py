@@ -231,7 +231,8 @@ def compress(t: GGraph, eprime: Iterable[int]) -> CompressResult:
                 raise InternalCheckError("compression retraction is not equivariant")
 
     # iota restricted to removed edges hits each non-sink exactly once
-    non_sinks = [v for v in range(t.n_vertices) if v not in set(sinks)]
+    sink_set = set(sinks)
+    non_sinks = [v for v in range(t.n_vertices) if v not in sink_set]
     if sorted(t.iota[e] for e in removed) != sorted(non_sinks):
         raise InternalCheckError("initial-vertex map is not a bijection removed-edges -> removed-vertices")
 

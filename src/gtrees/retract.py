@@ -51,7 +51,12 @@ class Move:
 
 @dataclass(frozen=True)
 class RetractState:
-    """Immutable snapshot of the pipeline: tree + filtration + move history."""
+    """Immutable snapshot of the pipeline: tree + filtration + move history.
+
+    Each snapshot builds its tree's adjacency once and keeps the descent
+    paths of each outside vertex once paths_P has searched them.  Every move
+    makes a new snapshot (with_tree), so neither is ever stale.
+    """
 
     tree: GGraph
     filtration: Filtration
@@ -59,11 +64,13 @@ class RetractState:
     move_log: tuple[Move, ...] = ()
     _vstab: tuple[frozenset[int], ...] = field(default=(), compare=False, repr=False)
     _adj: Adjacency = field(init=False, compare=False, repr=False)
+    _paths: dict[int, list[GPath]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # built per snapshot, so dataclasses.replace in with_tree never
-        # carries the adjacency of the tree before a move
+        # carries the adjacency or the descent paths of the tree before a move
         object.__setattr__(self, "_adj", self.tree.adjacency())
+        object.__setattr__(self, "_paths", {})
 
     @property
     def w_set(self) -> frozenset[int]:
@@ -80,8 +87,7 @@ def make_state(tree: GGraph, u_set: Iterable[int], filtration: Optional[Filtrati
     u = frozenset(u_set)
     if filtration is None:
         filtration = build_filtration(tree, u)
-    vstab = tuple([tree.vertices.stabilizer(v) for v in range(tree.n_vertices)])
-    return RetractState(tree, filtration, u, (), vstab)
+    return RetractState(tree, filtration, u, (), tree.vertices.stabilizers())
 
 
 # ---------------------------------------------------------------------------
@@ -106,25 +112,37 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
     vertex first seen at level alpha down a geodesic towards an already-placed
     vertex fixed by its stabilizer; the new edges on those geodesics form the
     next level (or, if none are new, one fresh orbit is consumed).
+
+    The vertices first placed at each level are kept in a bucket, and the
+    candidate targets (levels below alpha) in one ascending list that grows
+    by a bucket per stage, so no stage rescans the tree.
     """
     u = frozenset(u_set)
     _retract_precheck(tree, u)
     nv, ne = tree.n_vertices, tree.n_edges
-    vstab = [tree.vertices.stabilizer(v) for v in range(nv)]
+    vstab = tree.vertices.stabilizers()
     adj = tree.adjacency()
     edge_level: dict[int, int] = {}
     vertex_level: dict[int, int] = {v: 0 for v in u}
+    buckets: list[list[int]] = [sorted(u)]  # level -> vertices first placed there
+    candidates: list[int] = []  # the vertices below the current alpha, ascending
+    lowest_unplaced = 0  # every edge below it has a level
 
     def place_edges(es: Iterable[int], gamma: int) -> None:
+        bucket = []
         for e in es:
             edge_level[e] = gamma
             for v in (tree.iota[e], tree.tau[e]):
                 if v not in vertex_level:
                     vertex_level[v] = gamma
+                    bucket.append(v)
+        buckets.append(bucket)
 
     def lowest_fresh_orbit() -> list[int]:
-        e0 = min(e for e in range(ne) if e not in edge_level)
-        return sorted(tree.edges.orbit(e0))
+        nonlocal lowest_unplaced
+        while lowest_unplaced in edge_level:
+            lowest_unplaced += 1
+        return sorted(tree.edges.orbit(lowest_unplaced))
 
     gamma = 0
     while len(edge_level) < ne:
@@ -135,20 +153,24 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
             place_edges(lowest_fresh_orbit(), gamma)
             continue
         alpha = gamma - 1
-        v_alpha = sorted(v for v, lvl in vertex_level.items() if lvl == alpha)
+        candidates += buckets[alpha - 1]
+        candidates.sort()
+        # the target of w is the lowest candidate whose stabilizer holds
+        # stab(w), so within a stage it depends on stab(w) alone
+        target_of: dict[frozenset[int], int] = {}
         collected: set[int] = set()
         seen_orbit: set[int] = set()
-        for w in v_alpha:
+        for w in sorted(buckets[alpha]):
             if w in seen_orbit:
                 continue
             seen_orbit |= tree.vertices.orbit(w)
-            target = None
-            for v in sorted(vertex_level):
-                if vertex_level[v] < alpha and vstab[w] <= vstab[v]:
-                    target = v
-                    break
+            sw = vstab[w]
+            target = target_of.get(sw)
             if target is None:
-                raise InternalCheckError("no placed vertex absorbs the stabilizer of a placed vertex")
+                target = next((v for v in candidates if sw <= vstab[v]), None)
+                if target is None:
+                    raise InternalCheckError("no placed vertex absorbs the stabilizer of a placed vertex")
+                target_of[sw] = target
             path = path_to(bfs_parents(adj, w, stop=target), target)
             cut = next(
                 i
@@ -156,7 +178,7 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
                 if path.vertices[i] in vertex_level and vertex_level[path.vertices[i]] < alpha
             )
             for z in path.vertices[: cut + 1]:
-                if not vstab[w] <= vstab[z]:
+                if not sw <= vstab[z]:
                     raise InternalCheckError("stabilizer does not fix the chosen descent geodesic")
             for e, _ in path.steps[:cut]:
                 collected |= tree.edges.orbit(e)
@@ -247,7 +269,13 @@ def paths_P(state: RetractState, w: int) -> list[GPath]:
     The input is meant to be a tree.  On a graph with a cycle, each vertex
     the windowed search reaches gets one path, its first shortest path
     inside the window; the rest of the graph plays no part.
+
+    The search runs once per snapshot and vertex: the list is kept on the
+    state, and every caller gets that same list, so none may change it.
     """
+    memo = state._paths
+    if w in memo:
+        return memo[w]
     if w in state.u_set:
         raise PreconditionError("descent paths are defined for outside vertices only")
     vdeg, edeg, vstab = state.filtration.vdeg, state.filtration.edeg, state._vstab
@@ -256,6 +284,7 @@ def paths_P(state: RetractState, w: int) -> list[GPath]:
     parent = bfs_parents(state._adj, w, lambda e, z: edeg[e] in window and sw <= vstab[z])
     out = [path_to(parent, v) for v in parent if vdeg[v] < dw]
     out.sort(key=lambda p: (p.length, p.steps))
+    memo[w] = out
     return out
 
 
@@ -460,8 +489,8 @@ def compress_to_U(state: RetractState) -> RetractResult:
             flips |= orb
     if flips:
         tree = _log_move(state, log, "reorient", {"flips": sorted(flips)}, reorient(tree, flips))
-    state = state.with_tree(tree, log)
-    log = []
+        state = state.with_tree(tree, log)
+        log = []
     for e in range(tree.n_edges):
         if is_lower(state, tree.iota[e], tree.tau[e]):
             raise InternalCheckError("an edge still points uphill after reorientation")
@@ -484,11 +513,12 @@ def compress_to_U(state: RetractState) -> RetractResult:
             w, eg = va[g][v0], ea[g][e1]
             if distinguished.setdefault(w, eg) != eg:
                 raise InternalCheckError("equivariant distinguished choice clashed")
-    removed = sorted(set(distinguished.values()))
+    removed_set = set(distinguished.values())
+    removed = sorted(removed_set)
     if sorted(tree.iota[e] for e in removed) != sorted(state.w_set):
         raise InternalCheckError("distinguished edges do not biject onto the outside vertices")
 
-    keep = [e for e in range(tree.n_edges) if e not in set(removed)]
+    keep = [e for e in range(tree.n_edges) if e not in removed_set]
     res = compress(tree, keep)
     _log_move(state, log, "compress", {"removed": removed}, res.tree)
 
@@ -516,8 +546,8 @@ def retract_tree(tree: GGraph, u_set: Iterable[int]) -> RetractResult:
     """
     # build_filtration runs the input prechecks first
     state = make_state(tree, u_set)
-    for w in sorted(state.w_set):
-        if not is_conjugate_incomparable(tree.group, state.vstab(w)):
+    for h in dict.fromkeys(state.vstab(w) for w in sorted(state.w_set)):
+        if not is_conjugate_incomparable(tree.group, h):
             raise PreconditionError("an outside vertex has conjugate-comparable stabilizer")
     bad = check_filtration(state)
     if bad:

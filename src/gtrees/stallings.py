@@ -36,10 +36,6 @@ class LabeledGraphBuilder:
         self.base = base
         self.edges: list[tuple[int, int, int]] = []  # (source, label, target)
 
-    def add_vertex(self) -> int:
-        self.n_vertices += 1
-        return self.n_vertices - 1
-
     def add_edge(self, u: int, label: int, v: int) -> None:
         if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
             raise InputError("edge endpoint out of range")

@@ -1,12 +1,99 @@
-"""Reference descent paths: a BFS over the whole tree, then a filter.
+"""Reference forms of the retract pipeline's fast paths, kept only as
+differential test oracles:
 
-This is the original, unpruned form of `gtrees.retract.paths_P` and of
-`problematic` on top of it.  It is kept only as a differential test oracle
-for the windowed search in `gtrees.retract`.
+- descent paths by a BFS over the whole tree, then a filter (the unpruned
+  form of `gtrees.retract.paths_P` and of `problematic` on top of it);
+- orbits and stabilizers by a scan over the group elements, one point at a
+  time (the form before `GSet` kept a stabilizer table);
+- the filtration by rescanning the placed vertices at every stage and every
+  orbit representative (the form before `build_filtration` kept level
+  buckets and a sorted candidate list).
 """
 
 from gtrees.errors import InternalCheckError, PreconditionError
-from gtrees.ggraph import GPath
+from gtrees.ggraph import GPath, bfs_parents, path_to
+from gtrees.retract import Filtration, _retract_precheck
+
+
+def oracle_orbit(s, p):
+    if not 0 <= p < s.size:
+        raise PreconditionError(f"point {p} outside the carrier")
+    return frozenset(s.act[g][p] for g in s.group.elements)
+
+
+def oracle_stabilizer(s, p):
+    if not 0 <= p < s.size:
+        raise PreconditionError(f"point {p} outside the carrier")
+    return frozenset(g for g in s.group.elements if s.act[g][p] == p)
+
+
+def oracle_build_filtration(tree, u_set):
+    """Degrees stagewise, as `gtrees.retract.build_filtration` assigns them."""
+    u = frozenset(u_set)
+    _retract_precheck(tree, u)
+    nv, ne = tree.n_vertices, tree.n_edges
+    vstab = [oracle_stabilizer(tree.vertices, v) for v in range(nv)]
+    adj = tree.adjacency()
+    edge_level = {}
+    vertex_level = {v: 0 for v in u}
+
+    def place_edges(es, gamma):
+        for e in es:
+            edge_level[e] = gamma
+            for v in (tree.iota[e], tree.tau[e]):
+                if v not in vertex_level:
+                    vertex_level[v] = gamma
+
+    def lowest_fresh_orbit():
+        e0 = min(e for e in range(ne) if e not in edge_level)
+        return sorted(oracle_orbit(tree.edges, e0))
+
+    gamma = 0
+    while len(edge_level) < ne:
+        gamma += 1
+        if gamma > ne + 1:
+            raise InternalCheckError("filtration construction failed to terminate")
+        if gamma == 1:
+            place_edges(lowest_fresh_orbit(), gamma)
+            continue
+        alpha = gamma - 1
+        v_alpha = sorted(v for v, lvl in vertex_level.items() if lvl == alpha)
+        collected = set()
+        seen_orbit = set()
+        for w in v_alpha:
+            if w in seen_orbit:
+                continue
+            seen_orbit |= oracle_orbit(tree.vertices, w)
+            target = None
+            for v in sorted(vertex_level):
+                if vertex_level[v] < alpha and vstab[w] <= vstab[v]:
+                    target = v
+                    break
+            if target is None:
+                raise InternalCheckError("no placed vertex absorbs the stabilizer of a placed vertex")
+            path = path_to(bfs_parents(adj, w, stop=target), target)
+            cut = next(
+                i
+                for i in range(1, len(path.vertices))
+                if path.vertices[i] in vertex_level and vertex_level[path.vertices[i]] < alpha
+            )
+            for z in path.vertices[: cut + 1]:
+                if not vstab[w] <= vstab[z]:
+                    raise InternalCheckError("stabilizer does not fix the chosen descent geodesic")
+            for e, _ in path.steps[:cut]:
+                collected |= oracle_orbit(tree.edges, e)
+        if any(edge_level.get(e, gamma) < alpha for e in collected):
+            raise InternalCheckError("descent geodesic used an edge below its window")
+        fresh = sorted(e for e in collected if e not in edge_level)
+        if fresh:
+            place_edges(fresh, gamma)
+        else:
+            place_edges(lowest_fresh_orbit(), gamma)
+
+    kappa = 1 + max(edge_level.values(), default=0)
+    vdeg = tuple([vertex_level[v] for v in range(nv)])
+    edeg = tuple([edge_level[e] for e in range(ne)])
+    return Filtration(vdeg, edeg, kappa)
 
 
 def oracle_paths_P(state, w):

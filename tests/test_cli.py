@@ -282,6 +282,8 @@ def _untwist_group_doc(group):
         (["retract", "run"], _instance_doc(action={"vertices": [["a", 1, 2, 3]], "edges": [[0, 1, 2]]})),
         (["retract", "run"], _instance_doc(retract_U=[4])),
         (["retract", "run"], _instance_doc(retract_U=[-1])),
+        (["retract", "run"], _instance_doc(retract_U=[False])),
+        (["retract", "run"], _instance_doc(retract_U=[True])),
         (["almost", "untwist"], _untwist_group_doc({"generator_permutations": [["a", 0]]})),
         (["almost", "untwist"], _untwist_group_doc({"mult_table": 5})),
         (["almost", "untwist"], _untwist_group_doc({"mult_table": [[0]], "generators": "0"})),
@@ -299,7 +301,8 @@ def _untwist_group_doc(group):
     ],
     ids=[
         "factor-not-int", "matrix-entry-not-int", "element-row-not-int", "element-row-range", "function-not-list",
-        "function-value-range", "action-not-int", "u-too-big", "u-negative", "permutation-not-int",
+        "function-value-range", "action-not-int", "u-too-big", "u-negative", "u-false", "u-true",
+        "permutation-not-int",
         "mult-table-not-list", "generators-not-list", "fixture-words-not-list", "fixture-word-not-text",
         "fixture-exponent-not-int", "fixture-not-object", "vertices-text", "edges-float", "label-object",
         "action-rows-not-list", "instance-not-object", "retract-instance-not-object",

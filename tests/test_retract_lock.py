@@ -13,7 +13,13 @@ from collections import Counter
 import pytest
 
 from instgen import random_instance
-from retract_oracle import oracle_paths_P, oracle_problematic
+from retract_oracle import (
+    oracle_build_filtration,
+    oracle_orbit,
+    oracle_paths_P,
+    oracle_problematic,
+    oracle_stabilizer,
+)
 
 import gtrees.gaction as ga
 import gtrees.retract as rt
@@ -21,6 +27,7 @@ from gtrees.gaction import FiniteGroup, GSet
 from gtrees.ggraph import GGraph, ggraph_to_json
 from gtrees.retract import (
     Filtration,
+    build_filtration,
     check_filtration,
     eliminate_problematic,
     make_state,
@@ -60,10 +67,19 @@ def test_retract_corpus_matches_golden_digest(corpus):
     assert h.hexdigest() == GOLDEN_SHA256
 
 
+def _fresh(t):
+    """The same tree over new G-set objects, which hold no stabilizer table yet."""
+    vs, es = t.vertices, t.edges
+    return GGraph(GSet(vs.group, vs.act, vs.labels), GSet(es.group, es.act, es.labels), t.iota, t.tau)
+
+
 def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     # the input is checked once, by build_filtration, and each tree the
     # pipeline passes through is digested once: before a move, the digest is
-    # the one the previous move left
+    # the one the previous move left.  Each snapshot searches the descent
+    # paths of a vertex at most once, each G-set builds its stabilizer table
+    # once, and conjugate-incomparability is checked once per distinct
+    # stabilizer of an outside vertex
     calls = Counter()
 
     def count(owner, name):
@@ -78,10 +94,79 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     count(ga, "retraction_map")
     count(rt, "validate")
     count(GGraph, "state_digest")
+    count(rt, "is_conjugate_incomparable")
+
+    # keyed by id; `alive` keeps every keyed object alive, so no id is reused
+    alive = []
+    searches = Counter()
+    bfs = rt.bfs_parents
+
+    def counted_bfs(adj, root, crossable=None, stop=None):
+        if crossable is not None:
+            alive.append(adj)
+            searches[id(adj), root] += 1
+        return bfs(adj, root, crossable, stop)
+
+    monkeypatch.setattr(rt, "bfs_parents", counted_bfs)
+    # per G-set: whether its stabilizers were asked for, and how often it
+    # built its table; a G-set with no table fails the builds assertion
+    queried, builds = set(), Counter()
+    stabilizer = GSet.stabilizer
+    stabilizers = getattr(GSet, "stabilizers", None)
+    table = getattr(GSet, "_stabilizer_table", None)
+
+    def queried_one(self, p):
+        alive.append(self)
+        queried.add(id(self))
+        return stabilizer(self, p)
+
+    def queried_all(self):
+        alive.append(self)
+        queried.add(id(self))
+        return stabilizers(self)
+
+    def built(self):
+        builds[id(self)] += 1
+        return table(self)
+
+    monkeypatch.setattr(GSet, "stabilizer", queried_one)
+    monkeypatch.setattr(GSet, "stabilizers", queried_all, raising=False)
+    monkeypatch.setattr(GSet, "_stabilizer_table", built, raising=False)
     for t, u in corpus:
+        t = _fresh(t)
+        outside_stabs = {oracle_stabilizer(t.vertices, w) for w in range(t.n_vertices) if w not in u}
         calls.clear()
+        searches.clear()
+        queried.clear()
+        builds.clear()
         res = retract_tree(t, u)
-        assert calls == {"retraction_map": 1, "validate": 1, "state_digest": len(res.move_log) + 1}
+        assert calls == Counter(
+            retraction_map=1,
+            validate=1,
+            state_digest=len(res.move_log) + 1,
+            is_conjugate_incomparable=len(outside_stabs),
+        )
+        assert max(searches.values(), default=0) <= 1
+        assert {id(t.vertices), id(t.edges)} <= queried
+        assert builds == Counter(queried)
+
+
+def test_filtration_matches_rescanning_oracle(corpus):
+    for t, u in corpus:
+        assert build_filtration(t, u) == oracle_build_filtration(t, u)
+
+
+def test_stabilizers_and_orbits_match_elementwise_oracle(corpus):
+    # on the input G-sets and on the restricted G-sets that compress returns
+    for t, u in corpus:
+        res = retract_tree(t, u)
+        for s in (t.vertices, t.edges, res.tree.vertices, res.tree.edges):
+            table = s.stabilizers()
+            assert table == tuple(oracle_stabilizer(s, p) for p in range(s.size))
+            assert all(s.stabilizer(p) is table[p] for p in range(s.size))
+            # one shared frozenset per distinct subgroup
+            assert len({id(h) for h in table}) == len(set(table))
+            assert all(s.orbit(p) == oracle_orbit(s, p) for p in range(s.size))
 
 
 def _assert_matches_oracle(state):
