@@ -62,32 +62,12 @@ class AbelianGroup:
 
     @classmethod
     def from_table(cls, table: Sequence[Sequence[int]]) -> "AbelianGroup":
-        add = tuple(tuple(row) for row in table)
-        n = len(add)
-        if any(len(r) != n for r in add):
-            raise InputError("addition table must be square")
-        zero = None
-        for e in range(n):
-            if all(add[e][x] == x for x in range(n)):
-                zero = e
-                break
-        if zero is None:
-            raise InputError("addition table has no zero")
-        for a in range(n):
-            for b in range(n):
-                if add[a][b] != add[b][a]:
-                    raise InputError("addition table is not commutative")
-                for c in range(n):
-                    if add[add[a][b]][c] != add[a][add[b][c]]:
-                        raise InputError("addition table is not associative")
-        neg = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if add[a][b] == zero:
-                    neg[a] = b
-        if any(v is None for v in neg):
-            raise InputError("some element has no negative")
-        return cls(add, tuple(neg), zero)
+        """The group laws are FiniteGroup.from_mult_table's; only commutativity is checked here."""
+        group = FiniteGroup.from_mult_table(table, range(len(table)))
+        add = group.mult
+        if any(add[a][b] != add[b][a] for a in group.elements for b in range(a)):
+            raise InputError("addition table is not commutative")
+        return cls(add, group.inverse, group.identity)
 
     def sub(self, a: int, b: int) -> int:
         return self.add[a][self.neg[b]]
@@ -95,7 +75,11 @@ class AbelianGroup:
 
 @dataclass(frozen=True)
 class GModule:
-    """A finite abelian group on which the group acts by additive automorphisms."""
+    """A finite abelian group on which the group acts by additive automorphisms.
+
+    The action laws are checked by the G-set of the carrier's points
+    (GSet.validate); a module checks only that the action is additive.
+    """
 
     group: FiniteGroup
     carrier: AbelianGroup
@@ -103,54 +87,37 @@ class GModule:
 
     @classmethod
     def build(cls, group: FiniteGroup, carrier: AbelianGroup, element_images: Sequence[Sequence[int]]) -> "GModule":
-        m = cls(group, carrier, tuple(tuple(r) for r in element_images))
-        m.validate()
-        return m
+        return cls._additive(carrier, GSet.build(group, carrier.size, element_images))
 
     @classmethod
     def from_generator_maps(
         cls, group: FiniteGroup, carrier: AbelianGroup, gen_maps: Sequence[Sequence[int]]
     ) -> "GModule":
-        if len(gen_maps) != len(group.generators):
-            raise InputError("need one automorphism per group generator")
-        per_gen = {g: tuple(img) for g, img in zip(group.generators, gen_maps)}
-        rows = []
-        for a in group.elements:
-            row = list(range(carrier.size))
-            for g in reversed(group.gen_words[a]):
-                row = [per_gen[g][x] for x in row]
-            rows.append(tuple(row))
-        return cls.build(group, carrier, rows)
+        return cls._additive(carrier, GSet.from_generator_images(group, carrier.size, gen_maps))
 
     @classmethod
     def trivial(cls, group: FiniteGroup, carrier: AbelianGroup) -> "GModule":
         row = tuple(range(carrier.size))
         return cls.build(group, carrier, [row] * group.order)
 
-    def validate(self) -> None:
-        n, m = self.group.order, self.carrier.size
-        if len(self.act) != n or any(len(r) != m for r in self.act):
-            raise InputError("module action has wrong shape")
-        if self.act[self.group.identity] != tuple(range(m)):
-            raise InputError("identity does not act trivially on the module")
-        add = self.carrier.add
-        for g in range(n):
-            row = self.act[g]
-            if sorted(row) != list(range(m)):
-                raise InputError(f"element {g} does not act bijectively")
+    @classmethod
+    def _additive(cls, carrier: AbelianGroup, points: GSet) -> "GModule":
+        """The module of a validated action on the carrier's points.
+
+        Additivity is checked on the generators: every element acts by a
+        composite of theirs, and composites of additive maps are additive.
+        """
+        add, m = carrier.add, carrier.size
+        for g in points.group.generators:
+            row = points.act[g]
             for a in range(m):
                 for b in range(m):
                     if row[add[a][b]] != add[row[a]][row[b]]:
                         raise InputError(f"element {g} does not act additively")
-        for g in range(n):
-            for h in range(n):
-                gh = self.group.mult[g][h]
-                for a in range(m):
-                    if self.act[gh][a] != self.act[g][self.act[h][a]]:
-                        raise InputError("module action is not associative")
+        return cls(points.group, carrier, points.act)
 
     def as_gset(self) -> GSet:
-        return GSet.build(self.group, self.carrier.size, self.act)
+        return GSet(self.group, self.act, tuple(range(self.carrier.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +130,8 @@ def check_derivation(module: GModule, d: Sequence[int]) -> bool:
     group, add = module.group, module.carrier.add
     if len(d) != group.order:
         raise InputError("derivation must assign a value to every group element")
+    if not all(type(x) is int and 0 <= x < module.carrier.size for x in d):
+        raise InputError(f"derivation values must be module element indices below {module.carrier.size}")
     for x in group.elements:
         for y in group.elements:
             if d[group.mult[x][y]] != add[d[x]][module.act[x][d[y]]]:

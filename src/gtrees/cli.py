@@ -149,7 +149,7 @@ def cmd_moves(args) -> int:
 def _module_from_json(doc: dict):
     group = group_from_json(doc["group"])
     mdoc = doc["module"]
-    if "factors" not in mdoc or "action" not in mdoc:
+    if not isinstance(mdoc, dict) or "factors" not in mdoc or "action" not in mdoc:
         raise InputError("module document needs factors and action matrices")
     factors = mdoc["factors"]
     if not isinstance(factors, list) or not all(type(f) is int for f in factors):
@@ -188,7 +188,7 @@ def cmd_almost(args) -> int:
         _require_keys(doc, ("group", "module"))
         group, module = _module_from_json(doc)
         d = doc.get("derivation")
-        if not isinstance(d, list) or len(d) != group.order:
+        if not isinstance(d, list):
             raise InputError("derivation must list one module element per group element")
         ok = almost_mod.check_derivation(module, d)
         print("true" if ok else "false")
@@ -198,7 +198,11 @@ def cmd_almost(args) -> int:
     group = group_from_json(doc["group"])
     e_set = gset_from_json(group, doc["E"])
     a_set = gset_from_json(group, doc["A"])
-    transversal = doc.get("transversal") or [min(orb) for orb in e_set.orbits()]
+    transversal = doc.get("transversal")
+    if transversal is None:
+        transversal = [min(orb) for orb in e_set.orbits()]
+    elif not isinstance(transversal, list) or not all(type(x) is int and 0 <= x < e_set.size for x in transversal):
+        raise InputError(f"transversal must list point indices of E below {e_set.size}")
     pair = almost_mod.untwist(e_set, a_set, transversal)
     out_doc = {"transversal": list(pair.transversal), "g_of": list(pair.g_of)}
     if "function" in doc:

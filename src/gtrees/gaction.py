@@ -4,14 +4,21 @@ retract checks, and conjugate-incomparability."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InputError, InternalCheckError, PreconditionError
 
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group given by its full multiplication table over element indices."""
+    """A finite group given by its full multiplication table over element indices.
+
+    A table from outside enters through from_mult_table, which checks the
+    group laws.  The constructors that compose the table themselves
+    (from_generator_permutations, cyclic, dihedral, symmetric,
+    direct_product) build a group by construction and only derive its
+    inverses and generator words.
+    """
 
     mult: tuple[tuple[int, ...], ...]
     identity: int
@@ -29,6 +36,8 @@ class FiniteGroup:
 
     @classmethod
     def from_mult_table(cls, table: Sequence[Sequence[int]], generators: Iterable[int]) -> "FiniteGroup":
+        """The group of a table from outside: checks the range, the identity,
+        associativity, inverses and that the generators generate."""
         mult = tuple(tuple(row) for row in table)
         n = len(mult)
         if any(len(row) != n for row in mult):
@@ -47,16 +56,22 @@ class FiniteGroup:
                 for c in range(n):
                     if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
                         raise InputError("multiplication table is not associative")
-        inverse = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if mult[a][b] == identity and mult[b][a] == identity:
-                    inverse[a] = b
-        if any(v is None for v in inverse):
+        # in a finite associative table with an identity, a right inverse is
+        # two-sided, so a row holding the identity suffices
+        if any(identity not in row for row in mult):
             raise InputError("some element has no inverse")
-        gens = tuple(dict.fromkeys(generators))
+        gens = list(generators)
         if any(not 0 <= g < n for g in gens):
             raise InputError("generator index out of range")
+        return cls._from_group_table(mult, identity, gens)
+
+    @classmethod
+    def _from_group_table(
+        cls, mult: tuple[tuple[int, ...], ...], identity: int, generators: Iterable[int]
+    ) -> "FiniteGroup":
+        """A group from a table known to be a group table: derives the
+        inverses and each element's word in the generators (breadth first)."""
+        gens = tuple(dict.fromkeys(generators))
         words: dict[int, tuple[int, ...]] = {identity: ()}
         frontier = [identity]
         while frontier:
@@ -68,14 +83,18 @@ class FiniteGroup:
                         words[b] = words[a] + (g,)
                         nxt.append(b)
             frontier = nxt
-        if len(words) != n:
+        if len(words) != len(mult):
             raise InputError("the listed generators do not generate the group")
-        gen_words = tuple(words[a] for a in range(n))
-        return cls(mult, identity, gens, tuple(inverse), gen_words)
+        inverse = tuple([row.index(identity) for row in mult])
+        return cls(mult, identity, gens, inverse, tuple([words[a] for a in range(len(mult))]))
 
     @classmethod
     def from_generator_permutations(cls, perms: Sequence[Sequence[int]]) -> "FiniteGroup":
-        """Closure of permutations of a faithful finite set; identity gets index 0."""
+        """Closure of permutations of a faithful finite set; identity gets index 0.
+
+        The table composes permutations, so it is a group table by
+        construction and is not checked again.
+        """
         if not perms:
             raise InputError("need at least one generator permutation")
         npts = len(perms[0])
@@ -93,27 +112,21 @@ class FiniteGroup:
             nxt = []
             for a in frontier:
                 for g in gens:
-                    b = tuple(g[a[i]] for i in range(npts))  # b = g after a (left action)
+                    b = tuple([g[i] for i in a])  # b = g after a (left action)
                     if b not in index:
                         index[b] = len(elements)
                         elements.append(b)
                         nxt.append(b)
             frontier = nxt
-        n = len(elements)
-        mult = [[0] * n for _ in range(n)]
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                mult[i][j] = index[tuple(a[b[k]] for k in range(npts))]
-        return cls.from_mult_table(mult, [index[g] for g in gens])
+        mult = tuple([tuple([index[tuple([a[i] for i in b])] for b in elements]) for a in elements])
+        return cls._from_group_table(mult, 0, [index[g] for g in gens])
 
     @classmethod
     def trivial(cls) -> "FiniteGroup":
-        return cls.from_mult_table([[0]], [0])
+        return cls._from_group_table(((0,),), 0, [0])
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
-        if n == 1:
-            return cls.trivial()
         return cls.from_generator_permutations([[(i + 1) % n for i in range(n)]])
 
     @classmethod
@@ -137,13 +150,12 @@ class FiniteGroup:
     def direct_product(cls, a: "FiniteGroup", b: "FiniteGroup") -> "FiniteGroup":
         pairs = [(i, j) for i in a.elements for j in b.elements]
         index = {p: k for k, p in enumerate(pairs)}
-        mult = [
-            [index[(a.mult[i1][i2], b.mult[j1][j2])] for (i2, j2) in pairs]
-            for (i1, j1) in pairs
-        ]
+        mult = tuple(
+            [tuple([index[(a.mult[i1][i2], b.mult[j1][j2])] for (i2, j2) in pairs]) for (i1, j1) in pairs]
+        )
         gens = [index[(g, b.identity)] for g in a.generators]
         gens += [index[(a.identity, g)] for g in b.generators]
-        return cls.from_mult_table(mult, gens)
+        return cls._from_group_table(mult, index[(a.identity, b.identity)], gens)
 
     def conj(self, h: int, g: int) -> int:
         """g^-1 h g."""
@@ -152,7 +164,13 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class GSet:
-    """A finite set with a left action of a FiniteGroup, one permutation per element."""
+    """A finite set with a left action of a FiniteGroup, one permutation per element.
+
+    build and from_generator_images (and so trivial_action and regular)
+    check the action laws with validate; restrict derives its table from a
+    validated G-set without checking again.  A direct GSet(...) expects a
+    table that is already valid.
+    """
 
     group: FiniteGroup
     act: tuple[tuple[int, ...], ...]
@@ -186,12 +204,15 @@ class GSet:
         gen_images: Sequence[Sequence[int]],
         labels: Optional[Sequence[Hashable]] = None,
     ) -> "GSet":
-        """Extend per-generator permutations to the whole group along generator words."""
+        """Extend per-generator permutations to the whole group along generator words.
+
+        This is the one place where generator images become element images.
+        """
         if len(gen_images) != len(group.generators):
             raise InputError("need one permutation per group generator")
         per_gen = {}
         for g, img in zip(group.generators, gen_images):
-            ints = isinstance(img, (list, tuple)) and all(type(p) is int for p in img)
+            ints = isinstance(img, (list, tuple)) and len(img) == size and all(type(p) is int for p in img)
             if not ints or sorted(img) != list(range(size)):
                 raise InputError("generator image is not a permutation of the points")
             per_gen[g] = tuple(img)
@@ -215,22 +236,28 @@ class GSet:
         return cls.build(group, group.order, rows)
 
     def validate(self) -> None:
+        """The action laws: shape, the identity acts trivially, every element
+        acts by a permutation, and (gh)p = g(hp).
+
+        The last law is checked for generators g only: by induction along
+        each element's generator word it then holds for every g.
+        """
         n, m = self.group.order, self.size
         if len(self.act) != n or any(len(r) != m for r in self.act):
             raise InputError("action table has wrong shape")
         if self.act[self.group.identity] != tuple(range(m)):
             raise InputError("identity does not act trivially")
+        points = list(range(m))
         for g in range(n):
             row = self.act[g]
-            if not all(type(p) is int for p in row) or sorted(row) != list(range(m)):
+            if not all(type(p) is int for p in row) or sorted(row) != points:
                 raise InputError(f"element {g} does not act by a permutation")
         mult = self.group.mult
-        for g in range(n):
+        for g in self.group.generators:
+            ag = self.act[g]
             for h in range(n):
-                gh = mult[g][h]
-                for p in range(m):
-                    if self.act[gh][p] != self.act[g][self.act[h][p]]:
-                        raise InputError("action is not associative: (gh)p != g(hp)")
+                if self.act[mult[g][h]] != tuple([ag[q] for q in self.act[h]]):
+                    raise InputError("action is not associative: (gh)p != g(hp)")
 
     # -- queries -------------------------------------------------------
 
@@ -340,6 +367,31 @@ def is_conjugate_incomparable(group: FiniteGroup, h: Iterable[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# equivariant maps
+# ---------------------------------------------------------------------------
+
+
+def non_equivariant(source: GSet, target: GSet, f: Union[Sequence[int], Mapping[int, int]]) -> list[tuple[int, int]]:
+    """The pairs (g, p) with g a generator of the group and f(g p) != g f(p).
+
+    f sends points of source to points of target: a sequence indexed by every
+    point, or a dict whose keys should form an action-closed subset, in which
+    case a generator moving a key out of the keys is reported as well.
+    Generators suffice: both actions are homomorphisms (GSet.validate), so a
+    map that commutes with each generator commutes with every element.
+    """
+    domain = f if isinstance(f, Mapping) else range(len(f))
+    out = []
+    for g in source.group.generators:
+        moved, image = source.act[g], target.act[g]
+        for p in domain:
+            q = moved[p]
+            if q not in domain or f[q] != image[f[p]]:
+                out.append((g, p))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # retracts
 # ---------------------------------------------------------------------------
 
@@ -374,10 +426,8 @@ def retraction_map(s: GSet, u_set: Iterable[int]) -> Optional[dict[int, int]]:
             ret[s.act[g][p]] = s.act[g][target]
             done.add(s.act[g][p])
     # post: equivariant and the identity on the subset
-    for g in s.group.elements:
-        for p in range(s.size):
-            if ret[s.act[g][p]] != s.act[g][ret[p]]:
-                raise InternalCheckError("constructed retraction is not equivariant")
+    if non_equivariant(s, s, ret):
+        raise InternalCheckError("constructed retraction is not equivariant")
     return ret
 
 
@@ -443,11 +493,15 @@ def gset_from_json(group: FiniteGroup, doc: dict) -> GSet:
         raise InputError("gset points must be a count or a list of labels")
     size = points if isinstance(points, int) else len(points)
     labels = None if isinstance(points, int) else points
-    action = doc["action"]
-    if not isinstance(action, list) or not all(isinstance(row, list) for row in action):
-        raise InputError("gset action must be a list of permutation rows")
-    if len(action) == len(group.generators):
-        return GSet.from_generator_images(group, size, action, labels)
-    if len(action) == group.order:
-        return GSet.build(group, size, action, labels)
+    return gset_from_rows(group, size, doc["action"], labels)
+
+
+def gset_from_rows(group: FiniteGroup, size: int, rows, labels: Optional[Sequence[Hashable]] = None) -> GSet:
+    """A G-set from JSON action rows: one permutation per generator or per element."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InputError("action must be lists of permutation rows")
+    if len(rows) == len(group.generators):
+        return GSet.from_generator_images(group, size, rows, labels)
+    if len(rows) == group.order:
+        return GSet.build(group, size, rows, labels)
     raise InputError("action must list one permutation per generator or per element")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError, InternalCheckError, PreconditionError
-from .gaction import FiniteGroup, GSet, group_from_json, group_to_json
+from .gaction import FiniteGroup, GSet, group_from_json, group_to_json, gset_from_rows, non_equivariant
 
 # per vertex: (edge, eps, other endpoint), eps +1 when leaving iota
 Adjacency = list[list[tuple[int, int, int]]]
@@ -62,14 +62,11 @@ class GGraph:
         return adj
 
     def equivariance_failures(self) -> list[str]:
+        """Where iota or tau fails to commute with a group generator."""
         out = []
-        va, ea = self.vertices.act, self.edges.act
-        for g in self.group.elements:
-            for e in range(self.n_edges):
-                if self.iota[ea[g][e]] != va[g][self.iota[e]]:
-                    out.append(f"iota(g*e) != g*iota(e) for g={g}, e={e}")
-                if self.tau[ea[g][e]] != va[g][self.tau[e]]:
-                    out.append(f"tau(g*e) != g*tau(e) for g={g}, e={e}")
+        for name, ends in (("iota", self.iota), ("tau", self.tau)):
+            for g, e in non_equivariant(self.edges, self.vertices, ends):
+                out.append(f"{name}(g*e) != g*{name}(e) for g={g}, e={e}")
         return out
 
     def state_digest(self) -> str:
@@ -224,11 +221,8 @@ def compress(t: GGraph, eprime: Iterable[int]) -> CompressResult:
     sinks = sorted(set(phi))
 
     # phi must be equivariant; the sink set is then action-closed
-    va = t.vertices.act
-    for g in t.group.elements:
-        for v in range(t.n_vertices):
-            if phi[va[g][v]] != va[g][phi[v]]:
-                raise InternalCheckError("compression retraction is not equivariant")
+    if non_equivariant(t.vertices, t.vertices, phi):
+        raise InternalCheckError("compression retraction is not equivariant")
 
     # iota restricted to removed edges hits each non-sink exactly once
     sink_set = set(sinks)
@@ -392,22 +386,6 @@ def geodesic(t: GGraph, a: int, b: int) -> GPath:
     return path_to(bfs_parents(t.adjacency(), a, stop=b), b)
 
 
-def translate_path(t: GGraph, p: GPath, g: int) -> GPath:
-    va, ea = t.vertices.act, t.edges.act
-    return GPath(
-        tuple(va[g][v] for v in p.vertices),
-        tuple((ea[g][e], eps) for e, eps in p.steps),
-    )
-
-
-def path_vertex_stabilizer(t: GGraph, p: GPath) -> frozenset[int]:
-    """Elements fixing every vertex of the path (hence the path itself)."""
-    stab = frozenset(t.group.elements)
-    for v in p.vertices:
-        stab &= t.vertices.stabilizer(v)
-    return stab
-
-
 # ---------------------------------------------------------------------------
 # JSON instance format and DOT export
 # ---------------------------------------------------------------------------
@@ -455,16 +433,10 @@ def ggraph_from_json(doc: dict) -> GGraph:
         raise InputError("action must give vertex and edge permutations")
 
     def build(size, rows, labels):
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise InputError("action must give lists of permutation rows")
         labels = None if isinstance(labels, int) else [_label_from_json(x) for x in labels]
         if labels is not None and len(set(labels)) != len(labels):
             raise InputError("vertex/edge labels must be pairwise distinct")
-        if len(rows) == len(group.generators):
-            return GSet.from_generator_images(group, size, rows, labels)
-        if len(rows) == group.order:
-            return GSet.build(group, size, rows, labels)
-        raise InputError("action rows must match the generators or the whole group")
+        return gset_from_rows(group, size, rows, labels)
 
     vertices = build(nv, act["vertices"], vlab)
     edges = build(ne, act["edges"], elab)

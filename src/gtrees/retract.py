@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
 from .errors import InternalCheckError, PreconditionError
-from .gaction import is_conjugate_incomparable
+from .gaction import is_conjugate_incomparable, non_equivariant
 from .ggraph import (
     Adjacency,
     GGraph,
@@ -556,16 +556,12 @@ def retract_tree(tree: GGraph, u_set: Iterable[int]) -> RetractResult:
     result = compress_to_U(state)
 
     # postconditions of the pipeline; compress has already checked that the
-    # output is a G-tree
-    if len(result.removed_edges) != len(state.w_set):
-        raise InternalCheckError("removed edge count differs from the outside vertex count")
+    # output is a G-tree, and compress_to_U that the removed edges biject
+    # onto the outside vertices
     old_stab = {tree.edges.labels[e]: tree.edges.stabilizer(e) for e in range(tree.n_edges)}
     for i in range(result.tree.n_edges):
         if result.tree.edges.stabilizer(i) != old_stab[result.tree.edges.labels[i]]:
             raise InternalCheckError("a retained edge changed stabilizer")
-    ea, va = tree.edges.act, tree.vertices.act
-    for g in tree.group.elements:
-        for e, w in result.removed_to_vertex.items():
-            if result.removed_to_vertex.get(ea[g][e]) != va[g][w]:
-                raise InternalCheckError("removed-edge pairing is not equivariant")
+    if non_equivariant(tree.edges, tree.vertices, result.removed_to_vertex):
+        raise InternalCheckError("removed-edge pairing is not equivariant")
     return result

@@ -54,6 +54,31 @@ def test_module_validation():
     assert t.as_gset().size == 2
 
 
+def test_module_generator_maps_must_be_permutations():
+    g = FiniteGroup.cyclic(2)
+    z4 = AbelianGroup.from_factors([4])
+    for bad in ([[0, 3, 2]], [[0, 1, 1, 3]], [[0, 3, 2, 1], [0, 1, 2, 3]], []):
+        with pytest.raises(InputError, match="permutation"):
+            GModule.from_generator_maps(g, z4, bad)
+    with pytest.raises(InputError, match="additively"):
+        GModule.from_generator_maps(g, z4, [[1, 0, 3, 2]])  # x -> x + 1 swapped pairwise: not additive
+
+
+def test_abelian_group_table_checks():
+    with pytest.raises(InputError, match="out of range"):
+        AbelianGroup.from_table([[0, 1], [1, 2]])
+    s3 = FiniteGroup.symmetric(3)
+    with pytest.raises(InputError, match="not commutative"):
+        AbelianGroup.from_table(s3.mult)
+
+
+def test_check_derivation_values_are_module_elements():
+    m = z4_negation_module()
+    for bad in ((0, 4), (0, -1), (0, True), (0, "1")):
+        with pytest.raises(InputError, match="module element"):
+            check_derivation(m, bad)
+
+
 def test_check_derivation_examples():
     m = z4_negation_module()
     zero = (0, 0)

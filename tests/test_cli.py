@@ -298,6 +298,14 @@ def _untwist_group_doc(group):
         (["moves", "subdivide", "--edge", "0"], 5),
         (["retract", "run"], 5),
         (["almost", "untwist"], {**_untwist_doc([0, 1, 2]), "A": {"points": 2.5, "action": [[0, 1]]}}),
+        (["almost", "check-derivation"], {**_derivation_doc([4]), "module": "factors action"}),
+        (["almost", "check-derivation"], {**_derivation_doc([4]), "module": ["factors", "action"]}),
+        (["almost", "check-derivation"], {**_derivation_doc([4]), "derivation": ["a", 1]}),
+        (["almost", "check-derivation"], {**_derivation_doc([4]), "derivation": [0, 99]}),
+        (["almost", "check-derivation"], {**_derivation_doc([4]), "derivation": [0, True]}),
+        (["almost", "untwist"], {**_untwist_doc([0, 1, 2]), "transversal": "x"}),
+        (["almost", "untwist"], {**_untwist_doc([0, 1, 2]), "transversal": [True]}),
+        (["almost", "untwist"], {**_untwist_doc([0, 1, 2]), "transversal": [5]}),
     ],
     ids=[
         "factor-not-int", "matrix-entry-not-int", "element-row-not-int", "element-row-range", "function-not-list",
@@ -306,7 +314,8 @@ def _untwist_group_doc(group):
         "mult-table-not-list", "generators-not-list", "fixture-words-not-list", "fixture-word-not-text",
         "fixture-exponent-not-int", "fixture-not-object", "vertices-text", "edges-float", "label-object",
         "action-rows-not-list", "instance-not-object", "retract-instance-not-object",
-        "points-float",
+        "points-float", "module-text", "module-list", "derivation-not-int", "derivation-range",
+        "derivation-bool", "transversal-text", "transversal-bool", "transversal-range",
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, command, doc):

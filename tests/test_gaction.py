@@ -1,4 +1,8 @@
+import random
+from collections import Counter
+
 import pytest
+from gaction_oracle import oracle_action_is_homomorphism
 
 from gtrees.errors import InputError, PreconditionError
 from gtrees.gaction import (
@@ -12,6 +16,7 @@ from gtrees.gaction import (
     is_conjugate_incomparable,
     is_retract,
     is_subgroup,
+    non_equivariant,
     retraction_map,
     subgroup_closure,
 )
@@ -160,3 +165,72 @@ def test_json_round_trip():
         group_from_json({"order": 3})
     with pytest.raises(InputError):
         gset_from_json(grp, {"points": 2, "action": [[0, 1]]})
+
+
+def _library_groups():
+    groups = [FiniteGroup.cyclic(n) for n in range(1, 9)]
+    groups += [FiniteGroup.dihedral(n) for n in range(3, 9)]
+    groups += [FiniteGroup.symmetric(n) for n in range(1, 6)]
+    factors = [FiniteGroup.cyclic(n) for n in range(1, 5)] + [FiniteGroup.dihedral(3), FiniteGroup.dihedral(4)]
+    groups += [FiniteGroup.direct_product(a, b) for a in factors for b in factors]
+    return groups
+
+
+def test_library_built_groups_match_the_checked_table_path():
+    # the unchecked constructors give what the checked path gives on their tables
+    for grp in _library_groups():
+        checked = FiniteGroup.from_mult_table(grp.mult, grp.generators)
+        assert grp == checked
+        assert grp.inverse == checked.inverse
+        assert grp.gen_words == checked.gen_words
+
+
+def test_symmetric_six_builds():
+    s6 = FiniteGroup.symmetric(6)
+    assert s6.order == 720
+    assert all(s6.mult[a][s6.inverse[a]] == s6.identity == s6.mult[s6.inverse[a]][a] for a in s6.elements)
+
+
+def test_validate_matches_elementwise_action_law():
+    # the regular action with its points relabeled on every row, on a random
+    # set of rows, or swapped in one row: the generator-only law check
+    # rejects exactly the tables the element-wise law rejects
+    rng = random.Random(3)
+    verdicts = Counter()
+    for grp in _library_groups():
+        if grp.order > 24:
+            continue
+        reg = GSet.regular(grp)
+        n = grp.order
+        for trial in range(6):
+            sigma = rng.sample(range(n), n)
+            inv = sorted(range(n), key=sigma.__getitem__)
+            rows = [g for g in grp.elements if g != grp.identity]
+            changed = set(rows) if trial == 0 else set(rng.sample(rows, rng.randint(0, len(rows))))
+            act = [
+                [sigma[row[inv[p]]] for p in range(n)] if g in changed else list(row) for g, row in enumerate(reg.act)
+            ]
+            if trial == 5 and n > 2:
+                g = rng.choice(rows)
+                i, j = rng.sample(range(n), 2)
+                act[g][i], act[g][j] = act[g][j], act[g][i]
+            s = GSet(grp, tuple(map(tuple, act)), reg.labels)
+            try:
+                s.validate()
+                ok = True
+            except InputError as exc:
+                assert "not associative" in str(exc)
+                ok = False
+            assert ok == oracle_action_is_homomorphism(s)
+            verdicts[ok] += 1
+    assert min(verdicts.values()) > 20, verdicts
+
+
+def test_non_equivariant_reports_generator_pairs():
+    s = GSet.from_generator_images(FiniteGroup.cyclic(2), 4, [[1, 0, 2, 3]])
+    assert non_equivariant(s, s, (0, 1, 2, 3)) == []
+    assert non_equivariant(s, s, (2, 2, 2, 2)) == []
+    assert non_equivariant(s, s, (0, 0, 2, 3)) == [(1, 0), (1, 1)]
+    # a dict is checked on its keys, which must be action-closed
+    assert non_equivariant(s, s, {2: 3, 3: 2}) == []
+    assert non_equivariant(s, s, {0: 2}) == [(1, 0)]

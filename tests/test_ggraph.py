@@ -9,11 +9,9 @@ from gtrees.ggraph import (
     ggraph_from_json,
     ggraph_to_dot,
     ggraph_to_json,
-    path_vertex_stabilizer,
     reorient,
     slide,
     subdivide,
-    translate_path,
     tree_with_trivial_group,
     validate,
 )
@@ -240,15 +238,6 @@ def test_reorient_requires_action_closed():
     t = z2_path3()
     with pytest.raises(PreconditionError):
         reorient(t, [0])
-
-
-def test_translate_path_and_stabilizer():
-    t = z2_path3()
-    p = geodesic(t, 0, 2)
-    q = translate_path(t, p, 1)
-    assert q.vertices == (1, 2)
-    assert path_vertex_stabilizer(t, geodesic(t, 0, 1)) == frozenset({0})
-    assert path_vertex_stabilizer(t, geodesic(t, 2, 2)) == frozenset({0, 1})
 
 
 def test_json_round_trip_and_dot():

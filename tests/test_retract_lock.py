@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+from gaction_oracle import oracle_is_equivariant
 from instgen import random_instance
 from retract_oracle import (
     oracle_build_filtration,
@@ -167,6 +168,48 @@ def test_stabilizers_and_orbits_match_elementwise_oracle(corpus):
             # one shared frozenset per distinct subgroup
             assert len({id(h) for h in table}) == len(set(table))
             assert all(s.orbit(p) == oracle_orbit(s, p) for p in range(s.size))
+
+
+def _perturbed(f, n_target, rng):
+    """f with one value moved to a random target point, or, for a dict, one key
+    dropped half of the time."""
+    if isinstance(f, dict):
+        out = dict(f)
+        if out:
+            key = rng.choice(sorted(out))
+            if rng.random() < 0.5:
+                del out[key]
+            else:
+                out[key] = rng.randrange(n_target)
+        return out
+    out = list(f)
+    if out:
+        out[rng.randrange(len(out))] = rng.randrange(n_target)
+    return tuple(out)
+
+
+def test_generator_equivariance_check_matches_elementwise_oracle(corpus):
+    # the maps the four checking sites see, on every corpus tree, and one
+    # random perturbation of each
+    rng = random.Random(11)
+    verdicts = Counter()
+    for t, u in corpus:
+        res = retract_tree(t, u)
+        maps = [
+            (t.edges, t.vertices, t.iota),
+            (t.edges, t.vertices, t.tau),
+            (t.vertices, t.vertices, ga.retraction_map(t.vertices, u)),
+            (t.edges, t.vertices, res.removed_to_vertex),
+            (res.tree.edges, res.tree.vertices, res.tree.tau),
+        ]
+        for source, target, f in maps:
+            assert not ga.non_equivariant(source, target, f) and oracle_is_equivariant(source, target, f)
+            bad = _perturbed(f, target.size, rng)
+            verdict = not ga.non_equivariant(source, target, bad)
+            assert verdict == oracle_is_equivariant(source, target, bad)
+            verdicts[verdict] += 1
+    # the perturbations reach both verdicts often
+    assert min(verdicts.values()) > 100, verdicts
 
 
 def _assert_matches_oracle(state):
