@@ -16,6 +16,10 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import InputError, InternalCheckError, PreconditionError
 from .gaction import FiniteGroup, GSet
 
+#: largest order `AbelianGroup.from_factors` builds: it lists every element
+#: and an order x order addition table (1024 takes about 1 s and 50 MB)
+MAX_ABELIAN_ORDER = 1024
+
 
 @dataclass(frozen=True)
 class AbelianGroup:
@@ -39,6 +43,8 @@ class AbelianGroup:
         size = 1
         for f in factors:
             size *= f
+            if size > MAX_ABELIAN_ORDER:
+                raise InputError(f"cyclic factors multiply to more than {MAX_ABELIAN_ORDER} elements")
         codec = cls((), (), 0, factors)  # decode and encode read only the factors
         elems = [codec.decode(i) for i in range(size)]
         add = tuple(tuple(codec.encode([a + b for a, b in zip(x, y)]) for y in elems) for x in elems)

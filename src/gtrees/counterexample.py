@@ -93,10 +93,10 @@ class ExampleData:
             return parse_word(XY, doc[key])
 
         def exponent(key, default):
-            try:
-                return int(doc.get(key, default))
-            except (TypeError, ValueError, OverflowError):
-                raise InputError(f"fixture {key!r} must be an integer") from None
+            value = doc.get(key, default)
+            if type(value) is not int:
+                raise InputError(f"fixture {key!r} must be an integer")
+            return value
 
         try:
             return cls(
@@ -388,6 +388,8 @@ class PhiEndo:
 def derive_phi(data: ExampleData, *, cache: Optional[RunCache] = None) -> PhiEndo:
     if len(data.gw_gens) != AUX.size:
         raise VerificationMismatch("the rank-two subgroup does not have two generators")
+    if len(data.t_images) < AUX.size:
+        raise VerificationMismatch("the conjugation relators give fewer than two images")
     cache = cache or RunCache()
     emb = {AUX.names[i]: data.gw_gens[i] for i in range(AUX.size)}
     images = {

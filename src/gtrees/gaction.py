@@ -8,6 +8,10 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InputError, InternalCheckError, PreconditionError
 
+#: most points of a G-set read from JSON: a G-set stores one permutation of
+#: its points per group element, and a bare count asks for no other data
+MAX_GSET_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class FiniteGroup:
@@ -190,6 +194,9 @@ class GSet:
         element_images: Sequence[Sequence[int]],
         labels: Optional[Sequence[Hashable]] = None,
     ) -> "GSet":
+        # the shape first: a huge size with short rows allocates nothing
+        if len(element_images) != group.order or any(len(row) != size for row in element_images):
+            raise InputError("action table has wrong shape")
         if labels is None:
             labels = tuple(range(size))
         s = cls(group, tuple([tuple(row) for row in element_images]), tuple(labels))
@@ -498,6 +505,8 @@ def gset_from_json(group: FiniteGroup, doc: dict) -> GSet:
 
 def gset_from_rows(group: FiniteGroup, size: int, rows, labels: Optional[Sequence[Hashable]] = None) -> GSet:
     """A G-set from JSON action rows: one permutation per generator or per element."""
+    if size > MAX_GSET_POINTS:
+        raise InputError(f"a G-set has at most {MAX_GSET_POINTS} points, got {size}")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InputError("action must be lists of permutation rows")
     if len(rows) == len(group.generators):

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import gtrees.almost as almost
 from gtrees.errors import InputError, PreconditionError
 from gtrees.gaction import FiniteGroup, GSet
 from gtrees.almost import (
@@ -28,6 +29,13 @@ def z4_negation_module():
     g = FiniteGroup.cyclic(2)
     z4 = AbelianGroup.from_factors([4])
     return GModule.from_generator_maps(g, z4, [[0, 3, 2, 1]])
+
+
+def test_from_factors_refuses_an_order_above_the_cap(monkeypatch):
+    monkeypatch.setattr(almost, "MAX_ABELIAN_ORDER", 8)
+    assert AbelianGroup.from_factors([2, 4]).size == 8
+    with pytest.raises(InputError, match="more than 8 elements"):
+        AbelianGroup.from_factors([4, 4])
 
 
 def test_abelian_group_from_factors_and_table():

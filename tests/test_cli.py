@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import gtrees.almost as almost
 import gtrees.cli as cli
 from gtrees.cli import main
 from gtrees.counterexample import default_data, documented_mutations
@@ -80,6 +81,23 @@ def test_counterexample_mutated_fixture_fails(tmp_path, capsys):
     fixture = tmp_path / "fixture.json"
     fixture.write_text(json.dumps(mut.to_json()))
     assert main(["counterexample", "verify", "--n-max", "3", "--fixture", str(fixture)]) == 1
+
+
+def test_counterexample_fixture_with_one_t_image_is_a_mismatch(tmp_path, capsys):
+    doc = {**default_data().to_json(), "t_images": ["x^8"]}
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps(doc))
+    assert main(["counterexample", "verify", "--n-max", "2", "--fixture", str(fixture)]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] really.derive n=0" in captured.out and captured.err == ""
+
+
+def test_almost_factors_over_the_cap_exit_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(almost, "MAX_ABELIAN_ORDER", 8)
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(_derivation_doc([16])))
+    assert main(["almost", "check-derivation", "--input", str(inp)]) == 2
+    assert capsys.readouterr().err == "input error: cyclic factors multiply to more than 8 elements\n"
 
 
 def test_retract_run_single_edge(tmp_path, capsys):
@@ -251,10 +269,10 @@ def _untwist_doc(function):
     }
 
 
-def _untwist_element_rows_doc(row):
+def _untwist_element_rows_doc(row, points=2):
     return {
         "group": {"generator_permutations": [[1, 0]]},
-        "E": {"points": 2, "action": [[0, 1], row]},
+        "E": {"points": points, "action": [[0, 1], row]},
         "A": {"points": 2, "action": [[0, 1]]},
     }
 
@@ -306,6 +324,10 @@ def _untwist_group_doc(group):
         (["almost", "untwist"], {**_untwist_doc([0, 1, 2]), "transversal": "x"}),
         (["almost", "untwist"], {**_untwist_doc([0, 1, 2]), "transversal": [True]}),
         (["almost", "untwist"], {**_untwist_doc([0, 1, 2]), "transversal": [5]}),
+        (["counterexample", "verify"], {**default_data().to_json(), "tau_e_exp": 1.5}),
+        (["counterexample", "verify"], {**default_data().to_json(), "tau_f_exp": True}),
+        (["counterexample", "verify"], {**default_data().to_json(), "tau_e_exp": "2"}),
+        (["almost", "untwist"], _untwist_element_rows_doc([1, 0], points=10**6)),
     ],
     ids=[
         "factor-not-int", "matrix-entry-not-int", "element-row-not-int", "element-row-range", "function-not-list",
@@ -316,6 +338,8 @@ def _untwist_group_doc(group):
         "action-rows-not-list", "instance-not-object", "retract-instance-not-object",
         "points-float", "module-text", "module-list", "derivation-not-int", "derivation-range",
         "derivation-bool", "transversal-text", "transversal-bool", "transversal-range",
+        "fixture-exponent-float", "fixture-exponent-bool", "fixture-exponent-text",
+        "points-past-rows",
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, command, doc):

@@ -1,9 +1,10 @@
 """Seeded fuzzing of the CLI's JSON inputs.
 
-Each JSON example of the README is mutated once per run (a dropped key or
-list entry, a value of the wrong type, a small out-of-range integer, or a
-boolean) and fed to `cli.main()` in process.  Whatever the input, the exit
-code is 0, 2 or 3, no exception escapes, and a failure is one stderr line.
+Each JSON example of the README, and the counterexample fixture, is mutated
+once per run (a dropped key or list entry, a value of the wrong type, a small
+out-of-range integer, or a boolean) and fed to `cli.main()` in process.
+Whatever the input, the exit code is 0, 2 or 3 (or 1, a failed verification,
+for the fixture), no exception escapes, and a failure is one stderr line.
 """
 
 import copy
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from gtrees.cli import main
+from gtrees.counterexample import default_data
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MUTANTS_PER_COMMAND = 60
@@ -78,11 +80,22 @@ def mutate(doc, rng):
     return out
 
 
-def _run(command, doc, path, capsys):
+def _run(command, doc, path, capsys, flag="--input"):
     path.write_text(json.dumps(doc))
-    code = main(command + ["--input", str(path)])
+    code = main(command + [flag, str(path)])
     captured = capsys.readouterr()
     return code, captured.err
+
+
+PREFIXES = {1: "verification mismatch: ", 2: "input error: ", 3: "precondition failed: "}
+
+
+def _assert_contract(code, err, allowed, mutant):
+    assert code in allowed, (mutant, err)
+    if code == 0:
+        assert err == "", (mutant, err)
+    elif not (code == 1 and err == ""):  # a failed report prints no error line
+        assert err.startswith(PREFIXES[code]) and err.count("\n") == 1, (mutant, err)
 
 
 EXAMPLES = readme_examples()
@@ -97,9 +110,20 @@ def test_mutated_readme_inputs_keep_the_exit_code_contract(tmp_path, capsys, doc
     for _ in range(MUTANTS_PER_COMMAND):
         mutant = mutate(doc, rng)
         code, err = _run(command, mutant, path, capsys)
-        assert code in (0, 2, 3), (mutant, err)
-        if code == 0:
-            assert err == "", (mutant, err)
-        else:
-            prefix = "input error: " if code == 2 else "precondition failed: "
-            assert err.startswith(prefix) and err.count("\n") == 1, (mutant, err)
+        _assert_contract(code, err, (0, 2, 3), mutant)
+
+
+def test_mutated_fixture_keeps_the_exit_code_contract(tmp_path, capsys):
+    # a fixture that parses may still fail its verification, which is exit 1
+    command = ["counterexample", "verify", "--n-max", "3"]
+    doc = default_data().to_json()
+    path = tmp_path / "fixture.json"
+    assert _run(command, doc, path, capsys, "--fixture") == (0, "")
+    rng = random.Random(" ".join(command))
+    codes = set()
+    for _ in range(5 * MUTANTS_PER_COMMAND):
+        mutant = mutate(doc, rng)
+        code, err = _run(command, mutant, path, capsys, "--fixture")
+        _assert_contract(code, err, (0, 1, 2), mutant)
+        codes.add(code)
+    assert codes == {0, 1, 2}

@@ -1,8 +1,11 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 from gaction_oracle import oracle_action_is_homomorphism
+
+import gtrees.gaction as ga
 
 from gtrees.errors import InputError, PreconditionError
 from gtrees.gaction import (
@@ -234,3 +237,27 @@ def test_non_equivariant_reports_generator_pairs():
     # a dict is checked on its keys, which must be action-closed
     assert non_equivariant(s, s, {2: 3, 3: 2}) == []
     assert non_equivariant(s, s, {0: 2}) == [(1, 0)]
+
+
+def test_build_refuses_a_wrong_shape_before_allocating():
+    # a million points with two-point rows: the shape fails before the
+    # million default labels are built
+    grp = FiniteGroup.cyclic(2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="wrong shape"):
+            GSet.build(grp, 10**6, [[0, 1], [1, 0]])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def test_gset_from_json_refuses_more_points_than_the_cap(monkeypatch):
+    # the trivial group with no generators needs no rows, so only the cap
+    # stops a bare count
+    grp = FiniteGroup.from_mult_table([[0]], [])
+    monkeypatch.setattr(ga, "MAX_GSET_POINTS", 5)
+    assert gset_from_json(grp, {"points": 5, "action": []}).size == 5
+    with pytest.raises(InputError, match="at most 5 points"):
+        gset_from_json(grp, {"points": 6, "action": []})

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+
+from instgen import random_instance
 
 from gtrees.errors import PreconditionError
 from gtrees.gaction import FiniteGroup, GSet
@@ -155,6 +159,20 @@ def test_subdivide_free_orbit_counts():
     assert res.tree.n_vertices == 3 + 2
     assert res.tree.n_edges == 2 + 2
     assert validate(res.tree).is_tree
+
+
+def test_subdivide_builds_a_g_tree_with_edge_stabilized_midpoints():
+    # subdivide does not check what it returns; this does, on every edge orbit
+    rng = random.Random(31)
+    for _ in range(40):
+        t, _ = random_instance(rng, max_vertices=30, max_group=24)
+        for orbit in t.edges.orbits():
+            res = subdivide(t, min(orbit))
+            assert validate(res.tree).is_tree
+            assert res.tree.n_vertices == t.n_vertices + len(orbit)
+            assert res.tree.n_edges == t.n_edges + len(orbit)
+            for e in orbit:
+                assert res.tree.vertices.stabilizer(res.mid_of[e]) == t.edges.stabilizer(e)
 
 
 def relabel(graph: GGraph, rename):

@@ -23,9 +23,10 @@ from retract_oracle import (
 )
 
 import gtrees.gaction as ga
+import gtrees.ggraph as gg
 import gtrees.retract as rt
 from gtrees.gaction import FiniteGroup, GSet
-from gtrees.ggraph import GGraph, ggraph_to_json
+from gtrees.ggraph import GGraph, ggraph_to_json, validate
 from gtrees.retract import (
     Filtration,
     build_filtration,
@@ -75,27 +76,27 @@ def _fresh(t):
 
 
 def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
-    # the input is checked once, by build_filtration, and each tree the
-    # pipeline passes through is digested once: before a move, the digest is
-    # the one the previous move left.  Each snapshot searches the descent
-    # paths of a vertex at most once, each G-set builds its stabilizer table
-    # once, and conjugate-incomparability is checked once per distinct
-    # stabilizer of an outside vertex
+    # the input is checked once, by build_filtration, and each move checks
+    # the tree it receives but not the tree it returns: one G-tree check per
+    # slide and one for compress.  Each tree the pipeline passes through is
+    # digested once: before a move, the digest is the one the previous move
+    # left.  Each snapshot searches the descent paths of a vertex at most
+    # once, and each G-set builds its stabilizer table once
     calls = Counter()
 
-    def count(owner, name):
+    def count(owner, name, key=None):
         original = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            calls[name] += 1
+            calls[key or name] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
 
     count(ga, "retraction_map")
     count(rt, "validate")
+    count(gg, "validate", "move_validate")
     count(GGraph, "state_digest")
-    count(rt, "is_conjugate_incomparable")
 
     # keyed by id; `alive` keeps every keyed object alive, so no id is reused
     alive = []
@@ -135,21 +136,49 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     monkeypatch.setattr(GSet, "_stabilizer_table", built, raising=False)
     for t, u in corpus:
         t = _fresh(t)
-        outside_stabs = {oracle_stabilizer(t.vertices, w) for w in range(t.n_vertices) if w not in u}
         calls.clear()
         searches.clear()
         queried.clear()
         builds.clear()
         res = retract_tree(t, u)
+        slides = sum(m.kind == "slide" for m in res.move_log)
         assert calls == Counter(
             retraction_map=1,
             validate=1,
+            move_validate=1 + slides,
             state_digest=len(res.move_log) + 1,
-            is_conjugate_incomparable=len(outside_stabs),
         )
         assert max(searches.values(), default=0) <= 1
-        assert {id(t.vertices), id(t.edges)} <= queried
+        # edge stabilizers are read only by slide and by the choice of one
+        # edge per outside vertex
+        assert id(t.vertices) in queried
+        assert (id(t.edges) in queried) == (len(u) < t.n_vertices)
         assert builds == Counter(queried)
+
+
+def test_every_tree_the_pipeline_builds_is_a_g_tree(corpus, monkeypatch):
+    # the moves do not check the trees they return; every one the pipeline
+    # builds is checked here
+    built = Counter()
+
+    def checked(name, tree_of):
+        move = getattr(rt, name)
+
+        def wrapped(*args):
+            out = move(*args)
+            assert validate(tree_of(out)).is_tree, name
+            built[name] += 1
+            return out
+
+        monkeypatch.setattr(rt, name, wrapped)
+
+    checked("slide", lambda t: t)
+    checked("reorient", lambda t: t)
+    checked("compress", lambda res: res.tree)
+    for t, u in corpus:
+        retract_tree(t, u)
+    assert built["compress"] == len(corpus)
+    assert built["slide"] > 0 and built["reorient"] > 0, built
 
 
 def test_filtration_matches_rescanning_oracle(corpus):
