@@ -36,8 +36,9 @@ class GGraph:
         ne = self.edges.size
         if len(self.iota) != ne or len(self.tau) != ne:
             raise InputError("iota/tau must assign a vertex to every edge")
+        nv = self.vertices.size
         for v in self.iota + self.tau:
-            if not 0 <= v < self.vertices.size:
+            if not 0 <= v < nv:
                 raise InputError("incidence map hits a missing vertex")
 
     @property
@@ -361,6 +362,32 @@ def path_to(parent: dict[int, tuple[int, int, int]], v: int) -> GPath:
         prev, eps, e = parent[prev]
     verts.reverse()
     steps.reverse()
+    return GPath(tuple(verts), tuple(steps))
+
+
+def rooted_path(parent: dict[int, tuple[int, int, int]], depth: Sequence[int], a: int, b: int) -> GPath:
+    """The path from a to b in a tree, read from a bfs_parents search over
+    the whole tree and each vertex's depth in it.
+
+    Both ends climb towards the root until they meet at their lowest common
+    ancestor, so the cost is the path's length, and no call recurses.  In a
+    tree this is the path that path_to(bfs_parents(adj, a, stop=b), b) gives:
+    a climbing step crosses its edge against the search, so its eps is the
+    negated one of the parent entry.
+    """
+    verts, steps = [a], []
+    back_verts, back_steps = [b], []
+    while a != b:
+        if depth[a] >= depth[b]:
+            a, eps, e = parent[a]
+            verts.append(a)
+            steps.append((e, -eps))
+        else:
+            b, eps, e = parent[b]
+            back_verts.append(b)
+            back_steps.append((e, eps))
+    verts += reversed(back_verts[:-1])
+    steps += reversed(back_steps)
     return GPath(tuple(verts), tuple(steps))
 
 

@@ -26,6 +26,7 @@ from .ggraph import (
     compress,
     path_to,
     reorient,
+    rooted_path,
     slide,
     validate,
 )
@@ -53,10 +54,12 @@ class RetractState:
     """Immutable snapshot of the pipeline: tree + filtration + move history.
 
     Each snapshot builds its tree's adjacency once and keeps the descent
-    paths of each outside vertex once paths_P has searched them.  Every move
-    makes a new snapshot (with_tree), so neither is ever stale.  Every tree
-    version shares the input's vertex G-set, so its stabilizer table is read
-    from the tree.
+    paths of each outside vertex once paths_P has searched them.  A slide
+    changes which paths exist, so eliminate_problematic makes a new snapshot
+    (with_tree) after each one.  A reorientation changes only the signs of
+    the flipped edges on those paths, so compress_to_U reads the snapshot it
+    is given (see there) and makes none.  Every tree version shares the
+    input's vertex G-set, so its stabilizer table is read from the tree.
     """
 
     tree: GGraph
@@ -115,13 +118,20 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
 
     The vertices first placed at each level are kept in a bucket, and the
     candidate targets (levels below alpha) in one ascending list that grows
-    by a bucket per stage, so no stage rescans the tree.
+    by a bucket per stage, so no stage rescans the tree.  The tree is rooted
+    once at vertex 0, and each geodesic is read by walking its two ends up
+    to their lowest common ancestor (rooted_path), in time proportional to
+    its length.
     """
     u = frozenset(u_set)
     _retract_precheck(tree, u)
     nv, ne = tree.n_vertices, tree.n_edges
     vstab = tree.vertices.stabilizers()
-    adj = tree.adjacency()
+    parent = bfs_parents(tree.adjacency(), 0)
+    depth = [0] * nv
+    for v, (prev, _, _) in parent.items():
+        if prev != -1:
+            depth[v] = depth[prev] + 1
     edge_level: dict[int, int] = {}
     vertex_level: dict[int, int] = {v: 0 for v in u}
     buckets: list[list[int]] = [sorted(u)]  # level -> vertices first placed there
@@ -171,7 +181,7 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
                 if target is None:
                     raise InternalCheckError("no placed vertex absorbs the stabilizer of a placed vertex")
                 target_of[sw] = target
-            path = path_to(bfs_parents(adj, w, stop=target), target)
+            path = rooted_path(parent, depth, w, target)
             cut = next(
                 i
                 for i in range(1, len(path.vertices))
@@ -471,7 +481,13 @@ class RetractResult:
 
 def compress_to_U(state: RetractState) -> RetractResult:
     """Reorient downhill, pick one distinguished edge per outside vertex, and
-    compress those edges away; the vertex set becomes exactly the retract."""
+    compress those edges away; the vertex set becomes exactly the retract.
+
+    The reoriented tree needs no new snapshot: is_lower reads degrees,
+    stabilizers and d_T, none of which see orientation, and its descent
+    paths are state's in the same order, with the flipped edges' signs
+    negated.
+    """
     _, bad_v = problematic(state)
     if bad_v:
         raise PreconditionError("problematic vertices present; eliminate them first")
@@ -489,8 +505,6 @@ def compress_to_U(state: RetractState) -> RetractResult:
             flips |= orb
     if flips:
         tree = _log_move(state, log, "reorient", {"flips": sorted(flips)}, reorient(tree, flips))
-        state = state.with_tree(tree, log)
-        log = []
     for e in range(tree.n_edges):
         if is_lower(state, tree.iota[e], tree.tau[e]):
             raise InternalCheckError("an edge still points uphill after reorientation")
@@ -502,8 +516,8 @@ def compress_to_U(state: RetractState) -> RetractResult:
             continue
         ps = paths_P(state, v0)
         chosen = ps[0]
-        e1, eps1 = chosen.steps[0]
-        if eps1 != 1 or tree.iota[e1] != v0:
+        e1 = chosen.steps[0][0]
+        if tree.iota[e1] != v0:
             raise InternalCheckError("distinguished edge does not leave its vertex")
         if tree.edges.stabilizer(e1) != state.vstab(v0):
             raise InternalCheckError("distinguished edge stabilizer differs from its vertex")

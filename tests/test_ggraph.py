@@ -8,12 +8,15 @@ from gtrees.errors import PreconditionError
 from gtrees.gaction import FiniteGroup, GSet
 from gtrees.ggraph import (
     GGraph,
+    bfs_parents,
     compress,
     geodesic,
     ggraph_from_json,
     ggraph_to_dot,
     ggraph_to_json,
+    path_to,
     reorient,
+    rooted_path,
     slide,
     subdivide,
     tree_with_trivial_group,
@@ -237,6 +240,42 @@ def test_geodesic_matches_bfs_distance_oracle():
                     dq.append(y)
         for b in range(7):
             assert geodesic(t, a, b).length == dist[b]
+
+
+def _depths(parent):
+    depth = {}
+    for v, (prev, _, _) in parent.items():
+        depth[v] = 0 if prev == -1 else depth[prev] + 1
+    return [depth[v] for v in range(len(depth))]
+
+
+def test_rooted_path_matches_bfs_oracle_on_every_pair():
+    rng = random.Random(9)
+    for _ in range(30):
+        t, _ = random_instance(rng, max_vertices=40)
+        adj = t.adjacency()
+        for root in {0, rng.randrange(t.n_vertices)}:
+            parent = bfs_parents(adj, root)
+            depth = _depths(parent)
+            for a in range(t.n_vertices):
+                for b in range(t.n_vertices):
+                    p = rooted_path(parent, depth, a, b)
+                    assert p == path_to(bfs_parents(adj, a, stop=b), b), (root, a, b)
+
+
+def test_rooted_path_climbs_a_deep_path_without_recursion():
+    # a path rooted at one end: depth 2999, deeper than the recursion limit
+    rng = random.Random(3)
+    n = 3000
+    t = tree_with_trivial_group([(v, v + 1) if rng.random() < 0.5 else (v + 1, v) for v in range(n - 1)])
+    adj = t.adjacency()
+    parent = bfs_parents(adj, 0)
+    depth = _depths(parent)
+    assert max(depth) == n - 1
+    pairs = [(0, n - 1), (n - 1, 0), (n - 1, n - 2), (n - 1, n - 1)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(16)]
+    for a, b in pairs:
+        assert rooted_path(parent, depth, a, b) == path_to(bfs_parents(adj, a, stop=b), b), (a, b)
 
 
 def test_reorient_involutive_and_flips_geodesics():

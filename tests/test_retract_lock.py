@@ -81,7 +81,10 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     # slide and one for compress.  Each tree the pipeline passes through is
     # digested once: before a move, the digest is the one the previous move
     # left.  Each snapshot searches the descent paths of a vertex at most
-    # once, and each G-set builds its stabilizer table once
+    # once, and each G-set builds its stabilizer table once.  build_filtration
+    # roots the tree with one unwindowed search, and compress_to_U's
+    # reorientation makes no new snapshot, so a tree with no slide runs one
+    # windowed search per outside vertex
     calls = Counter()
 
     def count(owner, name, key=None):
@@ -97,6 +100,7 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     count(rt, "validate")
     count(gg, "validate", "move_validate")
     count(GGraph, "state_digest")
+    count(rt, "build_filtration")
 
     # keyed by id; `alive` keeps every keyed object alive, so no id is reused
     alive = []
@@ -107,6 +111,8 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
         if crossable is not None:
             alive.append(adj)
             searches[id(adj), root] += 1
+        else:
+            calls["unwindowed_bfs"] += 1
         return bfs(adj, root, crossable, stop)
 
     monkeypatch.setattr(rt, "bfs_parents", counted_bfs)
@@ -134,6 +140,7 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     monkeypatch.setattr(GSet, "stabilizer", queried_one)
     monkeypatch.setattr(GSet, "stabilizers", queried_all, raising=False)
     monkeypatch.setattr(GSet, "_stabilizer_table", built, raising=False)
+    flipped_without_slides = 0
     for t, u in corpus:
         t = _fresh(t)
         calls.clear()
@@ -147,13 +154,24 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
             validate=1,
             move_validate=1 + slides,
             state_digest=len(res.move_log) + 1,
+            build_filtration=1,
+            unwindowed_bfs=1,
         )
         assert max(searches.values(), default=0) <= 1
+        n_outside = t.n_vertices - len(u)
+        windowed = sum(searches.values())
+        assert windowed <= n_outside * (1 + slides)
+        if not slides:
+            assert windowed == n_outside
+            flipped_without_slides += any(m.kind == "reorient" for m in res.move_log)
         # edge stabilizers are read only by slide and by the choice of one
         # edge per outside vertex
         assert id(t.vertices) in queried
         assert (id(t.edges) in queried) == (len(u) < t.n_vertices)
         assert builds == Counter(queried)
+    # compress_to_U flips an orbit on most of the trees that make no slide
+    # (190 of 195), where a new snapshot would search every vertex again
+    assert flipped_without_slides > 100, flipped_without_slides
 
 
 def test_every_tree_the_pipeline_builds_is_a_g_tree(corpus, monkeypatch):
@@ -181,8 +199,23 @@ def test_every_tree_the_pipeline_builds_is_a_g_tree(corpus, monkeypatch):
     assert built["slide"] > 0 and built["reorient"] > 0, built
 
 
+def _large_instances():
+    """Three instgen trees of 700-1000 vertices: random_instance draws its
+    vertex count first, so generator states that would draw fewer are skipped."""
+    rng = random.Random(20261018)
+    out = []
+    while len(out) < 3:
+        state = rng.getstate()
+        if rng.randrange(2, 1001) >= 700:
+            rng.setstate(state)
+            out.append(random_instance(rng, max_vertices=1000))
+    return out
+
+
 def test_filtration_matches_rescanning_oracle(corpus):
-    for t, u in corpus:
+    large = _large_instances()
+    assert all(700 <= t.n_vertices <= 1000 for t, _ in large)
+    for t, u in corpus + large:
         assert build_filtration(t, u) == oracle_build_filtration(t, u)
 
 
