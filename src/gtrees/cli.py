@@ -41,11 +41,18 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _dump_json(path: Optional[str], doc: dict) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True, default=str)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(path, text + "\n")
     else:
         print(text)
 
@@ -80,9 +87,11 @@ def cmd_retract_run(args) -> int:
     }
     _dump_json(args.out, out_doc)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            for m in result.move_log:
-                fh.write(json.dumps({"kind": m.kind, "detail": m.detail, "pre": m.pre, "post": m.post}, default=str) + "\n")
+        lines = [
+            json.dumps({"kind": m.kind, "detail": m.detail, "pre": m.pre, "post": m.post}, default=str) + "\n"
+            for m in result.move_log
+        ]
+        _write_text(args.trace, "".join(lines))
     return EXIT_OK
 
 
@@ -94,8 +103,7 @@ def cmd_stallings(args) -> int:
         print(f"{core.n_vertices} vertices, {core.n_edges} edges")
         print(core.to_text())
         if args.dot:
-            with open(args.dot, "w") as fh:
-                fh.write(core.to_dot() + "\n")
+            _write_text(args.dot, core.to_dot() + "\n")
         return EXIT_OK
     word = parse_word(alphabet, args.word)
     if args.subcommand == "member":
@@ -115,8 +123,7 @@ def cmd_counterexample(args) -> int:
     else:
         text = report.to_text()
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+            _write_text(args.out, text + "\n")
         else:
             print(text)
     return EXIT_OK if report.passed else EXIT_MISMATCH

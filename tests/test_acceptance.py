@@ -110,6 +110,9 @@ def test_criterion_5_retract_pipeline_property_suite(corpus):
         for i in range(res.tree.n_edges):
             assert res.tree.edges.stabilizer(i) == old_stabs[res.tree.edges.labels[i]]
         assert len(res.removed_edges) == t.n_vertices - len(u)
+        # the pairing is a bijection from the removed edges onto the outside vertices
+        assert sorted(res.removed_to_vertex) == list(res.removed_edges)
+        assert sorted(res.removed_to_vertex.values()) == sorted(set(range(t.n_vertices)) - set(u))
         ea, va = t.edges.act, t.vertices.act
         for g in t.group.elements:
             for e, wv in res.removed_to_vertex.items():
@@ -154,6 +157,9 @@ def test_criterion_7_move_level_properties():
             t2 = reorient(t, flips) if flips else t
             keep = sorted(e for e in range(t.n_edges) if e not in removed)
             res = compress(t2, keep)
+            # iota maps the removed edges one-to-one onto the non-sinks
+            non_sinks = sorted(set(range(t2.n_vertices)) - set(res.kept_vertices))
+            assert sorted(t2.iota[e] for e in removed) == non_sinks
             assert validate(res.tree).is_tree
             assert list(res.kept_edges) == keep
             assert set(res.tree.edges.labels) == {t.edges.labels[e] for e in keep}

@@ -360,3 +360,24 @@ def test_unexpected_exception_exits_four_with_one_line(tmp_path, capsys, monkeyp
     inp.write_text(json.dumps(make_instance_doc()))
     assert main(["retract", "run", "--input", str(inp)]) == 4
     assert capsys.readouterr().err == "internal error: RuntimeError: first line second line\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["retract", "run", "--input", "{inst}", "--out", "{bad}"],
+        ["retract", "run", "--input", "{inst}", "--trace", "{bad}"],
+        ["stallings", "core", "x^2,y", "--dot", "{bad}"],
+        ["counterexample", "verify", "--n-max", "2", "--out", "{bad}"],
+    ],
+    ids=["json-out", "retract-trace", "stallings-dot", "verify-text-out"],
+)
+def test_unwritable_output_path_exits_two_with_one_line(tmp_path, capsys, command):
+    inp = tmp_path / "inst.json"
+    inp.write_text(json.dumps(make_instance_doc()))
+    bad = tmp_path / "missing" / "out.txt"
+    argv = [a.format(inst=inp, bad=bad) for a in command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {bad}: ") and err.count("\n") == 1
+    assert not bad.parent.exists()

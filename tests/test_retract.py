@@ -1,6 +1,7 @@
 import pytest
 
-from gtrees.errors import PreconditionError
+import gtrees.retract as rt
+from gtrees.errors import InternalCheckError, PreconditionError
 from gtrees.gaction import FiniteGroup, GSet
 from gtrees.ggraph import GGraph, tree_with_trivial_group, validate
 from gtrees.retract import (
@@ -185,6 +186,18 @@ def test_compress_to_U_single_edge():
 def test_compress_to_U_requires_no_problematic():
     state = make_state(crooked_path(), {0})
     with pytest.raises(PreconditionError):
+        compress_to_U(state)
+
+
+def test_compress_to_U_reports_a_refused_compress_as_internal(monkeypatch):
+    # compress_to_U builds the edge set it compresses, so a compress that
+    # refuses it is a fault of the pipeline and exits 4, not 3
+    def refused(tree, keep):
+        raise PreconditionError("component of vertex 1 has two sinks")
+
+    monkeypatch.setattr(rt, "compress", refused)
+    state = make_state(single_edge(), {0})
+    with pytest.raises(InternalCheckError, match="two sinks"):
         compress_to_U(state)
 
 

@@ -26,12 +26,14 @@ import gtrees.gaction as ga
 import gtrees.ggraph as gg
 import gtrees.retract as rt
 from gtrees.gaction import FiniteGroup, GSet
-from gtrees.ggraph import GGraph, ggraph_to_json, validate
+from gtrees.ggraph import GGraph, ggraph_to_json, reorient, validate
 from gtrees.retract import (
     Filtration,
     build_filtration,
     check_filtration,
+    compress_to_U,
     eliminate_problematic,
+    is_lower,
     make_state,
     paths_P,
     problematic,
@@ -281,11 +283,14 @@ def _assert_matches_oracle(state):
 
 
 def test_windowed_paths_match_full_bfs_oracle(corpus, monkeypatch):
-    # every state that eliminate_problematic asks about is compared as well
+    # every state that eliminate_problematic asks about is compared as well,
+    # and its filtration still satisfies conditions (1)-(4): eliminate_problematic
+    # does not re-check it after a slide
     seen = []
 
     def checked(state):
         seen.append(state)
+        assert check_filtration(state) == []
         _assert_matches_oracle(state)
         return problematic(state)
 
@@ -295,6 +300,21 @@ def test_windowed_paths_match_full_bfs_oracle(corpus, monkeypatch):
         _assert_matches_oracle(state)
         _assert_matches_oracle(eliminate_problematic(state))
     assert len(seen) >= len(corpus)
+
+
+def test_compress_to_U_reorientation_leaves_no_edge_uphill(corpus):
+    # compress_to_U flips the orbits whose representative points uphill and
+    # does not re-check the result; is_lower is a strict order that the
+    # action preserves, so no edge of the flipped tree points uphill
+    flipped = 0
+    for t, u in corpus:
+        state = eliminate_problematic(make_state(t, u))
+        res = compress_to_U(state)
+        flips = [e for m in res.move_log[len(state.move_log) :] if m.kind == "reorient" for e in m.detail["flips"]]
+        tree = reorient(state.tree, flips)
+        assert [e for e in range(tree.n_edges) if is_lower(state, tree.iota[e], tree.tau[e])] == []
+        flipped += bool(flips)
+    assert flipped > 100, flipped
 
 
 def test_check_filtration_reports_cycles_per_level():
