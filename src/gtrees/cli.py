@@ -6,23 +6,22 @@ Subcommands: `retract run`, `stallings core|member|census`,
 
 Exit codes: 0 success, 1 verification mismatch, 2 malformed input,
 3 precondition failure, 4 internal check failure or any other error.
+
+Each command imports the gtrees modules it runs inside its own function, so
+`stallings` loads no G-tree code and `moves` no retract or Stallings code.
+A command renders all of its outputs and checks that every output path can
+be written before it writes or prints anything.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
-from . import almost as almost_mod
-from . import counterexample as cx
 from .errors import InputError, InternalCheckError, PreconditionError, VerificationMismatch
-from .gaction import group_from_json, gset_from_json
-from .ggraph import compress, ggraph_from_json, ggraph_to_json, reorient, slide, subdivide
-from .retract import retract_tree
-from .stallings import from_generators
-from .words import XY, Alphabet, parse_generators, parse_word
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -41,6 +40,16 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _check_writable(path: str) -> None:
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w") as fh:
@@ -49,15 +58,29 @@ def _write_text(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def _dump_json(path: Optional[str], doc: dict) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True, default=str)
-    if path:
-        _write_text(path, text + "\n")
-    else:
-        print(text)
+def _emit(outputs: Sequence[tuple[Optional[str], str]]) -> None:
+    """Write each rendered (path, text) output; a path of None is stdout.
+
+    Every path is checked first, so a command whose last output path cannot
+    be written exits 2 and leaves none of its other outputs behind.
+    """
+    for path, _ in outputs:
+        if path:
+            _check_writable(path)
+    for path, text in outputs:
+        if path:
+            _write_text(path, text)
+        else:
+            sys.stdout.write(text)
 
 
-def _alphabet_from_flag(names: Optional[str]) -> Alphabet:
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+
+
+def _alphabet_from_flag(names: Optional[str]):
+    from .words import XY, Alphabet
+
     if not names:
         return XY
     return Alphabet(tuple(n.strip() for n in names.split(",") if n.strip()))
@@ -69,6 +92,9 @@ def _alphabet_from_flag(names: Optional[str]) -> Alphabet:
 
 
 def cmd_retract_run(args) -> int:
+    from .ggraph import ggraph_from_json, ggraph_to_json
+    from .retract import retract_tree
+
     doc = _load_json(args.input)
     if not isinstance(doc, dict):
         raise InputError("instance document must be a JSON object")
@@ -85,25 +111,29 @@ def cmd_retract_run(args) -> int:
         "bijection": {str(k): v for k, v in result.bijection_by_label.items()},
         "moves": len(result.move_log),
     }
-    _dump_json(args.out, out_doc)
+    outputs = [(args.out, _json_text(out_doc))]
     if args.trace:
         lines = [
             json.dumps({"kind": m.kind, "detail": m.detail, "pre": m.pre, "post": m.post}, default=str) + "\n"
             for m in result.move_log
         ]
-        _write_text(args.trace, "".join(lines))
+        outputs.append((args.trace, "".join(lines)))
+    _emit(outputs)
     return EXIT_OK
 
 
 def cmd_stallings(args) -> int:
+    from .stallings import from_generators
+    from .words import parse_generators, parse_word
+
     alphabet = _alphabet_from_flag(args.alphabet)
     gens = parse_generators(alphabet, args.generators)
     core = from_generators(gens, alphabet=alphabet)
     if args.subcommand == "core":
-        print(f"{core.n_vertices} vertices, {core.n_edges} edges")
-        print(core.to_text())
+        outputs = [(None, f"{core.n_vertices} vertices, {core.n_edges} edges\n{core.to_text()}\n")]
         if args.dot:
-            _write_text(args.dot, core.to_dot() + "\n")
+            outputs.append((args.dot, core.to_dot() + "\n"))
+        _emit(outputs)
         return EXIT_OK
     word = parse_word(alphabet, args.word)
     if args.subcommand == "member":
@@ -116,16 +146,12 @@ def cmd_stallings(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    from . import counterexample as cx
+
     data = cx.ExampleData.from_json(_load_json(args.fixture)) if args.fixture else cx.default_data()
     report = cx.verify_all(data, n_max=args.n_max, parts=args.part or None)
-    if (args.report or "text") == "json":
-        _dump_json(args.out, report.to_dict())
-    else:
-        text = report.to_text()
-        if args.out:
-            _write_text(args.out, text + "\n")
-        else:
-            print(text)
+    text = _json_text(report.to_dict()) if args.report == "json" else report.to_text() + "\n"
+    _emit([(args.out, text)])
     return EXIT_OK if report.passed else EXIT_MISMATCH
 
 
@@ -139,6 +165,8 @@ def _parse_index_list(text: str) -> list[int]:
 
 
 def cmd_moves(args) -> int:
+    from .ggraph import compress, ggraph_from_json, ggraph_to_json, reorient, slide, subdivide
+
     tree = ggraph_from_json(_load_json(args.input))
     if args.subcommand == "slide":
         out = slide(tree, args.edge, args.along)
@@ -149,11 +177,14 @@ def cmd_moves(args) -> int:
         out = compress(tree, keep).tree
     else:  # reorient
         out = reorient(tree, _parse_index_list(args.flips))
-    _dump_json(args.out, ggraph_to_json(out))
+    _emit([(args.out, _json_text(ggraph_to_json(out)))])
     return EXIT_OK
 
 
 def _module_from_json(doc: dict):
+    from . import almost as almost_mod
+    from .gaction import group_from_json
+
     group = group_from_json(doc["group"])
     mdoc = doc["module"]
     if not isinstance(mdoc, dict) or "factors" not in mdoc or "action" not in mdoc:
@@ -190,6 +221,9 @@ def _require_keys(doc, keys: Sequence[str]) -> None:
 
 
 def cmd_almost(args) -> int:
+    from . import almost as almost_mod
+    from .gaction import group_from_json, gset_from_json
+
     doc = _load_json(args.input)
     if args.subcommand == "check-derivation":
         _require_keys(doc, ("group", "module"))
@@ -222,7 +256,7 @@ def cmd_almost(args) -> int:
         hat = pair.hat(phi)
         out_doc["hat"] = list(hat)
         out_doc["round_trip_ok"] = pair.tilde(hat) == phi
-    _dump_json(args.out, out_doc)
+    _emit([(args.out, _json_text(out_doc))])
     return EXIT_OK
 
 

@@ -20,6 +20,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .gaction import FiniteGroup, GSet, group_from_json, group_to_json, gset_from_rows, non_equivariant
+from .unionfind import UnionFind
 
 # per vertex: (edge, eps, other endpoint), eps +1 when leaving iota
 Adjacency = list[list[tuple[int, int, int]]]
@@ -118,28 +119,10 @@ class GPath:
         return self.vertices[-1]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-
 def validate(t: GGraph) -> GraphReport:
     """Equivariance, component count, cycles; tree/forest verdicts."""
     fails = tuple(t.equivariance_failures())
-    uf = _UnionFind(t.n_vertices)
+    uf = UnionFind(t.n_vertices)
     acyclic = True
     for e in range(t.n_edges):
         if not uf.union(t.iota[e], t.tau[e]):
@@ -205,7 +188,7 @@ def compress(t: GGraph, eprime: Iterable[int]) -> CompressResult:
     keep_set = set(keep)
     removed = [e for e in range(t.n_edges) if e not in keep_set]
 
-    uf = _UnionFind(t.n_vertices)
+    uf = UnionFind(t.n_vertices)
     for e in removed:
         uf.union(t.iota[e], t.tau[e])
     comp_of = {v: uf.find(v) for v in range(t.n_vertices)}

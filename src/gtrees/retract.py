@@ -21,7 +21,6 @@ from .ggraph import (
     Adjacency,
     GGraph,
     GPath,
-    _UnionFind,
     bfs_parents,
     compress,
     path_to,
@@ -30,6 +29,7 @@ from .ggraph import (
     slide,
     validate,
 )
+from .unionfind import UnionFind
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ def check_filtration(state: RetractState) -> list[str]:
             problems.append(f"(1) edge {e} enters a level before both endpoints")
     # the edges below beta hold a cycle exactly when beta exceeds the degree
     # of the first edge that closes one, adding edges in degree order
-    uf = _UnionFind(nv)
+    uf = UnionFind(nv)
     for e in sorted(range(ne), key=filt.edeg.__getitem__):
         if not uf.union(tree.iota[e], tree.tau[e]):
             for beta in range(max(0, filt.edeg[e] + 1), filt.kappa + 1):

@@ -10,14 +10,16 @@ base into the core.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from itertools import repeat
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .errors import AlphabetMismatch, InputError, InternalCheckError, PreconditionError
-from .ggraph import _UnionFind
+from .unionfind import UnionFind
 from .words import Alphabet, Word, format_word
+
+if TYPE_CHECKING:
+    import random
 
 #: most letters `from_generators` folds: the unfolded graph has one vertex
 #: per letter, and a short exponent such as x^(10^12) asks for more than fits
@@ -349,7 +351,7 @@ def fold(
         elif inn[j] != u:
             pending.append((inn[j], u))
 
-    uf = _UnionFind(n)
+    uf = UnionFind(n)
     find = uf.find
     while pending:
         a, b = pending.pop()

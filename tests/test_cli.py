@@ -3,7 +3,7 @@ import json
 import pytest
 
 import gtrees.almost as almost
-import gtrees.cli as cli
+import gtrees.retract
 from gtrees.cli import main
 from gtrees.counterexample import default_data, documented_mutations
 from gtrees.gaction import FiniteGroup, GSet, group_to_json, gset_to_json
@@ -355,7 +355,7 @@ def test_unexpected_exception_exits_four_with_one_line(tmp_path, capsys, monkeyp
     def broken(tree, u):
         raise RuntimeError("first line\nsecond line")
 
-    monkeypatch.setattr(cli, "retract_tree", broken)
+    monkeypatch.setattr(gtrees.retract, "retract_tree", broken)
     inp = tmp_path / "inst.json"
     inp.write_text(json.dumps(make_instance_doc()))
     assert main(["retract", "run", "--input", str(inp)]) == 4
@@ -369,15 +369,30 @@ def test_unexpected_exception_exits_four_with_one_line(tmp_path, capsys, monkeyp
         ["retract", "run", "--input", "{inst}", "--trace", "{bad}"],
         ["stallings", "core", "x^2,y", "--dot", "{bad}"],
         ["counterexample", "verify", "--n-max", "2", "--out", "{bad}"],
+        ["retract", "run", "--input", "{inst}", "--out", "{tmp}/res.json", "--trace", "{bad}"],
+        ["retract", "run", "--input", "{inst}", "--trace", "{tmp}/moves.log", "--out", "{bad}"],
     ],
-    ids=["json-out", "retract-trace", "stallings-dot", "verify-text-out"],
+    ids=["json-out", "retract-trace", "stallings-dot", "verify-text-out", "out-then-bad-trace", "trace-then-bad-out"],
 )
 def test_unwritable_output_path_exits_two_with_one_line(tmp_path, capsys, command):
+    # and the failed command writes no other output file and prints nothing
     inp = tmp_path / "inst.json"
     inp.write_text(json.dumps(make_instance_doc()))
     bad = tmp_path / "missing" / "out.txt"
-    argv = [a.format(inst=inp, bad=bad) for a in command]
+    argv = [a.format(inst=inp, tmp=tmp_path, bad=bad) for a in command]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"input error: cannot write {bad}: ") and err.count("\n") == 1
-    assert not bad.parent.exists()
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: cannot write {bad}: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["inst.json"]
+
+
+def test_failed_command_keeps_an_existing_output_file(tmp_path, capsys):
+    inp = tmp_path / "inst.json"
+    inp.write_text(json.dumps(make_instance_doc()))
+    res = tmp_path / "res.json"
+    res.write_text("earlier result\n")
+    bad = tmp_path / "missing" / "t.log"
+    assert main(["retract", "run", "--input", str(inp), "--out", str(res), "--trace", str(bad)]) == 2
+    assert capsys.readouterr().out == ""
+    assert res.read_text() == "earlier result\n"
