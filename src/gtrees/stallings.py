@@ -10,9 +10,10 @@ base into the core.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
-from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from itertools import compress, repeat
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .errors import AlphabetMismatch, InputError, InternalCheckError, PreconditionError
 from .unionfind import UnionFind
@@ -80,27 +81,22 @@ class CoreGraph:
     def __init__(
         self,
         alphabet: Alphabet,
-        n_vertices: int,
         base: int,
-        edges: Iterable[tuple[int, int, int]],
+        out: tuple[tuple[Optional[int], ...], ...],
+        inn: tuple[tuple[Optional[int], ...], ...],
         generators: tuple[Word, ...] = (),
     ):
+        """`out[v][lab]` is the far end of the lab-edge leaving v and
+        `inn[v][lab]` that of the lab-edge entering it, None when there is
+        none; the two tables describe the same folded edge set."""
         self.alphabet = alphabet
-        self.n_vertices = n_vertices
+        self.n_vertices = len(out)
         self.base = base
-        k = alphabet.size
-        out: list[list[Optional[int]]] = [[None] * k for _ in range(n_vertices)]
-        inn: list[list[Optional[int]]] = [[None] * k for _ in range(n_vertices)]
-        for u, lab, v in edges:
-            if out[u][lab] is not None or inn[v][lab] is not None:
-                raise InternalCheckError("edge set is not folded")
-            out[u][lab] = v
-            inn[v][lab] = u
-        self.out = tuple(tuple(row) for row in out)
-        self.inn = tuple(tuple(row) for row in inn)
+        self.out = out
+        self.inn = inn
         self.generators = generators
-        self._core = None
-        self._runs = None
+        self._core: Optional[frozenset[int]] = None
+        self._runs: list[Optional[list]] = [None] * alphabet.size
 
     # -- structure ---------------------------------------------------------
 
@@ -113,55 +109,57 @@ class CoreGraph:
 
     @property
     def n_edges(self) -> int:
-        return sum(1 for _ in self.edges())
+        k = self.alphabet.size
+        return sum(k - row.count(None) for row in self.out)
 
     def degree(self, v: int) -> int:
-        d = 0
-        for lab in range(self.alphabet.size):
-            if self.out[v][lab] is not None:
-                d += 1
-            if self.inn[v][lab] is not None:
-                d += 1
-        return d
+        return 2 * self.alphabet.size - self.out[v].count(None) - self.inn[v].count(None)
 
     def core_vertices(self) -> frozenset[int]:
         """Vertices on some cyclically reduced closed path (degree-1 trimming)."""
         if self._core is None:
-            ends = [[w for w in self.out[v] + self.inn[v] if w is not None] for v in range(self.n_vertices)]
-            if any(ends):
-                alive = _peel(ends)
-                self._core = frozenset(v for v in range(self.n_vertices) if alive[v])
+            out, inn = self.out, self.inn
+            k2 = 2 * self.alphabet.size
+            deg = [k2 - o.count(None) - i.count(None) for o, i in zip(out, inn)]
+            if any(deg):
+                alive = [True] * self.n_vertices
+                _peel(deg, alive, lambda v: [w for w in out[v] + inn[v] if w is not None])
+                self._core = frozenset(compress(range(self.n_vertices), alive))
             else:
                 self._core = frozenset({self.base})
         return self._core
 
-    def _letter_runs(self) -> tuple[tuple[tuple[tuple[int, ...], int, bool], ...], ...]:
-        """Each letter's partial injection, cut into cycles and paths.
-
-        `_letter_runs()[lab][v]` is (vertices, i, cyclic): the cycle or maximal path
-        of lab-edges through v, in out-edge order, and v's index in it; an
-        isolated vertex is a path of one.  Built on first use.
+    def _run_through(self, lab: int, v: int) -> tuple[tuple[int, ...], int, bool]:
+        """The cycle or maximal path of lab-edges through v, as (vertices, i,
+        cyclic): the vertices in out-edge order, from the path's first vertex
+        or the cycle's smallest one, and v's index among them; an isolated
+        vertex is a path of one.  Split on first entry and cached for every
+        vertex of the run.
         """
-        if self._runs is None:
-            per_label = []
-            for lab in range(self.alphabet.size):
-                place: list = [None] * self.n_vertices
-                # paths start where no lab-edge comes in; what is left lies on cycles
-                starts = [v for v in range(self.n_vertices) if self.inn[v][lab] is None]
-                for first in starts + list(range(self.n_vertices)):
-                    if place[first] is not None:
-                        continue
-                    seq = [first]
-                    nxt = self.out[first][lab]
-                    while nxt is not None and nxt != first:
-                        seq.append(nxt)
-                        nxt = self.out[nxt][lab]
-                    run = tuple(seq)
-                    for i, v in enumerate(run):
-                        place[v] = (run, i, nxt is not None)
-                per_label.append(tuple(place))
-            self._runs = tuple(per_label)
-        return self._runs
+        out, inn = self.out, self.inn
+        seq = []  # the vertices before v, nearest first
+        u = inn[v][lab]
+        while u is not None and u != v:
+            seq.append(u)
+            u = inn[u][lab]
+        seq.reverse()
+        seq.append(v)
+        cyclic = u is not None
+        if cyclic:
+            i = seq.index(min(seq))
+            seq = seq[i:] + seq[:i]
+        else:
+            u = out[v][lab]
+            while u is not None:
+                seq.append(u)
+                u = out[u][lab]
+        run = tuple(seq)
+        place = self._runs[lab]
+        if place is None:
+            place = self._runs[lab] = [None] * self.n_vertices
+        for i, u in enumerate(run):
+            place[u] = (run, i, cyclic)
+        return place[v]
 
     # -- queries -----------------------------------------------------------
 
@@ -170,7 +168,7 @@ class CoreGraph:
 
         A syllable x^k moves in one step along the cycle or path of x-edges
         through the current vertex, so the cost is per syllable, not per
-        letter.
+        letter; the first read that enters a run also splits it.
         """
         out, inn, runs = self.out, self.inn, self._runs
         cur = start
@@ -180,8 +178,9 @@ class CoreGraph:
             elif exp == -1:
                 cur = inn[cur][idx]
             else:
-                runs = runs or self._letter_runs()
-                run, i, cyclic = runs[idx][cur]
+                place = runs[idx]
+                entry = place[cur] if place else None
+                run, i, cyclic = entry or self._run_through(idx, cur)
                 i += exp
                 if cyclic:
                     cur = run[i % len(run)]
@@ -231,11 +230,15 @@ class CoreGraph:
 
     def canonical_form(self) -> "CoreGraph":
         """Breadth-first relabeling from the base with fixed label order."""
-        order = {v: i for i, v in enumerate(self.bfs_parents())}
+        order = list(self.bfs_parents())
         if len(order) != self.n_vertices:
             raise InternalCheckError("based graph is not connected")
-        edges = [(order[u], lab, order[v]) for u, lab, v in self.edges()]
-        return CoreGraph(self.alphabet, self.n_vertices, 0, sorted(edges), self.generators)
+        pos = {v: i for i, v in enumerate(order)}
+
+        def relabel(rows):
+            return tuple(tuple([None if w is None else pos[w] for w in rows[v]]) for v in order)
+
+        return CoreGraph(self.alphabet, 0, relabel(self.out), relabel(self.inn), self.generators)
 
     def canonical_key(self) -> tuple:
         cf = self.canonical_form()
@@ -279,38 +282,23 @@ class CoreGraph:
         return "\n".join(lines)
 
 
-def _peel(ends: list[list[int]], keep: int = -1) -> list[bool]:
-    """Which vertices survive repeatedly dropping those of degree at most one.
+def _peel(deg: list[int], alive: list[bool], ends: Callable[[int], Iterable[int]], keep: int = -1) -> None:
+    """Repeatedly drop the alive vertices of degree at most one, in place.
 
-    `ends[v]` lists the far end of every edge at v (a loop twice); the vertex
-    `keep` is never dropped.  A degree-1 queue visits each vertex once, and
-    the survivors do not depend on the order of removal.
+    `deg[v]` counts the edge ends at v (a loop twice) and `ends(v)` lists
+    their far ends; the vertex `keep` is never dropped.  A degree-1 queue
+    visits each dropped vertex once, and the survivors do not depend on the
+    order of removal.
     """
-    deg = [len(e) for e in ends]
-    alive = [True] * len(ends)
-    queue = [v for v, d in enumerate(deg) if d <= 1 and v != keep]
+    queue = [v for v, d in enumerate(deg) if d <= 1 and alive[v] and v != keep]
     while queue:
         v = queue.pop()
         alive[v] = False
-        for w in ends[v]:
+        for w in ends(v):
             if alive[w]:
                 deg[w] -= 1
                 if deg[w] == 1 and w != keep:
                     queue.append(w)
-    return alive
-
-
-def _trim_spurs(n: int, base: int, edges: list[tuple[int, int, int]]) -> tuple[int, int, list]:
-    """Drop vertices of degree at most one other than the base, renumber densely."""
-    ends: list[list[int]] = [[] for _ in range(n)]
-    for u, _, v in edges:
-        ends[u].append(v)
-        ends[v].append(u)
-    alive = _peel(ends, base)
-    kept = [v for v in range(n) if alive[v]]
-    renum = {v: i for i, v in enumerate(kept)}
-    new_edges = [(renum[u], lab, renum[v]) for u, lab, v in edges if alive[u] and alive[v]]
-    return len(renum), renum[base], new_edges
 
 
 def fold(
@@ -327,18 +315,20 @@ def fold(
     seeds it with one pair per edge that finds its slot taken; merging two
     classes moves the absorbed class's slots into the survivor and adds one
     pair per slot both fill.  Each merge costs O(alphabet size), so folding
-    is near-linear in the number of edges.  Passing an rng shuffles the
-    edges, and so the initial worklist; the folded partition is unique, and
-    classes are numbered by their smallest vertex, so the result does not
-    depend on the order either way.
+    is near-linear in the number of edges.  The surviving classes' slots then
+    give the spur trimming and the CoreGraph rows directly.  Passing an rng
+    shuffles the edges, and so the initial worklist; the folded partition is
+    unique, and classes are numbered by their smallest vertex, so the result
+    does not depend on the order either way.
     """
     k = builder.alphabet.size
     n = builder.n_vertices
     out = [-1] * (n * k)  # out[v*k + lab]: a vertex the lab-edge from v's class enters
     inn = [-1] * (n * k)
     pending = []
-    edges = list(builder.edges)
+    edges = builder.edges
     if rng is not None:
+        edges = edges[:]
         rng.shuffle(edges)
     for u, lab, v in edges:
         i, j = u * k + lab, v * k + lab
@@ -352,14 +342,14 @@ def fold(
             pending.append((inn[j], u))
 
     uf = UnionFind(n)
-    find = uf.find
+    find, parent = uf.find, uf.parent
     while pending:
         a, b = pending.pop()
         ra, rb = find(a), find(b)
         if ra == rb:
             continue
-        uf.union(ra, rb)  # the smaller root survives
         keep, gone = (ra, rb) if ra < rb else (rb, ra)
+        parent[gone] = keep  # the smaller root survives
         for table in (out, inn):
             for i in range(gone * k, gone * k + k):
                 t = table[i]
@@ -371,12 +361,39 @@ def fold(
                     elif s != t:
                         pending.append((s, t))
 
-    parent = uf.parent
-    folded = [
-        (u, lab, find(out[u * k + lab])) for u in range(n) if parent[u] == u for lab in range(k) if out[u * k + lab] >= 0
-    ]
-    n2, base2, edges2 = _trim_spurs(n, find(builder.base), folded)
-    return CoreGraph(builder.alphabet, n2, base2, edges2, generators)
+    # parent[v] <= v, so one ascending pass points every vertex at its root
+    for v in range(n):
+        parent[v] = parent[parent[v]]
+
+    # a class's edges sit in its root's slots: count their ends there (a loop
+    # twice) and trim the spurs; only the roots start alive
+    alive = list(map(operator.eq, parent, range(n)))
+    slots = [table[lab::k] for table in (out, inn) for lab in range(k)]  # columns: out per label, then inn
+    deg = [2 * k - row.count(-1) for row in zip(*slots)]
+
+    def ends(v: int) -> list[int]:
+        return [parent[t] for t in out[v * k : v * k + k] + inn[v * k : v * k + k] if t >= 0]
+
+    _peel(deg, alive, ends, parent[builder.base])
+
+    # renumber the surviving classes densely and read their rows off the
+    # out-slots; an edge into a dropped class, like an empty slot (index -1),
+    # reads None, and each in-row entry is the one out-edge entering it
+    kept = list(compress(range(n), alive))
+    m = len(kept)
+    renum = dict(zip(kept, range(m)))
+    ids = [renum.get(r) for r in parent]
+    ids.append(None)
+    out_cols, in_cols = [], []
+    for lab in range(k):
+        col = [ids[t] for t in compress(slots[lab], alive)]
+        sources = dict(zip(col, range(m)))
+        sources.pop(None, None)
+        if len(sources) != m - col.count(None):
+            raise InternalCheckError("edge set is not folded")
+        out_cols.append(col)
+        in_cols.append(list(map(sources.get, range(m))))
+    return CoreGraph(builder.alphabet, ids[builder.base], tuple(zip(*out_cols)), tuple(zip(*in_cols)), generators)
 
 
 def from_generators(gens: Iterable[Word], alphabet: Alphabet | None = None) -> CoreGraph:

@@ -19,5 +19,7 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        self.parent[max(ra, rb)] = min(ra, rb)
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
         return True

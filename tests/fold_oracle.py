@@ -1,6 +1,7 @@
-"""Reference folding: the scan-all-edges `fold`, `_trim_spurs` and
+"""Reference folding: the scan-all-edges `fold`, spur trimming and
 `core_vertices` that `gtrees.stallings` replaced with worklist and queue
-versions.
+versions, and the eager `letter_runs` that its power reads replaced with
+runs split on first entry.
 
 Each pass of `fold` rescans every edge and unions one conflict, and the
 trimming loops rescan the whole vertex (or edge) set for every removal, so
@@ -84,7 +85,19 @@ def fold(builder: LabeledGraphBuilder, generators=(), rng: random.Random | None 
     renum = {r: i for i, r in enumerate(roots)}
     folded_edges = {(renum[find(u)], lab, renum[find(v)]) for u, lab, v in edges}
     n2, base2, edges2 = trim_spurs(len(roots), renum[find(builder.base)], folded_edges)
-    return CoreGraph(builder.alphabet, n2, base2, edges2, generators)
+    return core_from_edges(builder.alphabet, n2, base2, edges2, generators)
+
+
+def core_from_edges(alphabet, n: int, base: int, edges, generators=()) -> CoreGraph:
+    """The CoreGraph with these (source, label, target) edges."""
+    k = alphabet.size
+    out = [[None] * k for _ in range(n)]
+    inn = [[None] * k for _ in range(n)]
+    for u, lab, v in edges:
+        assert out[u][lab] is None and inn[v][lab] is None, "edge set is not folded"
+        out[u][lab] = v
+        inn[v][lab] = u
+    return CoreGraph(alphabet, base, tuple(map(tuple, out)), tuple(map(tuple, inn)), generators)
 
 
 def core_vertices(core: CoreGraph) -> frozenset[int]:
@@ -108,3 +121,30 @@ def core_vertices(core: CoreGraph) -> frozenset[int]:
                     if w is not None and w in alive:
                         deg[w] -= 1
     return frozenset(alive)
+
+
+def letter_runs(core: CoreGraph) -> tuple:
+    """Each letter's partial injection, cut into cycles and paths, all at once.
+
+    `letter_runs(core)[lab][v]` is (vertices, i, cyclic): the cycle or maximal
+    path of lab-edges through v, in out-edge order, and v's index in it; an
+    isolated vertex is a path of one.
+    """
+    per_label = []
+    for lab in range(core.alphabet.size):
+        place: list = [None] * core.n_vertices
+        # paths start where no lab-edge comes in; what is left lies on cycles
+        starts = [v for v in range(core.n_vertices) if core.inn[v][lab] is None]
+        for first in starts + list(range(core.n_vertices)):
+            if place[first] is not None:
+                continue
+            seq = [first]
+            nxt = core.out[first][lab]
+            while nxt is not None and nxt != first:
+                seq.append(nxt)
+                nxt = core.out[nxt][lab]
+            run = tuple(seq)
+            for i, v in enumerate(run):
+                place[v] = (run, i, nxt is not None)
+        per_label.append(tuple(place))
+    return tuple(per_label)

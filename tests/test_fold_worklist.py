@@ -1,5 +1,6 @@
-"""The worklist `fold`, the queue trimming and `core_vertices` against the
-scan-all-edges oracle in `fold_oracle.py`, on seeded random inputs."""
+"""The worklist `fold`, the queue trimming, `core_vertices` and the power
+reads' runs against the scan-all-edges oracles in `fold_oracle.py`, on
+seeded random inputs and on hand-made edge cases."""
 
 import random
 import time
@@ -7,6 +8,7 @@ import time
 import pytest
 
 import fold_oracle
+import words_oracle
 from gtrees.stallings import LabeledGraphBuilder, fold, from_generators
 from gtrees.words import XY, Alphabet, Word, parse_word
 
@@ -88,6 +90,78 @@ def test_fold_matches_oracle_on_arbitrary_graphs():
         want = fold_oracle.fold(builder)
         assert_same_core(fold(builder), want)
         assert_same_core(fold(builder, rng=random.Random(s)), want)
+
+
+def builder_with(alphabet, n, base, edges):
+    builder = LabeledGraphBuilder(alphabet, n, base)
+    for u, lab, v in edges:
+        builder.add_edge(u, lab, v)
+    return builder
+
+
+# (name, builder, vertices after folding, core vertices of the result)
+EDGE_CASES = [
+    # the path 0-1-2 ends in a y-loop, so 2 has degree 3 and nothing is trimmed
+    ("loop at a spur's tip", builder_with(XY, 3, 0, [(0, 0, 0), (0, 1, 1), (1, 0, 2), (2, 1, 2)]), 3, {0, 1, 2}),
+    # 2 carries only its loop: degree 2, never trimmed
+    ("loop alone off the base", builder_with(XY, 3, 0, [(0, 0, 0), (2, 1, 2)]), 2, {0, 1}),
+    # a tree hanging off the base's loop: 1, and the leaves 2 and 3 at 1
+    ("spurs off a loop", builder_with(XYZ, 4, 0, [(0, 0, 0), (0, 1, 1), (1, 2, 2), (3, 0, 1)]), 1, {0}),
+    ("base on a tail of two edges", builder_with(XY, 3, 0, [(0, 0, 1), (1, 1, 2), (2, 0, 2)]), 3, {2}),
+    ("base on a tail of three edges", builder_with(XYZ, 4, 0, [(0, 2, 1), (2, 1, 1), (3, 2, 2), (3, 0, 3)]), 4, {3}),
+    ("no edges", LabeledGraphBuilder(XYZ, 4, 2), 1, {0}),
+    ("a path that trims to the base", builder_with(XY, 4, 1, [(0, 0, 1), (1, 0, 2), (3, 1, 2)]), 1, {0}),
+    ("a tree that trims to the base", builder_with(XYZ, 6, 3, [(0, 0, 1), (2, 1, 1), (3, 2, 1), (3, 0, 4), (5, 1, 4)]), 1, {0}),
+]
+
+
+@pytest.mark.parametrize("name, builder, n_vertices, core", EDGE_CASES, ids=[c[0] for c in EDGE_CASES])
+def test_fold_edge_cases_match_oracle(name, builder, n_vertices, core):
+    want = fold_oracle.fold(builder)
+    got = fold(builder)
+    assert_same_core(got, want)
+    assert got.n_vertices == n_vertices
+    assert got.core_vertices() == core
+
+
+def random_core(rng):
+    """A folded graph made directly: per label, a random permutation with some
+    edges removed, so that its runs are cycles, paths, self-loops and
+    isolated vertices."""
+    alphabet = rng.choice((XY, XYZ))
+    n = rng.randint(1, 12)
+    edges = []
+    for lab in range(alphabet.size):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        drop = rng.random()
+        edges += [(v, lab, perm[v]) for v in range(n) if rng.random() >= drop]
+    return fold_oracle.core_from_edges(alphabet, n, rng.randrange(n), edges)
+
+
+def test_power_reads_split_runs_on_first_entry():
+    rng = random.Random(12)
+    for _ in range(150):
+        core = random_core(rng)
+        want = fold_oracle.letter_runs(core)
+        entries = [(lab, v) for lab in range(core.alphabet.size) for v in range(core.n_vertices)]
+        rng.shuffle(entries)
+        for lab, v in entries:
+            run, i, cyclic = want[lab][v]
+            exp = rng.choice((1, -1)) * rng.randint(2, len(run) + 3)
+            power = Word.gen(core.alphabet, lab) ** exp
+            got = core.read(power, v)
+            assert got == words_oracle.read(core, words_oracle.LetterWord.of(power), v)
+            if cyclic:
+                assert got == run[(i + exp) % len(run)]
+            elif not 0 <= i + exp < len(run):
+                assert got is None
+            # every run cut so far is cut as the eager oracle cuts it
+            for lab2, place in enumerate(core._runs):
+                for u, entry in enumerate(place or ()):
+                    assert entry is None or entry == want[lab2][u]
+            assert core._runs[lab][v] == want[lab][v]
+        assert all(list(place) == list(runs) for place, runs in zip(core._runs, want))
 
 
 def test_add_word_loop_numbers_vertices_in_reading_order():
