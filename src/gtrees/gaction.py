@@ -174,6 +174,10 @@ class GSet:
     check the action laws with validate; restrict derives its table from a
     validated G-set without checking again.  A direct GSet(...) expects a
     table that is already valid.
+
+    Two tables are built on first use and kept: every point's stabilizer
+    (stabilizers) and every point's orbit number (orbit_ids).  No per-orbit
+    object is kept; orbits() rebuilds the member sets from the numbers.
     """
 
     group: FiniteGroup
@@ -181,6 +185,8 @@ class GSet:
     labels: tuple[Hashable, ...]
     # every point's stabilizer, filled on the first stabilizer query
     _stabs: Optional[tuple[frozenset[int], ...]] = field(default=None, init=False, compare=False, repr=False)
+    # every point's orbit number, filled on the first orbit_ids query
+    _orbit_ids: Optional[tuple[int, ...]] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -274,14 +280,42 @@ class GSet:
         return frozenset([row[p] for row in self.act])
 
     def orbits(self) -> list[frozenset[int]]:
-        seen: set[int] = set()
-        out = []
+        """Every orbit, in the order of their least points."""
+        ids = self.orbit_ids()
+        members: list[list[int]] = [[] for _ in range(max(ids, default=-1) + 1)]
+        for p, k in enumerate(ids):
+            members[k].append(p)
+        return [frozenset(m) for m in members]
+
+    def orbit_ids(self) -> tuple[int, ...]:
+        """Every point's orbit number, orbits numbered in the order of their
+        least points, built once per G-set.
+
+        So a point p is the least of its orbit exactly when ids[p] is the
+        number of orbits met before p.
+        """
+        if self._orbit_ids is None:
+            object.__setattr__(self, "_orbit_ids", self._orbit_id_table())
+        return self._orbit_ids
+
+    def _orbit_id_table(self) -> tuple[int, ...]:
+        # a search over the generator rows, O(|X| * |gens|): in a finite
+        # group the generators reach every element as a product
+        rows = [self.act[g] for g in self.group.generators]
+        ids = [-1] * self.size
+        n_orbits = 0
         for p in range(self.size):
-            if p not in seen:
-                orb = self.orbit(p)
-                seen |= orb
-                out.append(orb)
-        return out
+            if ids[p] < 0:
+                ids[p] = n_orbits
+                reached = [p]
+                for q in reached:
+                    for row in rows:
+                        r = row[q]
+                        if ids[r] < 0:
+                            ids[r] = n_orbits
+                            reached.append(r)
+                n_orbits += 1
+        return tuple(ids)
 
     def stabilizer(self, p: int) -> frozenset[int]:
         """The elements fixing p.
@@ -439,8 +473,21 @@ def retraction_map(s: GSet, u_set: Iterable[int]) -> Optional[dict[int, int]]:
 
 
 def is_retract(s: GSet, u_set: Iterable[int]) -> bool:
-    """True iff every outside point has its stabilizer inside some subset stabilizer."""
-    return retraction_map(s, u_set) is not None
+    """True iff every outside point has its stabilizer inside some subset stabilizer.
+
+    The criterion itself, with the checks and errors of retraction_map,
+    which returns a map exactly when it holds; no map is built, and each
+    distinct stabilizer is compared once.
+    """
+    u = set(u_set)
+    if not all(0 <= p < s.size for p in u):
+        raise PreconditionError("subset point outside the carrier")
+    if not s.is_action_closed(u):
+        raise PreconditionError("subset is not action-closed")
+    stabs = s.stabilizers()
+    inside = {stabs[q] for q in u}
+    outside = {stabs[p] for p in range(s.size) if p not in u} - inside
+    return all(any(h <= k for k in inside) for h in outside)
 
 
 # ---------------------------------------------------------------------------

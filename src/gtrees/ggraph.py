@@ -124,10 +124,13 @@ def validate(t: GGraph) -> GraphReport:
     fails = tuple(t.equivariance_failures())
     uf = UnionFind(t.n_vertices)
     acyclic = True
+    merged = 0  # each successful union joins two components
     for e in range(t.n_edges):
-        if not uf.union(t.iota[e], t.tau[e]):
+        if uf.union(t.iota[e], t.tau[e]):
+            merged += 1
+        else:
             acyclic = False
-    n_components = len({uf.find(v) for v in range(t.n_vertices)})
+    n_components = t.n_vertices - merged
     connected = n_components == 1
     edge_count_matches = t.n_edges == t.n_vertices - 1
     return GraphReport(
@@ -191,8 +194,8 @@ def compress(t: GGraph, eprime: Iterable[int]) -> CompressResult:
     uf = UnionFind(t.n_vertices)
     for e in removed:
         uf.union(t.iota[e], t.tau[e])
-    comp_of = {v: uf.find(v) for v in range(t.n_vertices)}
-    out_deg = {v: 0 for v in range(t.n_vertices)}
+    comp_of = [uf.find(v) for v in range(t.n_vertices)]
+    out_deg = [0] * t.n_vertices
     for e in removed:
         out_deg[t.iota[e]] += 1
 

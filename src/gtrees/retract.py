@@ -99,12 +99,12 @@ def make_state(tree: GGraph, u_set: Iterable[int], filtration: Optional[Filtrati
 
 
 def _retract_precheck(tree: GGraph, u: frozenset[int]) -> None:
-    from .gaction import retraction_map
+    from .gaction import is_retract
 
     rep = validate(tree)
     if not rep.is_tree:
         raise PreconditionError("input graph is not a G-tree")
-    if retraction_map(tree.vertices, u) is None:
+    if not is_retract(tree.vertices, u):
         raise PreconditionError("the given vertex subset is not a G-retract")
 
 
@@ -116,46 +116,59 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
     vertex fixed by its stabilizer; the new edges on those geodesics form the
     next level (or, if none are new, one fresh orbit is consumed).
 
-    The vertices first placed at each level are kept in a bucket, and the
-    candidate targets (levels below alpha) in one ascending list that grows
-    by a bucket per stage, so no stage rescans the tree.  The tree is rooted
-    once at vertex 0, and each geodesic is read by walking its two ends up
-    to their lowest common ancestor (rooted_path), in time proportional to
-    its length.
+    The vertices first placed at each level are kept in a bucket, so no stage
+    rescans the tree.  The target of w is the lowest candidate (a vertex
+    below alpha) whose stabilizer holds stab(w), so it depends on stab(w)
+    alone; one dict keeps it per stabilizer.  Candidates only ever join, a
+    bucket per stage, so each entry is lowered as a bucket joins, and a
+    stabilizer met for the first time scans the candidates once.  Orbits are
+    read from the G-sets' orbit numbers.  The tree is rooted once at vertex
+    0, and each geodesic is read by walking its two ends up to their lowest
+    common ancestor (rooted_path), in time proportional to its length.
     """
     u = frozenset(u_set)
     _retract_precheck(tree, u)
     nv, ne = tree.n_vertices, tree.n_edges
     vstab = tree.vertices.stabilizers()
+    vorb, eorb = tree.vertices.orbit_ids(), tree.edges.orbit_ids()
+    edge_members: list[list[int]] = [[] for _ in range(max(eorb, default=-1) + 1)]
+    for e, k in enumerate(eorb):
+        edge_members[k].append(e)
     parent = bfs_parents(tree.adjacency(), 0)
     depth = [0] * nv
     for v, (prev, _, _) in parent.items():
         if prev != -1:
             depth[v] = depth[prev] + 1
-    edge_level: dict[int, int] = {}
-    vertex_level: dict[int, int] = {v: 0 for v in u}
+    edge_level = [-1] * ne
+    vertex_level = [-1] * nv
+    for v in u:
+        vertex_level[v] = 0
     buckets: list[list[int]] = [sorted(u)]  # level -> vertices first placed there
-    candidates: list[int] = []  # the vertices below the current alpha, ascending
+    candidates: list[int] = []  # the vertices below the current alpha
+    target_of: dict[frozenset[int], int] = {}  # stab(w) -> lowest candidate holding it
+    n_placed = 0
     lowest_unplaced = 0  # every edge below it has a level
 
     def place_edges(es: Iterable[int], gamma: int) -> None:
+        nonlocal n_placed
         bucket = []
         for e in es:
             edge_level[e] = gamma
+            n_placed += 1
             for v in (tree.iota[e], tree.tau[e]):
-                if v not in vertex_level:
+                if vertex_level[v] < 0:
                     vertex_level[v] = gamma
                     bucket.append(v)
         buckets.append(bucket)
 
     def lowest_fresh_orbit() -> list[int]:
         nonlocal lowest_unplaced
-        while lowest_unplaced in edge_level:
+        while edge_level[lowest_unplaced] >= 0:
             lowest_unplaced += 1
-        return sorted(tree.edges.orbit(lowest_unplaced))
+        return edge_members[eorb[lowest_unplaced]]
 
     gamma = 0
-    while len(edge_level) < ne:
+    while n_placed < ne:
         gamma += 1
         if gamma > ne + 1:
             raise InternalCheckError("filtration construction failed to terminate")
@@ -163,42 +176,38 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
             place_edges(lowest_fresh_orbit(), gamma)
             continue
         alpha = gamma - 1
-        candidates += buckets[alpha - 1]
-        candidates.sort()
-        # the target of w is the lowest candidate whose stabilizer holds
-        # stab(w), so within a stage it depends on stab(w) alone
-        target_of: dict[frozenset[int], int] = {}
-        collected: set[int] = set()
-        seen_orbit: set[int] = set()
+        joining = buckets[alpha - 1]
+        candidates += joining
+        for v in joining:
+            for sw, target in target_of.items():
+                if v < target and sw <= vstab[v]:
+                    target_of[sw] = v
+        collected: set[int] = set()  # edge orbit numbers
+        seen_orbit: set[int] = set()  # vertex orbit numbers
         for w in sorted(buckets[alpha]):
-            if w in seen_orbit:
+            if vorb[w] in seen_orbit:
                 continue
-            seen_orbit |= tree.vertices.orbit(w)
+            seen_orbit.add(vorb[w])
             sw = vstab[w]
             target = target_of.get(sw)
             if target is None:
-                target = next((v for v in candidates if sw <= vstab[v]), None)
+                target = min((v for v in candidates if sw <= vstab[v]), default=None)
                 if target is None:
                     raise InternalCheckError("no placed vertex absorbs the stabilizer of a placed vertex")
                 target_of[sw] = target
             path = rooted_path(parent, depth, w, target)
-            cut = next(
-                i
-                for i in range(1, len(path.vertices))
-                if path.vertices[i] in vertex_level and vertex_level[path.vertices[i]] < alpha
-            )
+            cut = next(i for i in range(1, len(path.vertices)) if 0 <= vertex_level[path.vertices[i]] < alpha)
             for e, _ in path.steps[:cut]:
-                collected |= tree.edges.orbit(e)
-        fresh = sorted(e for e in collected if e not in edge_level)
+                collected.add(eorb[e])
+        # an orbit is placed whole, so its first member tells whether it is fresh
+        fresh = sorted(e for k in collected if edge_level[edge_members[k][0]] < 0 for e in edge_members[k])
         if fresh:
             place_edges(fresh, gamma)
         else:
             place_edges(lowest_fresh_orbit(), gamma)
 
-    kappa = 1 + max(edge_level.values(), default=0)
-    vdeg = tuple([vertex_level[v] for v in range(nv)])
-    edeg = tuple([edge_level[e] for e in range(ne)])
-    return Filtration(vdeg, edeg, kappa)
+    kappa = 1 + max(edge_level, default=0)
+    return Filtration(tuple(vertex_level), tuple(edge_level), kappa)
 
 
 def check_filtration(state: RetractState) -> list[str]:
@@ -288,7 +297,7 @@ def paths_P(state: RetractState, w: int) -> list[GPath]:
     window, sw = (dw, dw + 1), vstab[w]
     parent = bfs_parents(state._adj, w, lambda e, z: edeg[e] in window and sw <= vstab[z])
     out = [path_to(parent, v) for v in parent if vdeg[v] < dw]
-    out.sort(key=lambda p: (p.length, p.steps))
+    out.sort(key=lambda p: (len(p.steps), p.steps))
     memo[w] = out
     return out
 
@@ -386,16 +395,15 @@ def _problem_orbit_count(state: RetractState, level: int) -> int:
     termination measure, independent of the vertex-witness report above.
     """
     tree, filt = state.tree, state.filtration
-    seen: set[int] = set()
-    count = 0
+    eorb = tree.edges.orbit_ids()
+    counted = set()
     for e in range(tree.n_edges):
-        if e in seen or filt.edeg[e] != level:
+        if filt.edeg[e] != level:
             continue
         a, b = filt.vdeg[tree.iota[e]], filt.vdeg[tree.tau[e]]
         if (a == level and b == level - 1) or (b == level and a == level - 1):
-            count += 1
-            seen |= tree.edges.orbit(e)
-    return count
+            counted.add(eorb[e])
+    return len(counted)
 
 
 def eliminate_problematic(state: RetractState) -> RetractState:
@@ -489,17 +497,19 @@ def compress_to_U(state: RetractState) -> RetractResult:
     tree = state.tree
     log: list[Move] = []
 
-    flips: set[int] = set()
-    seen: set[int] = set()
-    for e in range(tree.n_edges):
-        if e in seen:
-            continue
-        orb = tree.edges.orbit(e)
-        seen |= orb
-        if is_lower(state, tree.iota[e], tree.tau[e]):
-            flips |= orb
+    # e is the least edge of its orbit when its number is the count of
+    # orbits met before it
+    eorb = tree.edges.orbit_ids()
+    flipped: set[int] = set()
+    n_orbits = 0
+    for e, k in enumerate(eorb):
+        if k == n_orbits:
+            n_orbits += 1
+            if is_lower(state, tree.iota[e], tree.tau[e]):
+                flipped.add(k)
+    flips = [e for e, k in enumerate(eorb) if k in flipped]
     if flips:
-        tree = _log_move(state, log, "reorient", {"flips": sorted(flips)}, reorient(tree, flips))
+        tree = _log_move(state, log, "reorient", {"flips": flips}, reorient(tree, flips))
 
     distinguished: dict[int, int] = {}
     va, ea = tree.vertices.act, tree.edges.act

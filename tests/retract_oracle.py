@@ -4,10 +4,13 @@ differential test oracles:
 - descent paths by a BFS over the whole tree, then a filter (the unpruned
   form of `gtrees.retract.paths_P` and of `problematic` on top of it);
 - orbits and stabilizers by a scan over the group elements, one point at a
-  time (the form before `GSet` kept a stabilizer table);
+  time (the form before `GSet` kept a stabilizer table and orbit numbers);
 - the filtration by rescanning the placed vertices at every stage and every
   orbit representative (the form before `build_filtration` kept level
-  buckets and a sorted candidate list).
+  buckets and its lowest target per stabilizer).
+
+The retract criterion `gtrees.gaction.is_retract` has its oracle in the
+library: `retraction_map`, which builds the map it asserts.
 """
 
 from gtrees.errors import InternalCheckError, PreconditionError

@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 
 from gaction_oracle import oracle_is_equivariant
-from instgen import random_instance
+from instgen import random_instance, sibling_swap_generators
 from retract_oracle import (
     oracle_build_filtration,
     oracle_orbit,
@@ -25,6 +25,7 @@ from retract_oracle import (
 import gtrees.gaction as ga
 import gtrees.ggraph as gg
 import gtrees.retract as rt
+from gtrees.errors import PreconditionError
 from gtrees.gaction import FiniteGroup, GSet
 from gtrees.ggraph import GGraph, ggraph_to_json, reorient, validate
 from gtrees.retract import (
@@ -83,7 +84,9 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     # slide and one for compress.  Each tree the pipeline passes through is
     # digested once: before a move, the digest is the one the previous move
     # left.  Each snapshot searches the descent paths of a vertex at most
-    # once, and each G-set builds its stabilizer table once.  build_filtration
+    # once, and each G-set builds its stabilizer table once and its orbit
+    # numbers at most once.  The retract precheck tests the criterion with
+    # is_retract and builds no retraction map.  build_filtration
     # roots the tree with one unwindowed search, and compress_to_U's
     # reorientation makes no new snapshot, so a tree with no slide runs one
     # windowed search per outside vertex
@@ -98,6 +101,7 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
+    count(ga, "is_retract")
     count(ga, "retraction_map")
     count(rt, "validate")
     count(gg, "validate", "move_validate")
@@ -142,6 +146,15 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     monkeypatch.setattr(GSet, "stabilizer", queried_one)
     monkeypatch.setattr(GSet, "stabilizers", queried_all, raising=False)
     monkeypatch.setattr(GSet, "_stabilizer_table", built, raising=False)
+    orbit_builds = Counter()
+    orbit_table = GSet._orbit_id_table
+
+    def built_orbits(self):
+        alive.append(self)
+        orbit_builds[id(self)] += 1
+        return orbit_table(self)
+
+    monkeypatch.setattr(GSet, "_orbit_id_table", built_orbits)
     flipped_without_slides = 0
     for t, u in corpus:
         t = _fresh(t)
@@ -149,10 +162,11 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
         searches.clear()
         queried.clear()
         builds.clear()
+        orbit_builds.clear()
         res = retract_tree(t, u)
         slides = sum(m.kind == "slide" for m in res.move_log)
         assert calls == Counter(
-            retraction_map=1,
+            is_retract=1,
             validate=1,
             move_validate=1 + slides,
             state_digest=len(res.move_log) + 1,
@@ -171,6 +185,7 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
         assert id(t.vertices) in queried
         assert (id(t.edges) in queried) == (len(u) < t.n_vertices)
         assert builds == Counter(queried)
+        assert max(orbit_builds.values(), default=0) <= 1
     # compress_to_U flips an orbit on most of the trees that make no slide
     # (190 of 195), where a new snapshot would search every vertex again
     assert flipped_without_slides > 100, flipped_without_slides
@@ -214,11 +229,102 @@ def _large_instances():
     return out
 
 
+def _star(n):
+    """S_n on a star: the centre 0 is fixed, and the leaves 1..n and their
+    edges from the centre are permuted as the symmetric group permutes n points."""
+    group = FiniteGroup.symmetric(n)
+    swaps = []
+    for i in range(n - 1):
+        p = list(range(n))
+        p[i], p[i + 1] = p[i + 1], p[i]
+        swaps.append(p)
+    vertices = GSet.from_generator_images(group, n + 1, [[0] + [1 + q for q in p] for p in swaps])
+    edges = GSet.from_generator_images(group, n, swaps)
+    return GGraph(vertices, edges, (0,) * n, tuple(range(1, n + 1)))
+
+
+def _binary_tree(depth):
+    """The complete binary tree of the given depth, edges pointing away from
+    the root 0, with the group that all its sibling swaps generate."""
+    nv = 2 ** (depth + 1) - 1
+    pairs = [((c - 1) // 2, c) for c in range(1, nv)]  # edge c - 1 ends at c
+    swaps = sibling_swap_generators(nv, pairs)
+    group = FiniteGroup.from_generator_permutations(swaps)
+    vertices = GSet.from_generator_images(group, nv, swaps)
+    edges = GSet.from_generator_images(group, nv - 1, [[p[c] - 1 for c in range(1, nv)] for p in swaps])
+    return GGraph(vertices, edges, tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
+
+
+def _retracts(s):
+    """Every action-closed subset of s that is_retract accepts."""
+    orbits = s.orbits()
+    subsets = [frozenset().union(*[o for i, o in enumerate(orbits) if mask >> i & 1]) for mask in range(2 ** len(orbits))]
+    return [u for u in subsets if ga.is_retract(s, u)]
+
+
+def _symmetric_instances():
+    """Trees whose outside stabilizers differ, unlike instgen trees (mean orbit
+    size 1.05): S_n on a star (n = 3..5) with U = {centre}, and the
+    sibling-swap groups of complete binary trees of depth 2 and 3 (orders 8
+    and 128) on every retract."""
+    out = [(_star(n), frozenset({0})) for n in (3, 4, 5)]
+    for depth in (2, 3):
+        t = _binary_tree(depth)
+        assert t.group.order == 2 ** (2**depth - 1)
+        out += [(t, u) for u in _retracts(t.vertices)]
+    return out
+
+
 def test_filtration_matches_rescanning_oracle(corpus):
     large = _large_instances()
     assert all(700 <= t.n_vertices <= 1000 for t, _ in large)
     for t, u in corpus + large:
         assert build_filtration(t, u) == oracle_build_filtration(t, u)
+
+
+def _renumbered(t, u, rng):
+    """t and u with vertices and edges renumbered at random.  instgen numbers
+    every parent before its children, and on its trees no cached filtration
+    target was seen to drop to a vertex that joins later; after renumbering,
+    targets often drop."""
+    vperm, eperm = list(range(t.n_vertices)), list(range(t.n_edges))
+    rng.shuffle(vperm)
+    rng.shuffle(eperm)
+
+    def moved(s, perm):
+        rows = []
+        for row in s.act:
+            new = [0] * s.size
+            for p, q in enumerate(row):
+                new[perm[p]] = perm[q]
+            rows.append(new)
+        return GSet.build(s.group, s.size, rows)
+
+    iota, tau = [0] * t.n_edges, [0] * t.n_edges
+    for e in range(t.n_edges):
+        iota[eperm[e]], tau[eperm[e]] = vperm[t.iota[e]], vperm[t.tau[e]]
+    tree = GGraph(moved(t.vertices, vperm), moved(t.edges, eperm), tuple(iota), tuple(tau))
+    return tree, frozenset(vperm[v] for v in u)
+
+
+def test_filtration_matches_rescanning_oracle_on_renumbered_trees(corpus):
+    # a cached target must drop to a lower-numbered vertex that joins the
+    # candidates after the target was found
+    rng = random.Random(17)
+    for t, u in corpus:
+        t, u = _renumbered(t, u, rng)
+        assert build_filtration(t, u) == oracle_build_filtration(t, u)
+
+
+def test_filtration_matches_rescanning_oracle_where_stabilizers_differ():
+    symmetric = _symmetric_instances()
+    # the root is in every retract, and depth 2 and 3 have 3 and 4 vertex orbits
+    assert len(symmetric) == 3 + 4 + 8
+    for t, u in symmetric:
+        assert len(set(t.vertices.stabilizers())) > 2
+        assert build_filtration(t, u) == oracle_build_filtration(t, u)
+        assert check_filtration(make_state(t, u)) == []
+        assert retract_tree(t, u).tree.n_vertices == len(u)
 
 
 def test_stabilizers_and_orbits_match_elementwise_oracle(corpus):
@@ -232,6 +338,89 @@ def test_stabilizers_and_orbits_match_elementwise_oracle(corpus):
             # one shared frozenset per distinct subgroup
             assert len({id(h) for h in table}) == len(set(table))
             assert all(s.orbit(p) == oracle_orbit(s, p) for p in range(s.size))
+            _assert_orbits_match_oracle(s)
+
+
+def _assert_orbits_match_oracle(s):
+    """orbit_ids and orbits against one oracle_orbit per orbit, in the order
+    of the orbits' least points."""
+    oracle = []
+    for p in range(s.size):
+        if not any(p in o for o in oracle):
+            oracle.append(oracle_orbit(s, p))
+    assert s.orbits() == oracle
+    assert s.orbit_ids() == tuple(next(k for k, o in enumerate(oracle) if p in o) for p in range(s.size))
+
+
+def _needs_several_generators(s):
+    """Whether some orbit is larger than the cycle of each single generator
+    through its point."""
+
+    def cycle(row, p):
+        out = {p}
+        while row[p] not in out:
+            p = row[p]
+            out.add(p)
+        return out
+
+    rows = [s.act[g] for g in s.group.generators]
+    return any(all(len(cycle(row, p)) < len(s.orbit(p)) for row in rows) for p in range(s.size))
+
+
+def test_orbit_ids_match_oracle_on_several_generators():
+    s4, d5 = FiniteGroup.symmetric(4), FiniteGroup.dihedral(5)
+    c3, d4 = FiniteGroup.cyclic(3), FiniteGroup.dihedral(4)
+    product = FiniteGroup.direct_product(c3, d4)
+    swaps = [[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2]]
+    rot4, ref4 = [(i + 1) % 4 for i in range(4)], [(-i) % 4 for i in range(4)]
+    ident3, ident4 = list(range(3)), list(range(4))
+
+    def on_pairs(a, b):
+        # (i, j) is point 4 i + j
+        return [a[i] * 4 + b[j] for i in range(3) for j in range(4)]
+
+    gsets = [
+        GSet.from_generator_images(s4, 4, swaps),
+        # two fixed points, then S4 on the last four
+        GSet.from_generator_images(s4, 6, [[0, 1] + [2 + q for q in p] for p in swaps]),
+        # D5 on its own elements: on the pentagon the rotation alone closes
+        GSet.regular(d5),
+        GSet.regular(product),
+        GSet.from_generator_images(
+            product, 12, [on_pairs([1, 2, 0], ident4), on_pairs(ident3, rot4), on_pairs(ident3, ref4)]
+        ),
+    ]
+    for s in gsets:
+        assert _needs_several_generators(s)
+        _assert_orbits_match_oracle(s)
+    assert len(gsets[1].orbits()) == 3
+
+
+def test_is_retract_matches_retraction_map(corpus):
+    # random action-closed subsets of every corpus G-set: unions of random
+    # orbits, drawn once from all orbits and once from the moved ones
+    rng = random.Random(13)
+    verdicts = Counter()
+    for t, _ in corpus:
+        for s in (t.vertices, t.edges):
+            orbits = s.orbits()
+            moved = [o for o in orbits if len(o) > 1]
+            for pool in (orbits, moved):
+                u = frozenset().union(*[o for o in pool if rng.random() < 0.5])
+                verdict = ga.is_retract(s, u)
+                assert verdict == (ga.retraction_map(s, u) is not None)
+                verdicts[verdict] += 1
+            if moved:
+                not_closed = {min(moved[0])}
+                for check in (ga.is_retract, ga.retraction_map):
+                    with pytest.raises(PreconditionError, match="subset is not action-closed"):
+                        check(s, not_closed)
+                    with pytest.raises(PreconditionError, match="subset point outside the carrier"):
+                        check(s, not_closed | {s.size})
+            for check in (ga.is_retract, ga.retraction_map):
+                with pytest.raises(PreconditionError, match="subset point outside the carrier"):
+                    check(s, {-1})
+    assert min(verdicts[True], verdicts[False]) >= 100, verdicts
 
 
 def _perturbed(f, n_target, rng):
