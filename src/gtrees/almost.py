@@ -20,6 +20,10 @@ from .gaction import FiniteGroup, GSet
 #: and an order x order addition table (1024 takes about 1 s and 50 MB)
 MAX_ABELIAN_ORDER = 1024
 
+#: most maps E -> A `function_gset` enumerates: it lists every map and one
+#: action row of that length per group element
+MAX_FUNCTION_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class AbelianGroup:
@@ -185,9 +189,9 @@ def function_action(e_set: GSet, a_set: GSet, g: int, fn: Sequence[int]) -> tupl
     return tuple(a_set.act[g][fn[e_set.act[inv][e]]] for e in range(e_set.size))
 
 
-def function_gset(e_set: GSet, a_set: GSet, size_limit: int = 100_000) -> GSet:
+def function_gset(e_set: GSet, a_set: GSet) -> GSet:
     """All maps E -> A as an explicit G-set (small instances only)."""
-    if a_set.size**e_set.size > size_limit:
+    if a_set.size**e_set.size > MAX_FUNCTION_POINTS:
         raise InputError("function space too large to enumerate")
     fns = list(product(range(a_set.size), repeat=e_set.size))
     index = {fn: i for i, fn in enumerate(fns)}
@@ -318,9 +322,12 @@ def untwist(e_set: GSet, a_set: GSet, transversal: Sequence[int]) -> UntwistPair
     """Build the untwisting pair; point stabilizers of E must fix A pointwise."""
     if e_set.group != a_set.group:
         raise PreconditionError("both G-sets must share one group")
-    orbits = e_set.orbits()
+    ids = e_set.orbit_ids()
     tr = list(transversal)
-    if len(tr) != len(orbits) or {frozenset(e_set.orbit(x)) for x in tr} != {frozenset(o) for o in orbits}:
+    # the k orbits are numbered 0..k-1, so the transversal meets each one
+    # exactly once when its points' numbers, sorted, are 0..k-1
+    k = max(ids, default=-1) + 1
+    if not all(0 <= x < e_set.size for x in tr) or sorted([ids[x] for x in tr]) != list(range(k)):
         raise PreconditionError("transversal must meet each orbit exactly once")
     ident = tuple(range(a_set.size))
     for x in range(e_set.size):

@@ -437,6 +437,16 @@ def non_equivariant(source: GSet, target: GSet, f: Union[Sequence[int], Mapping[
 # ---------------------------------------------------------------------------
 
 
+def _closed_subset(s: GSet, u_set: Iterable[int]) -> set[int]:
+    """The subset as a set, once it is known to lie in the carrier and be action-closed."""
+    u = set(u_set)
+    if not all(0 <= p < s.size for p in u):
+        raise PreconditionError("subset point outside the carrier")
+    if not s.is_action_closed(u):
+        raise PreconditionError("subset is not action-closed")
+    return u
+
+
 def retraction_map(s: GSet, u_set: Iterable[int]) -> Optional[dict[int, int]]:
     """An equivariant retraction onto the subset, or None when none exists.
 
@@ -446,11 +456,7 @@ def retraction_map(s: GSet, u_set: Iterable[int]) -> Optional[dict[int, int]]:
     target, each point of the orbit gets one image, and the map is
     equivariant by construction.
     """
-    u = set(u_set)
-    if not all(0 <= p < s.size for p in u):
-        raise PreconditionError("subset point outside the carrier")
-    if not s.is_action_closed(u):
-        raise PreconditionError("subset is not action-closed")
+    u = _closed_subset(s, u_set)
     ret = {p: p for p in u}
     outside = [p for p in range(s.size) if p not in u]
     stabs = s.stabilizers()
@@ -479,11 +485,7 @@ def is_retract(s: GSet, u_set: Iterable[int]) -> bool:
     which returns a map exactly when it holds; no map is built, and each
     distinct stabilizer is compared once.
     """
-    u = set(u_set)
-    if not all(0 <= p < s.size for p in u):
-        raise PreconditionError("subset point outside the carrier")
-    if not s.is_action_closed(u):
-        raise PreconditionError("subset is not action-closed")
+    u = _closed_subset(s, u_set)
     stabs = s.stabilizers()
     inside = {stabs[q] for q in u}
     outside = {stabs[p] for p in range(s.size) if p not in u} - inside

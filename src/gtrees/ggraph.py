@@ -89,14 +89,11 @@ class GGraph:
 
 @dataclass(frozen=True)
 class GraphReport:
-    equivariant: bool
     equivariance_failures: tuple[str, ...]
-    n_components: int
     connected: bool
     acyclic: bool
     edge_count_matches: bool
     is_tree: bool
-    is_forest: bool
 
 
 @dataclass(frozen=True)
@@ -106,21 +103,9 @@ class GPath:
     vertices: tuple[int, ...]
     steps: tuple[tuple[int, int], ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-    @property
-    def start(self) -> int:
-        return self.vertices[0]
-
-    @property
-    def end(self) -> int:
-        return self.vertices[-1]
-
 
 def validate(t: GGraph) -> GraphReport:
-    """Equivariance, component count, cycles; tree/forest verdicts."""
+    """Equivariance, connectivity, cycles; the tree verdict."""
     fails = tuple(t.equivariance_failures())
     uf = UnionFind(t.n_vertices)
     acyclic = True
@@ -130,18 +115,14 @@ def validate(t: GGraph) -> GraphReport:
             merged += 1
         else:
             acyclic = False
-    n_components = t.n_vertices - merged
-    connected = n_components == 1
+    connected = t.n_vertices - merged == 1
     edge_count_matches = t.n_edges == t.n_vertices - 1
     return GraphReport(
-        equivariant=not fails,
         equivariance_failures=fails,
-        n_components=n_components,
         connected=connected,
         acyclic=acyclic,
         edge_count_matches=edge_count_matches,
         is_tree=(not fails) and connected and acyclic and edge_count_matches,
-        is_forest=(not fails) and acyclic,
     )
 
 
@@ -238,7 +219,8 @@ def slide(t: GGraph, e: int, f: int) -> GGraph:
         failures.append("tau(e) = iota(f) fails")
     if not t.edges.stabilizer(e) <= t.edges.stabilizer(f):
         failures.append("stabilizer(e) inside stabilizer(f) fails")
-    if t.edges.orbit(e) & t.edges.orbit(f):
+    ids = t.edges.orbit_ids()
+    if ids[e] == ids[f]:
         failures.append("disjoint edge orbits fails")
     if failures:
         raise PreconditionError("slide preconditions: " + "; ".join(failures))
@@ -452,15 +434,12 @@ _PALETTE = ("black", "red3", "blue3", "green4", "orange3", "purple3", "cyan4", "
 
 
 def ggraph_to_dot(t: GGraph) -> str:
-    orbit_ix: dict[int, int] = {}
-    for i, orb in enumerate(t.edges.orbits()):
-        for e in orb:
-            orbit_ix[e] = i
+    ids = t.edges.orbit_ids()
     lines = ["digraph gtree {"]
     for v in range(t.n_vertices):
         lines.append(f'  v{v} [label="{t.vertices.labels[v]}"];')
     for e in range(t.n_edges):
-        color = _PALETTE[orbit_ix[e] % len(_PALETTE)]
+        color = _PALETTE[ids[e] % len(_PALETTE)]
         lines.append(
             f'  v{t.iota[e]} -> v{t.tau[e]} [label="{t.edges.labels[e]}" color="{color}"];'
         )

@@ -306,7 +306,7 @@ def d_T(state: RetractState, w: int) -> int:
     ps = paths_P(state, w)
     if not ps:
         raise InternalCheckError(f"no descent path from vertex {w}: filtration invalid")
-    return ps[0].length
+    return len(ps[0].steps)
 
 
 def is_lower(state: RetractState, v1: int, v0: int) -> bool:
@@ -341,10 +341,10 @@ def problematic(state: RetractState) -> tuple[frozenset[int], frozenset[int]]:
         ps = paths_P(state, w)
         if not ps:
             raise InternalCheckError(f"no descent path from vertex {w}: filtration invalid")
-        d = ps[0].length
+        d = len(ps[0].steps)
         dw = filt.vdeg[w]
         for p in ps:
-            if p.length != d:
+            if len(p.steps) != d:
                 break
             if filt.vdeg[p.vertices[1]] == dw + 1:
                 bad_vertices.add(w)
@@ -434,9 +434,9 @@ def eliminate_problematic(state: RetractState) -> RetractState:
             v0 = level_bad[0]
             before = _problem_orbit_count(state, alpha + 1)
             ps = paths_P(state, v0)
-            d = ps[0].length
+            d = len(ps[0].steps)
             chosen = next(
-                p for p in ps if p.length == d and filt.vdeg[p.vertices[1]] == alpha + 1
+                p for p in ps if len(p.steps) == d and filt.vdeg[p.vertices[1]] == alpha + 1
             )
             e1, eps1 = chosen.steps[0]
             i = next(

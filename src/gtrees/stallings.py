@@ -13,14 +13,11 @@ from __future__ import annotations
 import operator
 from collections import deque
 from itertools import compress, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import AlphabetMismatch, InputError, InternalCheckError, PreconditionError
 from .unionfind import UnionFind
 from .words import Alphabet, Word, format_word
-
-if TYPE_CHECKING:
-    import random
 
 #: most letters `from_generators` folds: the unfolded graph has one vertex
 #: per letter, and a short exponent such as x^(10^12) asks for more than fits
@@ -76,7 +73,7 @@ class LabeledGraphBuilder:
 class CoreGraph:
     """Folded based graph of a subgroup; immutable after construction."""
 
-    __slots__ = ("alphabet", "n_vertices", "base", "out", "inn", "generators", "_core", "_runs")
+    __slots__ = ("alphabet", "n_vertices", "base", "out", "inn", "_core", "_runs")
 
     def __init__(
         self,
@@ -84,7 +81,6 @@ class CoreGraph:
         base: int,
         out: tuple[tuple[Optional[int], ...], ...],
         inn: tuple[tuple[Optional[int], ...], ...],
-        generators: tuple[Word, ...] = (),
     ):
         """`out[v][lab]` is the far end of the lab-edge leaving v and
         `inn[v][lab]` that of the lab-edge entering it, None when there is
@@ -94,7 +90,6 @@ class CoreGraph:
         self.base = base
         self.out = out
         self.inn = inn
-        self.generators = generators
         self._core: Optional[frozenset[int]] = None
         self._runs: list[Optional[list]] = [None] * alphabet.size
 
@@ -238,7 +233,7 @@ class CoreGraph:
         def relabel(rows):
             return tuple(tuple([None if w is None else pos[w] for w in rows[v]]) for v in order)
 
-        return CoreGraph(self.alphabet, 0, relabel(self.out), relabel(self.inn), self.generators)
+        return CoreGraph(self.alphabet, 0, relabel(self.out), relabel(self.inn))
 
     def canonical_key(self) -> tuple:
         cf = self.canonical_form()
@@ -301,11 +296,7 @@ def _peel(deg: list[int], alive: list[bool], ends: Callable[[int], Iterable[int]
                     queue.append(w)
 
 
-def fold(
-    builder: LabeledGraphBuilder,
-    generators: tuple[Word, ...] = (),
-    rng: random.Random | None = None,
-) -> CoreGraph:
+def fold(builder: LabeledGraphBuilder) -> CoreGraph:
     """Fold a based labeled graph.
 
     Identifies exactly the vertex pairs forced by label-determinism; the
@@ -316,21 +307,16 @@ def fold(
     classes moves the absorbed class's slots into the survivor and adds one
     pair per slot both fill.  Each merge costs O(alphabet size), so folding
     is near-linear in the number of edges.  The surviving classes' slots then
-    give the spur trimming and the CoreGraph rows directly.  Passing an rng
-    shuffles the edges, and so the initial worklist; the folded partition is
-    unique, and classes are numbered by their smallest vertex, so the result
-    does not depend on the order either way.
+    give the spur trimming and the CoreGraph rows directly.  The folded
+    partition is unique, and classes are numbered by their smallest vertex,
+    so the result does not depend on the order of the builder's edges.
     """
     k = builder.alphabet.size
     n = builder.n_vertices
     out = [-1] * (n * k)  # out[v*k + lab]: a vertex the lab-edge from v's class enters
     inn = [-1] * (n * k)
     pending = []
-    edges = builder.edges
-    if rng is not None:
-        edges = edges[:]
-        rng.shuffle(edges)
-    for u, lab, v in edges:
+    for u, lab, v in builder.edges:
         i, j = u * k + lab, v * k + lab
         if out[i] < 0:
             out[i] = v
@@ -393,12 +379,11 @@ def fold(
             raise InternalCheckError("edge set is not folded")
         out_cols.append(col)
         in_cols.append(list(map(sources.get, range(m))))
-    return CoreGraph(builder.alphabet, ids[builder.base], tuple(zip(*out_cols)), tuple(zip(*in_cols)), generators)
+    return CoreGraph(builder.alphabet, ids[builder.base], tuple(zip(*out_cols)), tuple(zip(*in_cols)))
 
 
 def from_generators(gens: Iterable[Word], alphabet: Alphabet | None = None) -> CoreGraph:
     """Folded based graph whose closed base paths spell exactly <gens>."""
-    gens = tuple(gens)
     nonempty = [g for g in gens if not g.is_identity()]
     if alphabet is None:
         if not nonempty:
@@ -413,4 +398,4 @@ def from_generators(gens: Iterable[Word], alphabet: Alphabet | None = None) -> C
     builder = LabeledGraphBuilder(alphabet)
     for g in nonempty:
         builder.add_word_loop(g)
-    return fold(builder, generators=gens)
+    return fold(builder)

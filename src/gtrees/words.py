@@ -147,9 +147,6 @@ class Word:
     def __invert__(self) -> "Word":
         return Word._of(self.alphabet, tuple([(i, -e) for i, e in reversed(self.syllables)]))
 
-    def inverse(self) -> "Word":
-        return ~self
-
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return (~self) ** (-n)
@@ -278,14 +275,14 @@ def substitute(w: Word, images: Mapping[str, Word]) -> Word:
     return Word._of(target, tuple(out))
 
 
-def power_word(n: int, base: int = 1, alphabet: Alphabet = XY) -> Word:
-    """The word a^b b'^b a^b over the first two generators, with b = base * 2^n."""
+def power_word(n: int, alphabet: Alphabet = XY) -> Word:
+    """The word a^b b'^b a^b over the first two generators, with b = 2^n."""
     if alphabet.size < 2:
         raise InputError("power_word needs an alphabet with at least two generators")
-    if n < 0 or base < 0:
-        raise InputError("power_word takes natural arguments")
-    b = base * (2**n)
-    return Word._of(alphabet, ((0, b), (1, b), (0, b)) if b else ())
+    if n < 0:
+        raise InputError("power_word takes a natural argument")
+    b = 2**n
+    return Word._of(alphabet, ((0, b), (1, b), (0, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +291,9 @@ def power_word(n: int, base: int = 1, alphabet: Alphabet = XY) -> Word:
 # ---------------------------------------------------------------------------
 
 
-def parse_word(alphabet: Alphabet, text: str, upper_inverse: bool | None = None) -> Word:
-    """Parse a word; `upper_inverse` defaults to on iff no name is uppercase."""
-    if upper_inverse is None:
-        upper_inverse = all(nm == nm.lower() for nm in alphabet.names)
+def parse_word(alphabet: Alphabet, text: str) -> Word:
+    """Parse a word; an uppercase name is an inverse iff no name is uppercase."""
+    upper_inverse = all(nm == nm.lower() for nm in alphabet.names)
     by_len = sorted(range(alphabet.size), key=lambda i: -len(alphabet.names[i]))
     out: list[Syllable] = []
     pos = 0
@@ -345,7 +341,7 @@ def format_word(w: Word) -> str:
     return "".join([names[idx] if exp == 1 else f"{names[idx]}^{exp}" for idx, exp in w.syllables])
 
 
-def parse_generators(alphabet: Alphabet, text: str, upper_inverse: bool | None = None) -> list[Word]:
+def parse_generators(alphabet: Alphabet, text: str) -> list[Word]:
     """Parse a comma-separated list of words (subgroup generators)."""
     items = [part.strip() for part in text.split(",")]
-    return [parse_word(alphabet, part, upper_inverse) for part in items if part]
+    return [parse_word(alphabet, part) for part in items if part]

@@ -41,7 +41,7 @@ def trim_spurs(n: int, base: int, edges: set[tuple[int, int, int]]) -> tuple[int
     return len(alive), renum[base], new_edges
 
 
-def fold(builder: LabeledGraphBuilder, generators=(), rng: random.Random | None = None) -> CoreGraph:
+def fold(builder: LabeledGraphBuilder, rng: random.Random | None = None) -> CoreGraph:
     """Union the lowest-index conflict (or a random one), rescan, repeat."""
     n = builder.n_vertices
     parent = list(range(n))
@@ -85,10 +85,10 @@ def fold(builder: LabeledGraphBuilder, generators=(), rng: random.Random | None 
     renum = {r: i for i, r in enumerate(roots)}
     folded_edges = {(renum[find(u)], lab, renum[find(v)]) for u, lab, v in edges}
     n2, base2, edges2 = trim_spurs(len(roots), renum[find(builder.base)], folded_edges)
-    return core_from_edges(builder.alphabet, n2, base2, edges2, generators)
+    return core_from_edges(builder.alphabet, n2, base2, edges2)
 
 
-def core_from_edges(alphabet, n: int, base: int, edges, generators=()) -> CoreGraph:
+def core_from_edges(alphabet, n: int, base: int, edges) -> CoreGraph:
     """The CoreGraph with these (source, label, target) edges."""
     k = alphabet.size
     out = [[None] * k for _ in range(n)]
@@ -97,7 +97,7 @@ def core_from_edges(alphabet, n: int, base: int, edges, generators=()) -> CoreGr
         assert out[u][lab] is None and inn[v][lab] is None, "edge set is not folded"
         out[u][lab] = v
         inn[v][lab] = u
-    return CoreGraph(alphabet, base, tuple(map(tuple, out)), tuple(map(tuple, inn)), generators)
+    return CoreGraph(alphabet, base, tuple(map(tuple, out)), tuple(map(tuple, inn)))
 
 
 def core_vertices(core: CoreGraph) -> frozenset[int]:

@@ -140,7 +140,7 @@ def oracle_paths_P(state, w):
         steps.reverse()
         if all(state.vstab(w) <= state.vstab(z) for z in verts):
             out.append(GPath(tuple(verts), tuple(steps)))
-    out.sort(key=lambda p: (p.length, p.steps))
+    out.sort(key=lambda p: (len(p.steps), p.steps))
     return out
 
 
@@ -153,10 +153,10 @@ def oracle_problematic(state):
         ps = oracle_paths_P(state, w)
         if not ps:
             raise InternalCheckError(f"no descent path from vertex {w}: filtration invalid")
-        d = ps[0].length
+        d = len(ps[0].steps)
         dw = filt.vdeg[w]
         for p in ps:
-            if p.length != d:
+            if len(p.steps) != d:
                 break
             if filt.vdeg[p.vertices[1]] == dw + 1:
                 bad_vertices.add(w)

@@ -257,6 +257,15 @@ def test_function_gset_and_action_law():
     fs.validate()
 
 
+def test_function_gset_refuses_a_space_above_the_cap(monkeypatch):
+    monkeypatch.setattr(almost, "MAX_FUNCTION_POINTS", 8)
+    g = FiniteGroup.cyclic(2)
+    e = GSet.from_generator_images(g, 3, [[1, 0, 2]])
+    assert function_gset(e, GSet.trivial_action(g, 2)).size == 8
+    with pytest.raises(InputError, match="function space too large to enumerate"):
+        function_gset(e, GSet.trivial_action(g, 3))
+
+
 def untwist_fixture():
     # E = regular C3 (free, so stabilizers are trivial), A = C3 rotating 3 points
     g = FiniteGroup.cyclic(3)
@@ -305,6 +314,14 @@ def test_untwist_bad_transversal():
     g, e, a = untwist_fixture()
     with pytest.raises(PreconditionError):
         untwist(e, a, [0, 1])
+
+
+def test_untwist_transversal_point_outside_e():
+    # E has points 0..2; an orbit-number lookup alone would read -1 as point 2
+    g, e, a = untwist_fixture()
+    for tr in ([5], [-1]):
+        with pytest.raises(PreconditionError, match="transversal must meet each orbit exactly once"):
+            untwist(e, a, tr)
 
 
 def test_untwist_mixed_orbits():

@@ -121,13 +121,17 @@ def test_fold_rejects_generators_beyond_the_letter_cap():
         from_generators([parse_word(XY, f"x^{MAX_FOLD_LETTERS + 1}")])
 
 
-def random_core(rng):
+def random_generators(rng):
     alph = rng.choice((XY, XYZ))
     gens = []
     while not gens:
         gens = [w for w, _ in (random_pair(rng, alph, syllables=4, max_exp=5) for _ in range(rng.randint(1, 3)))]
         gens = [g for g in gens if not g.is_identity()]
-    return from_generators(gens)
+    return gens
+
+
+def random_core(rng):
+    return from_generators(random_generators(rng))
 
 
 def test_power_reads_match_letter_reads():
@@ -160,7 +164,8 @@ def test_power_reads_on_generator_powers():
     # generators read back as members at every exponent, on cycles and paths alike
     rng = random.Random(206)
     for _ in range(40):
-        core = random_core(rng)
-        for g in core.generators:
+        gens = random_generators(rng)
+        core = from_generators(gens)
+        for g in gens:
             k = rng.randint(1, 300)
             assert core.contains(g**k) and core.contains(g ** (-k))

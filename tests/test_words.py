@@ -180,7 +180,6 @@ def test_power_word_examples():
     assert power_word(2) == w("x^4y^4x^4")
     for n in range(8):
         assert len(power_word(n)) == 3 * 2**n
-    assert power_word(1, base=4) == w("x^8y^8x^8")
 
 
 def test_parse_and_format_round_trip():
