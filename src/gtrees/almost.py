@@ -9,9 +9,8 @@ with values in A; the ambient action is (g.v)(e) = g(v(g^-1 e)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalCheckError, PreconditionError
 from .gaction import FiniteGroup, GSet
@@ -25,8 +24,7 @@ MAX_ABELIAN_ORDER = 1024
 MAX_FUNCTION_POINTS = 100_000
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(NamedTuple):
     """A finite abelian group: addition table, negation, zero index."""
 
     add: tuple[tuple[int, ...], ...]
@@ -83,8 +81,7 @@ class AbelianGroup:
         return self.add[a][self.neg[b]]
 
 
-@dataclass(frozen=True)
-class GModule:
+class GModule(NamedTuple):
     """A finite abelian group on which the group acts by additive automorphisms.
 
     The action laws are checked by the G-set of the carrier's points
@@ -301,8 +298,7 @@ def coset_retraction(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UntwistPair:
+class UntwistPair(NamedTuple):
     """Mutually inverse maps between (E, A) and (E, A-with-trivial-action)."""
 
     e_set: GSet

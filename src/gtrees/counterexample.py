@@ -19,8 +19,7 @@ The tree itself is never materialized; everything is word arithmetic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalCheckError, VerificationMismatch
 from .stallings import CoreGraph, from_generators
@@ -38,8 +37,7 @@ N_MAX_CAP = 256
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExampleData:
+class ExampleData(NamedTuple):
     """The presentation and incidence constants of the example, as data.
 
     The three relators are stored structurally: conjugation by t sends the
@@ -136,12 +134,12 @@ def documented_mutations(data: Optional[ExampleData] = None) -> dict[str, Exampl
     data = data or default_data()
     w = lambda s: parse_word(XY, s)
     return {
-        "relator-x-image": replace(data, t_images=(w("x^6"), data.t_images[1])),
-        "relator-y-image": replace(data, t_images=(data.t_images[0], w("y^4"))),
-        "relator-base-rhs": replace(data, base_rhs=w("x^4y^4x^8")),
-        "subgroup-ge-generator": replace(data, ge_gens=(data.ge_gens[0], w("xy"), data.ge_gens[2])),
-        "subgroup-gw-generator": replace(data, gw_gens=(data.gw_gens[0], w("y^8"))),
-        "incidence-tau-f": replace(data, tau_f_exp=2),
+        "relator-x-image": data._replace(t_images=(w("x^6"), data.t_images[1])),
+        "relator-y-image": data._replace(t_images=(data.t_images[0], w("y^4"))),
+        "relator-base-rhs": data._replace(base_rhs=w("x^4y^4x^8")),
+        "subgroup-ge-generator": data._replace(ge_gens=(data.ge_gens[0], w("xy"), data.ge_gens[2])),
+        "subgroup-gw-generator": data._replace(gw_gens=(data.gw_gens[0], w("y^8"))),
+        "incidence-tau-f": data._replace(tau_f_exp=2),
     }
 
 
@@ -150,14 +148,32 @@ def documented_mutations(data: Optional[ExampleData] = None) -> dict[str, Exampl
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Check:
-    name: str
-    n: Optional[int]
-    expected: object
-    computed: object
-    passed: bool
-    note: str = ""
+    """One verified fact: what was expected at depth n, what was computed,
+    and whether they agree."""
+
+    __slots__ = ("name", "n", "expected", "computed", "passed", "note")
+
+    def __init__(self, name: str, n: Optional[int], expected: object, computed: object, passed: bool, note: str = ""):
+        self.name = name
+        self.n = n
+        self.expected = expected
+        self.computed = computed
+        self.passed = passed
+        self.note = note
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.n, self.expected, self.computed, self.passed, self.note) == (
+            other.name, other.n, other.expected, other.computed, other.passed, other.note
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Check(name={self.name!r}, n={self.n!r}, expected={self.expected!r}, "
+            f"computed={self.computed!r}, passed={self.passed!r}, note={self.note!r})"
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -170,11 +186,23 @@ class Check:
         }
 
 
-@dataclass
 class Report:
-    title: str
-    checks: list[Check] = field(default_factory=list)
-    runtime_seconds: float = 0.0
+    """The checks of one verification run, in the order they were made."""
+
+    __slots__ = ("title", "checks", "runtime_seconds")
+
+    def __init__(self, title: str, checks: Optional[list[Check]] = None, runtime_seconds: float = 0.0):
+        self.title = title
+        self.checks = [] if checks is None else checks
+        self.runtime_seconds = runtime_seconds
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.title, self.checks, self.runtime_seconds) == (other.title, other.checks, other.runtime_seconds)
+
+    def __repr__(self) -> str:
+        return f"Report(title={self.title!r}, checks={self.checks!r}, runtime_seconds={self.runtime_seconds!r})"
 
     @property
     def passed(self) -> bool:
@@ -363,8 +391,7 @@ def express_in_generators(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhiEndo:
+class PhiEndo(NamedTuple):
     """Conjugation by t, realized on the rank-two subgroup.
 
     `emb` identifies the auxiliary letters with the subgroup generators, and

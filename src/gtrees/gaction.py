@@ -3,7 +3,6 @@ retract checks, and conjugate-incomparability."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import InputError, PreconditionError
@@ -13,7 +12,6 @@ from .errors import InputError, PreconditionError
 MAX_GSET_POINTS = 1_000_000
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
     """A finite group given by its full multiplication table over element indices.
 
@@ -21,14 +19,51 @@ class FiniteGroup:
     group laws.  The constructors that compose the table themselves
     (from_generator_permutations, cyclic, dihedral, symmetric,
     direct_product) build a group by construction and only derive its
-    inverses and generator words.
+    inverses and generator words.  The fields are read-only; equality and
+    hashing see mult, identity and generators, not the derived inverse and
+    gen_words.
     """
 
-    mult: tuple[tuple[int, ...], ...]
-    identity: int
-    generators: tuple[int, ...]
-    inverse: tuple[int, ...] = field(default=(), compare=False)
-    gen_words: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
+    __slots__ = ("mult", "identity", "generators", "inverse", "gen_words")
+
+    def __init__(
+        self,
+        mult: tuple[tuple[int, ...], ...],
+        identity: int,
+        generators: tuple[int, ...],
+        inverse: tuple[int, ...] = (),
+        gen_words: tuple[tuple[int, ...], ...] = (),
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "mult", mult)
+        set_field(self, "identity", identity)
+        set_field(self, "generators", generators)
+        set_field(self, "inverse", inverse)
+        set_field(self, "gen_words", gen_words)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which __setattr__ leaves as the only writer
+        return (FiniteGroup, (self.mult, self.identity, self.generators, self.inverse, self.gen_words))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.mult, self.identity, self.generators) == (other.mult, other.identity, other.generators)
+
+    def __hash__(self) -> int:
+        return hash((self.mult, self.identity, self.generators))
+
+    def __repr__(self) -> str:
+        return (
+            f"FiniteGroup(mult={self.mult!r}, identity={self.identity!r}, generators={self.generators!r}, "
+            f"inverse={self.inverse!r}, gen_words={self.gen_words!r})"
+        )
 
     @property
     def order(self) -> int:
@@ -166,27 +201,54 @@ class FiniteGroup:
         return self.mult[self.mult[self.inverse[g]][h]][g]
 
 
-@dataclass(frozen=True)
 class GSet:
     """A finite set with a left action of a FiniteGroup, one permutation per element.
 
     build and from_generator_images (and so trivial_action and regular)
     check the action laws with validate; restrict derives its table from a
     validated G-set without checking again.  A direct GSet(...) expects a
-    table that is already valid.
+    table that is already valid.  The fields are read-only.
 
     Two tables are built on first use and kept: every point's stabilizer
     (stabilizers) and every point's orbit number (orbit_ids).  No per-orbit
     object is kept; orbits() rebuilds the member sets from the numbers.
+    Equality and hashing see group, act and labels, not the tables.
     """
 
-    group: FiniteGroup
-    act: tuple[tuple[int, ...], ...]
-    labels: tuple[Hashable, ...]
-    # every point's stabilizer, filled on the first stabilizer query
-    _stabs: Optional[tuple[frozenset[int], ...]] = field(default=None, init=False, compare=False, repr=False)
-    # every point's orbit number, filled on the first orbit_ids query
-    _orbit_ids: Optional[tuple[int, ...]] = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("group", "act", "labels", "_stabs", "_orbit_ids")
+
+    def __init__(
+        self, group: FiniteGroup, act: tuple[tuple[int, ...], ...], labels: tuple[Hashable, ...]
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "group", group)
+        set_field(self, "act", act)
+        set_field(self, "labels", labels)
+        # every point's stabilizer, filled on the first stabilizer query
+        set_field(self, "_stabs", None)
+        # every point's orbit number, filled on the first orbit_ids query
+        set_field(self, "_orbit_ids", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which __setattr__ leaves as the only writer
+        return (GSet, (self.group, self.act, self.labels))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.act, self.labels) == (other.group, other.act, other.labels)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.act, self.labels))
+
+    def __repr__(self) -> str:
+        return f"GSet(group={self.group!r}, act={self.act!r}, labels={self.labels!r})"
 
     @property
     def size(self) -> int:

@@ -12,11 +12,9 @@ the tests.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .gaction import FiniteGroup, GSet, group_from_json, group_to_json, gset_from_rows, non_equivariant
@@ -26,23 +24,48 @@ from .unionfind import UnionFind
 Adjacency = list[list[tuple[int, int, int]]]
 
 
-@dataclass(frozen=True)
 class GGraph:
-    vertices: GSet
-    edges: GSet
-    iota: tuple[int, ...]
-    tau: tuple[int, ...]
+    """Vertex and edge G-sets with the incidence maps iota and tau; the
+    fields are read-only."""
 
-    def __post_init__(self):
-        if self.vertices.group != self.edges.group:
+    __slots__ = ("vertices", "edges", "iota", "tau")
+
+    def __init__(self, vertices: GSet, edges: GSet, iota: tuple[int, ...], tau: tuple[int, ...]) -> None:
+        if vertices.group != edges.group:
             raise InputError("vertex and edge actions must share one group")
-        ne = self.edges.size
-        if len(self.iota) != ne or len(self.tau) != ne:
+        ne = edges.size
+        if len(iota) != ne or len(tau) != ne:
             raise InputError("iota/tau must assign a vertex to every edge")
-        nv = self.vertices.size
-        for v in self.iota + self.tau:
+        nv = vertices.size
+        for v in iota + tau:
             if not 0 <= v < nv:
                 raise InputError("incidence map hits a missing vertex")
+        set_field = object.__setattr__
+        set_field(self, "vertices", vertices)
+        set_field(self, "edges", edges)
+        set_field(self, "iota", iota)
+        set_field(self, "tau", tau)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which __setattr__ leaves as the only writer
+        return (GGraph, (self.vertices, self.edges, self.iota, self.tau))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges, self.iota, self.tau) == (other.vertices, other.edges, other.iota, other.tau)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges, self.iota, self.tau))
+
+    def __repr__(self) -> str:
+        return f"GGraph(vertices={self.vertices!r}, edges={self.edges!r}, iota={self.iota!r}, tau={self.tau!r})"
 
     @property
     def group(self) -> FiniteGroup:
@@ -76,6 +99,8 @@ class GGraph:
         return out
 
     def state_digest(self) -> str:
+        import hashlib  # on the first digest, so a command that takes none never loads it
+
         doc = {
             "nv": self.n_vertices,
             "ne": self.n_edges,
@@ -87,8 +112,7 @@ class GGraph:
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class GraphReport:
+class GraphReport(NamedTuple):
     equivariance_failures: tuple[str, ...]
     connected: bool
     acyclic: bool
@@ -96,8 +120,7 @@ class GraphReport:
     is_tree: bool
 
 
-@dataclass(frozen=True)
-class GPath:
+class GPath(NamedTuple):
     """A reduced path: vertices v0..vk and steps (edge, eps) between them."""
 
     vertices: tuple[int, ...]
@@ -144,8 +167,7 @@ def reorient(t: GGraph, flips: Iterable[int]) -> GGraph:
     return GGraph(t.vertices, t.edges, iota, tau)
 
 
-@dataclass(frozen=True)
-class CompressResult:
+class CompressResult(NamedTuple):
     tree: GGraph
     phi: tuple[int, ...]              # old vertex -> old sink vertex
     kept_vertices: tuple[int, ...]    # old indices of the sinks, in result order
@@ -231,8 +253,7 @@ def slide(t: GGraph, e: int, f: int) -> GGraph:
     return GGraph(t.vertices, t.edges, t.iota, tuple(tau))
 
 
-@dataclass(frozen=True)
-class SubdivideResult:
+class SubdivideResult(NamedTuple):
     tree: GGraph
     mid_of: dict[int, int]    # old edge in the orbit -> new midpoint vertex
     half1_of: dict[int, int]  # old edge in the orbit -> new first-half edge

@@ -13,12 +13,10 @@ branches are unreachable (guarded by internal checks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InternalCheckError, PreconditionError
 from .ggraph import (
-    Adjacency,
     GGraph,
     GPath,
     bfs_parents,
@@ -32,8 +30,7 @@ from .ggraph import (
 from .unionfind import UnionFind
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(NamedTuple):
     """Degree map on vertices and edges; kappa = 1 + max degree."""
 
     vdeg: tuple[int, ...]
@@ -41,49 +38,72 @@ class Filtration:
     kappa: int
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     kind: str
     detail: dict
     pre: str
     post: str
 
 
-@dataclass(frozen=True)
 class RetractState:
     """Immutable snapshot of the pipeline: tree + filtration + move history.
 
-    Each snapshot builds its tree's adjacency once and keeps the descent
-    paths of each outside vertex once paths_P has searched them.  A slide
-    changes which paths exist, so eliminate_problematic makes a new snapshot
-    (with_tree) after each one.  A reorientation changes only the signs of
-    the flipped edges on those paths, so compress_to_U reads the snapshot it
-    is given (see there) and makes none.  Every tree version shares the
-    input's vertex G-set, so its stabilizer table is read from the tree.
+    Each snapshot builds its tree's adjacency and the outside set w_set
+    once, and keeps the descent paths of each outside vertex once paths_P
+    has searched them.  A slide changes which paths exist, so
+    eliminate_problematic makes a new snapshot (with_tree) after each one.
+    A reorientation changes only the signs of the flipped edges on those
+    paths, so compress_to_U reads the snapshot it is given (see there) and
+    makes none.  Every tree version shares the input's vertex G-set, so its
+    stabilizer table is read from the tree.  The fields are read-only;
+    equality and hashing see tree, filtration, u_set and move_log.
     """
 
-    tree: GGraph
-    filtration: Filtration
-    u_set: frozenset[int]
-    move_log: tuple[Move, ...] = ()
-    _adj: Adjacency = field(init=False, compare=False, repr=False)
-    _paths: dict[int, list[GPath]] = field(init=False, compare=False, repr=False)
+    __slots__ = ("tree", "filtration", "u_set", "move_log", "w_set", "_adj", "_paths")
 
-    def __post_init__(self):
-        # built per snapshot, so dataclasses.replace in with_tree never
-        # carries the adjacency or the descent paths of the tree before a move
-        object.__setattr__(self, "_adj", self.tree.adjacency())
-        object.__setattr__(self, "_paths", {})
+    def __init__(
+        self, tree: GGraph, filtration: Filtration, u_set: frozenset[int], move_log: tuple[Move, ...] = ()
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "tree", tree)
+        set_field(self, "filtration", filtration)
+        set_field(self, "u_set", u_set)
+        set_field(self, "move_log", move_log)
+        set_field(self, "w_set", frozenset(range(tree.n_vertices)) - u_set)
+        set_field(self, "_adj", tree.adjacency())
+        set_field(self, "_paths", {})
 
-    @property
-    def w_set(self) -> frozenset[int]:
-        return frozenset(range(self.tree.n_vertices)) - self.u_set
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which __setattr__ leaves as the only writer
+        return (RetractState, (self.tree, self.filtration, self.u_set, self.move_log))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tree, self.filtration, self.u_set, self.move_log) == (
+            other.tree, other.filtration, other.u_set, other.move_log
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.tree, self.filtration, self.u_set, self.move_log))
+
+    def __repr__(self) -> str:
+        return (
+            f"RetractState(tree={self.tree!r}, filtration={self.filtration!r}, "
+            f"u_set={self.u_set!r}, move_log={self.move_log!r})"
+        )
 
     def vstab(self, v: int) -> frozenset[int]:
         return self.tree.vertices.stabilizers()[v]
 
     def with_tree(self, tree: GGraph, new_moves: Iterable[Move]) -> "RetractState":
-        return replace(self, tree=tree, move_log=self.move_log + tuple(new_moves))
+        return RetractState(tree, self.filtration, self.u_set, self.move_log + tuple(new_moves))
 
 
 def make_state(tree: GGraph, u_set: Iterable[int], filtration: Optional[Filtration] = None) -> RetractState:
@@ -469,8 +489,7 @@ def eliminate_problematic(state: RetractState) -> RetractState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RetractResult:
+class RetractResult(NamedTuple):
     tree: GGraph
     move_log: tuple[Move, ...]
     removed_edges: tuple[int, ...]            # edge indices of the input tree

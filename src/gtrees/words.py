@@ -15,7 +15,6 @@ words reads `w.syllables` instead.  All values are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import AlphabetMismatch, InputError
@@ -26,20 +25,42 @@ Syllable = tuple[int, int]  # (generator index, nonzero exponent)
 _FORBIDDEN_IN_NAMES = set("^-,*() \t\n") | set("0123456789")
 
 
-@dataclass(frozen=True)
 class Alphabet:
-    """Generator names of a free group; equality is structural."""
+    """Generator names of a free group; equality is structural, and the
+    names are read-only."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names",)
 
-    def __post_init__(self) -> None:
-        if len(self.names) < 1:
+    def __init__(self, names: tuple[str, ...]) -> None:
+        if len(names) < 1:
             raise InputError("an alphabet needs at least one generator")
-        if len(set(self.names)) != len(self.names):
+        if len(set(names)) != len(names):
             raise InputError("generator names must be pairwise distinct")
-        for nm in self.names:
+        for nm in names:
             if not nm or any(c in _FORBIDDEN_IN_NAMES for c in nm):
                 raise InputError(f"unusable generator name: {nm!r}")
+        object.__setattr__(self, "names", names)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which __setattr__ leaves as the only writer
+        return (Alphabet, (self.names,))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.names == other.names
+
+    def __hash__(self) -> int:
+        return hash((self.names,))
+
+    def __repr__(self) -> str:
+        return f"Alphabet(names={self.names!r})"
 
     @classmethod
     def of(cls, *names: str) -> "Alphabet":

@@ -11,8 +11,6 @@ the fast code with it on small and medium graphs.
 
 from __future__ import annotations
 
-import random
-
 from gtrees.stallings import CoreGraph, LabeledGraphBuilder
 
 
@@ -41,8 +39,8 @@ def trim_spurs(n: int, base: int, edges: set[tuple[int, int, int]]) -> tuple[int
     return len(alive), renum[base], new_edges
 
 
-def fold(builder: LabeledGraphBuilder, rng: random.Random | None = None) -> CoreGraph:
-    """Union the lowest-index conflict (or a random one), rescan, repeat."""
+def fold(builder: LabeledGraphBuilder) -> CoreGraph:
+    """Union the lowest-index conflict, rescan, repeat."""
     n = builder.n_vertices
     parent = list(range(n))
 
@@ -78,8 +76,7 @@ def fold(builder: LabeledGraphBuilder, rng: random.Random | None = None) -> Core
                 conflicts.append((w, ru))
         if not conflicts:
             break
-        pick = rng.choice(conflicts) if rng is not None else min(conflicts)
-        union(*pick)
+        union(*min(conflicts))
 
     roots = sorted({find(v) for v in range(n)})
     renum = {r: i for i, r in enumerate(roots)}

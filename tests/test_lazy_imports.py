@@ -34,13 +34,33 @@ EXPORTS = {
 ALL = [name for names in EXPORTS.values() for name in names]
 
 
+# stdlib modules that no command needs at start-up: dataclasses pulls in
+# inspect, dis and tokenize, and hashlib loads OpenSSL for the one command
+# that takes digests (retract run)
+HEAVY_STDLIB = {"dataclasses", "inspect", "hashlib"}
+
+
+def modules_after(code: str, cwd: Path, *flags: str) -> list[str]:
+    """Every module in sys.modules after running `code` in a fresh interpreter."""
+    probe = code + "\nimport sys, json\nprint(json.dumps(sorted(sys.modules)))\n"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", probe], cwd=cwd, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def loaded_submodules(code: str, cwd: Path) -> set[str]:
     """The gtrees.* modules loaded after running `code` in a fresh interpreter."""
-    probe = code + "\nimport sys, json\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('gtrees.'))))\n"
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    return {name[len("gtrees."):] for name in json.loads(proc.stdout.splitlines()[-1])}
+    return {name[len("gtrees."):] for name in modules_after(code, cwd) if name.startswith("gtrees.")}
+
+
+def loaded_heavy_stdlib(code: str, cwd: Path) -> set[str]:
+    """The HEAVY_STDLIB modules loaded after running `code` in a fresh
+    interpreter started with -S, so that no site hook of the environment
+    loads one of them first."""
+    return HEAVY_STDLIB.intersection(modules_after(code, cwd, "-S"))
 
 
 def run_cli(argv: list[str]) -> str:
@@ -79,6 +99,34 @@ def test_almost_commands_load_no_gtree_or_free_group_code(tmp_path):
     loaded = loaded_submodules(run_cli(["almost", "check-derivation", "--input", "d.json"]), tmp_path)
     assert not loaded & {"ggraph", "retract", "counterexample", "stallings", "words"}
     assert {"gaction", "almost"} <= loaded
+
+
+def write_command_inputs(tmp_path: Path) -> None:
+    from gtrees.gaction import FiniteGroup, group_to_json
+    from gtrees.ggraph import ggraph_to_json, tree_with_trivial_group
+
+    path3 = ggraph_to_json(tree_with_trivial_group([(0, 1), (1, 2)]))
+    (tmp_path / "t.json").write_text(json.dumps(path3))
+    (tmp_path / "instance.json").write_text(json.dumps({**path3, "retract_U": [0]}))
+    doc = {"group": group_to_json(FiniteGroup.cyclic(2)), "module": {"factors": [4], "action": [[[-1]]]}, "derivation": [0, 1]}
+    (tmp_path / "d.json").write_text(json.dumps(doc))
+
+
+# one command of each family; only retract run takes state digests
+COMMANDS = {
+    "stallings member": ["stallings", "member", "x^2,y^2", "xy"],
+    "counterexample verify": ["counterexample", "verify", "--n-max", "2"],
+    "moves subdivide": ["moves", "subdivide", "--input", "t.json", "--edge", "0"],
+    "retract run": ["retract", "run", "--input", "instance.json"],
+    "almost check-derivation": ["almost", "check-derivation", "--input", "d.json"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_commands_load_no_dataclasses_and_hashlib_only_for_digests(tmp_path, command):
+    write_command_inputs(tmp_path)
+    loaded = loaded_heavy_stdlib(run_cli(COMMANDS[command]), tmp_path)
+    assert loaded == ({"hashlib"} if command == "retract run" else set())
 
 
 def test_all_lists_every_export_once_in_order():
