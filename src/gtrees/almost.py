@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import InputError, InternalCheckError, PreconditionError
+from .errors import InputError, InternalCheckError, PreconditionError, int_list, int_rows, obj
 from .gaction import FiniteGroup, GSet
 
 #: largest order `AbelianGroup.from_factors` builds: it lists every element
@@ -125,6 +125,22 @@ class GModule(NamedTuple):
 
     def as_gset(self) -> GSet:
         return GSet(self.group, self.act, tuple(range(self.carrier.size)))
+
+
+def module_from_json(group: FiniteGroup, doc: dict) -> GModule:
+    """A module document: cyclic factors, and per group generator an integer
+    matrix acting on the carrier's mixed-radix tuples."""
+    factors, action = obj(doc, "module", ("factors", "action"))
+    carrier = AbelianGroup.from_factors(int_list(factors, "module.factors"))
+    if not isinstance(action, list):
+        raise InputError("module.action must be a list of matrices")
+    k = len(factors)
+    gen_maps = []
+    for i, mat in enumerate(action):
+        int_rows(mat, f"module.action[{i}]", k, k)
+        elements = map(carrier.decode, range(carrier.size))
+        gen_maps.append([carrier.encode([sum(a * b for a, b in zip(row, t)) for row in mat]) for t in elements])
+    return GModule.from_generator_maps(group, carrier, gen_maps)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .errors import InputError, InternalCheckError, PreconditionError, VerificationMismatch
+from .errors import InputError, InternalCheckError, PreconditionError, VerificationMismatch, int_list, obj
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -36,7 +36,8 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # json.load recurses once per nesting level of the document
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -96,15 +97,9 @@ def cmd_retract_run(args) -> int:
     from .retract import retract_tree
 
     doc = _load_json(args.input)
-    if not isinstance(doc, dict):
-        raise InputError("instance document must be a JSON object")
-    if "retract_U" not in doc:
-        raise InputError("instance document is missing 'retract_U'")
+    (u,) = obj(doc, "", ("retract_U",))
     tree = ggraph_from_json(doc)
-    u = doc["retract_U"]
-    if not isinstance(u, list) or not all(type(v) is int and 0 <= v < tree.n_vertices for v in u):
-        raise InputError(f"'retract_U' must be a list of vertex indices below {tree.n_vertices}")
-    result = retract_tree(tree, u)
+    result = retract_tree(tree, int_list(u, "retract_U", 0, tree.n_vertices))
     out_doc = {
         "tree": ggraph_to_json(result.tree),
         "removed_edges": list(result.removed_edges),
@@ -146,10 +141,10 @@ def cmd_stallings(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    from . import counterexample as cx
+    from .counterexample import ExampleData, default_data, verify_all
 
-    data = cx.ExampleData.from_json(_load_json(args.fixture)) if args.fixture else cx.default_data()
-    report = cx.verify_all(data, n_max=args.n_max, parts=args.part or None)
+    data = ExampleData.from_json(_load_json(args.fixture)) if args.fixture else default_data()
+    report = verify_all(data, n_max=args.n_max, parts=args.part or None)
     text = _json_text(report.to_dict()) if args.report == "json" else report.to_text() + "\n"
     _emit([(args.out, text)])
     return EXIT_OK if report.passed else EXIT_MISMATCH
@@ -181,78 +176,31 @@ def cmd_moves(args) -> int:
     return EXIT_OK
 
 
-def _module_from_json(doc: dict):
-    from . import almost as almost_mod
-    from .gaction import group_from_json
-
-    group = group_from_json(doc["group"])
-    mdoc = doc["module"]
-    if not isinstance(mdoc, dict) or "factors" not in mdoc or "action" not in mdoc:
-        raise InputError("module document needs factors and action matrices")
-    factors = mdoc["factors"]
-    if not isinstance(factors, list) or not all(type(f) is int for f in factors):
-        raise InputError("module factors must be a list of integers")
-    carrier = almost_mod.AbelianGroup.from_factors(factors)
-    k = len(factors)
-
-    action = mdoc["action"]
-    if not isinstance(action, list):
-        raise InputError("module action must be a list of matrices")
-    gen_maps = []
-    for mat in action:
-        if not isinstance(mat, list) or len(mat) != k or any(not isinstance(row, list) or len(row) != k for row in mat):
-            raise InputError("action matrix has the wrong shape")
-        if not all(type(x) is int for row in mat for x in row):
-            raise InputError("action matrix entries must be integers")
-        img = []
-        for i in range(carrier.size):
-            t = carrier.decode(i)
-            img.append(carrier.encode([sum(mat[r][c] * t[c] for c in range(k)) for r in range(k)]))
-        gen_maps.append(img)
-    return group, almost_mod.GModule.from_generator_maps(group, carrier, gen_maps)
-
-
-def _require_keys(doc, keys: Sequence[str]) -> None:
-    if not isinstance(doc, dict):
-        raise InputError("input document must be a JSON object")
-    for key in keys:
-        if key not in doc:
-            raise InputError(f"input document is missing {key!r}")
-
-
 def cmd_almost(args) -> int:
-    from . import almost as almost_mod
-    from .gaction import group_from_json, gset_from_json
+    from .gaction import group_from_json, gset_from_rows
 
     doc = _load_json(args.input)
     if args.subcommand == "check-derivation":
-        _require_keys(doc, ("group", "module"))
-        group, module = _module_from_json(doc)
-        d = doc.get("derivation")
-        if not isinstance(d, list):
-            raise InputError("derivation must list one module element per group element")
-        ok = almost_mod.check_derivation(module, d)
+        from .almost import check_derivation, module_from_json
+
+        group_doc, module_doc, d = obj(doc, "", ("group", "module", "derivation"))
+        group = group_from_json(group_doc)
+        module = module_from_json(group, module_doc)
+        ok = check_derivation(module, int_list(d, "derivation", 0, module.carrier.size, group.order))
         print("true" if ok else "false")
         return EXIT_OK
-    # untwist
-    _require_keys(doc, ("group", "E", "A"))
-    group = group_from_json(doc["group"])
-    e_set = gset_from_json(group, doc["E"])
-    a_set = gset_from_json(group, doc["A"])
-    transversal = doc.get("transversal")
+    from .almost import untwist
+
+    group_doc, e_doc, a_doc, transversal, phi = obj(doc, "", ("group", "E", "A"), {"transversal": None, "function": ...})
+    group = group_from_json(group_doc)
+    e_set = gset_from_rows(group, *obj(e_doc, "E", ("points", "action")), "E.points", "E.action")
+    a_set = gset_from_rows(group, *obj(a_doc, "A", ("points", "action")), "A.points", "A.action")
     if transversal is None:
         transversal = [min(orb) for orb in e_set.orbits()]
-    elif not isinstance(transversal, list) or not all(type(x) is int and 0 <= x < e_set.size for x in transversal):
-        raise InputError(f"transversal must list point indices of E below {e_set.size}")
-    pair = almost_mod.untwist(e_set, a_set, transversal)
+    pair = untwist(e_set, a_set, int_list(transversal, "transversal", 0, e_set.size))
     out_doc = {"transversal": list(pair.transversal), "g_of": list(pair.g_of)}
-    if "function" in doc:
-        phi = doc["function"]
-        if not isinstance(phi, list) or len(phi) != e_set.size:
-            raise InputError("function must assign a value to every point of E")
-        if not all(type(x) is int and 0 <= x < a_set.size for x in phi):
-            raise InputError(f"function values must be point indices of A below {a_set.size}")
-        phi = tuple(phi)
+    if phi is not ...:  # an absent function; a null one is a wrong value
+        phi = tuple(int_list(phi, "function", 0, a_set.size, e_set.size))
         hat = pair.hat(phi)
         out_doc["hat"] = list(hat)
         out_doc["round_trip_ok"] = pair.tilde(hat) == phi

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InputError, InternalCheckError, VerificationMismatch
+from .errors import InputError, InternalCheckError, VerificationMismatch, int_, obj
 from .stallings import CoreGraph, from_generators
 from .words import XY, Alphabet, Word, format_word, multiply, parse_word, power_word, substitute
 
@@ -76,42 +76,23 @@ class ExampleData(NamedTuple):
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExampleData":
-        if not isinstance(doc, dict):
-            raise InputError("fixture document must be a JSON object")
+        """The fields from a JSON object: word lists, words, and the two
+        exponents, which default to 2 and 1."""
+        defaults = cls._field_defaults
+        values = obj(doc, "", [key for key in cls._fields if key not in defaults], defaults)
+        return cls(*[_fixture_value(key, value) for key, value in zip(cls._fields, values)])
 
-        def words(key):
-            texts = doc[key]
-            if not isinstance(texts, list) or not all(isinstance(s, str) for s in texts):
-                raise InputError(f"fixture {key!r} must be a list of words")
-            return tuple(parse_word(XY, s) for s in texts)
 
-        def word(key):
-            if not isinstance(doc[key], str):
-                raise InputError(f"fixture {key!r} must be a word")
-            return parse_word(XY, doc[key])
-
-        def exponent(key, default):
-            value = doc.get(key, default)
-            if type(value) is not int:
-                raise InputError(f"fixture {key!r} must be an integer")
-            return value
-
-        try:
-            return cls(
-                gu_gens=words("gu_gens"),
-                gw_gens=words("gw_gens"),
-                ge_gens=words("ge_gens"),
-                t_images=words("t_images"),
-                base_lhs=word("base_lhs"),
-                base_rhs=word("base_rhs"),
-                schreier_small_gens=words("schreier_small_gens"),
-                documented_ge_t2=words("documented_ge_t2"),
-                documented_gf_t=words("documented_gf_t"),
-                tau_e_exp=exponent("tau_e_exp", 2),
-                tau_f_exp=exponent("tau_f_exp", 1),
-            )
-        except KeyError as exc:
-            raise InputError(f"fixture document is missing {exc.args[0]!r}") from None
+def _fixture_value(key: str, value):
+    if key in ExampleData._field_defaults:
+        return int_(value, key)
+    if key in ("base_lhs", "base_rhs"):
+        if not isinstance(value, str):
+            raise InputError(f"{key} must be a word")
+        return parse_word(XY, value)
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise InputError(f"{key} must be a list of words")
+    return tuple(parse_word(XY, s) for s in value)
 
 
 def default_data() -> ExampleData:

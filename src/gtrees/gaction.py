@@ -5,11 +5,15 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, int_list, int_rows, label_list, obj
 
 #: most points of a G-set read from JSON: a G-set stores one permutation of
 #: its points per group element, and a bare count asks for no other data
 MAX_GSET_POINTS = 1_000_000
+
+#: largest group from_generator_permutations closes: the group is stored as
+#: an order x order table (5040, the order of S_7, takes 25M entries)
+MAX_GROUP_ORDER = 5040
 
 
 class FiniteGroup:
@@ -132,7 +136,8 @@ class FiniteGroup:
         """Closure of permutations of a faithful finite set; identity gets index 0.
 
         The table composes permutations, so it is a group table by
-        construction and is not checked again.
+        construction and is not checked again.  The closure stops as soon as
+        it passes MAX_GROUP_ORDER elements.
         """
         if not perms:
             raise InputError("need at least one generator permutation")
@@ -153,6 +158,8 @@ class FiniteGroup:
                 for g in gens:
                     b = tuple([g[i] for i in a])  # b = g after a (left action)
                     if b not in index:
+                        if len(elements) == MAX_GROUP_ORDER:
+                            raise InputError(f"generator permutations generate more than {MAX_GROUP_ORDER} elements")
                         index[b] = len(elements)
                         elements.append(b)
                         nxt.append(b)
@@ -567,33 +574,22 @@ def group_to_json(group: FiniteGroup) -> dict:
     }
 
 
-def _int_rows(rows) -> bool:
-    """Whether a JSON value is a list of lists of integers."""
-    return isinstance(rows, list) and all(isinstance(row, list) and all(type(x) is int for x in row) for row in rows)
-
-
 def group_from_json(doc: dict) -> FiniteGroup:
-    if not isinstance(doc, dict):
-        raise InputError("group document must be an object")
-    if "mult_table" in doc:
-        table = doc["mult_table"]
-        if not _int_rows(table):
-            raise InputError("mult_table must be a list of rows of element indices")
-        gens = doc.get("generators")
-        if gens is None:
-            gens = list(range(len(table)))
-        elif not isinstance(gens, list) or not all(type(g) is int for g in gens):
-            raise InputError("generators must be a list of element indices")
+    """A group document: a multiplication table, with optional generators
+    and order, or generator permutations."""
+    # `...` marks an absent key: a null mult_table or order is a wrong value
+    optional = {"mult_table": ..., "generator_permutations": ..., "generators": None, "order": ...}
+    table, perms, gens, order = obj(doc, "group", (), optional)
+    if table is not ...:
+        int_rows(table, "group.mult_table")
+        gens = range(len(table)) if gens is None else int_list(gens, "group.generators")
         group = FiniteGroup.from_mult_table(table, gens)
-        if "order" in doc and doc["order"] != group.order:
-            raise InputError("declared order does not match the table")
+        if order is not ... and order != group.order:
+            raise InputError(f"group.order does not match the table's {group.order} rows")
         return group
-    if "generator_permutations" in doc:
-        perms = doc["generator_permutations"]
-        if not _int_rows(perms):
-            raise InputError("generator_permutations must be a list of integer lists")
-        return FiniteGroup.from_generator_permutations(perms)
-    raise InputError("group document needs mult_table or generator_permutations")
+    if perms is not ...:
+        return FiniteGroup.from_generator_permutations(int_rows(perms, "group.generator_permutations"))
+    raise InputError("group needs mult_table or generator_permutations")
 
 
 def gset_to_json(s: GSet) -> dict:
@@ -604,24 +600,19 @@ def gset_to_json(s: GSet) -> dict:
 
 
 def gset_from_json(group: FiniteGroup, doc: dict) -> GSet:
-    if not isinstance(doc, dict) or "points" not in doc or "action" not in doc:
-        raise InputError("gset document needs points and action")
-    points = doc["points"]
-    if not (type(points) is int and points >= 0 or isinstance(points, list)):
-        raise InputError("gset points must be a count or a list of labels")
-    size = points if isinstance(points, int) else len(points)
-    labels = None if isinstance(points, int) else points
-    return gset_from_rows(group, size, doc["action"], labels)
+    """A G-set document: points, a count or a list of labels, and action rows."""
+    return gset_from_rows(group, *obj(doc, "gset", ("points", "action")), "gset.points", "gset.action")
 
 
-def gset_from_rows(group: FiniteGroup, size: int, rows, labels: Optional[Sequence[Hashable]] = None) -> GSet:
-    """A G-set from JSON action rows: one permutation per generator or per element."""
+def gset_from_rows(group: FiniteGroup, points, rows, points_path: str, rows_path: str) -> GSet:
+    """A G-set from its JSON points (a count or labels) and action rows, one
+    permutation per generator or per element, read at the paths given."""
+    size, point_labels = label_list(points, points_path)
     if size > MAX_GSET_POINTS:
-        raise InputError(f"a G-set has at most {MAX_GSET_POINTS} points, got {size}")
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise InputError("action must be lists of permutation rows")
+        raise InputError(f"{points_path}: a G-set has at most {MAX_GSET_POINTS} points, got {size}")
+    int_rows(rows, rows_path)
     if len(rows) == len(group.generators):
-        return GSet.from_generator_images(group, size, rows, labels)
+        return GSet.from_generator_images(group, size, rows, point_labels)
     if len(rows) == group.order:
-        return GSet.build(group, size, rows, labels)
-    raise InputError("action must list one permutation per generator or per element")
+        return GSet.build(group, size, rows, point_labels)
+    raise InputError(f"{rows_path} must list one permutation per generator or per element")

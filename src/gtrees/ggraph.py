@@ -16,7 +16,7 @@ import json
 from collections import deque
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, int_list, obj
 from .gaction import FiniteGroup, GSet, group_from_json, group_to_json, gset_from_rows, non_equivariant
 from .unionfind import UnionFind
 
@@ -403,48 +403,14 @@ def ggraph_to_json(t: GGraph) -> dict:
     }
 
 
-def _label_from_json(x):
-    """A vertex or edge label read back from JSON, lists as tuples at every depth."""
-    if isinstance(x, list):
-        return tuple(_label_from_json(y) for y in x)
-    if isinstance(x, dict):
-        raise InputError("vertex/edge labels must be numbers, strings or lists of them")
-    return x
-
-
 def ggraph_from_json(doc: dict) -> GGraph:
-    if not isinstance(doc, dict):
-        raise InputError("instance document must be a JSON object")
-    for key in ("group", "vertices", "edges", "iota", "tau", "action"):
-        if key not in doc:
-            raise InputError(f"instance document is missing {key!r}")
-    group = group_from_json(doc["group"])
-    vlab = doc["vertices"]
-    elab = doc["edges"]
-    for name, lab in (("vertices", vlab), ("edges", elab)):
-        if not (type(lab) is int and lab >= 0 or isinstance(lab, list)):
-            raise InputError(f"{name} must be a count or a list of labels")
-    nv = vlab if isinstance(vlab, int) else len(vlab)
-    ne = elab if isinstance(elab, int) else len(elab)
-    act = doc["action"]
-    if not isinstance(act, dict) or "vertices" not in act or "edges" not in act:
-        raise InputError("action must give vertex and edge permutations")
-
-    def build(size, rows, labels):
-        labels = None if isinstance(labels, int) else [_label_from_json(x) for x in labels]
-        if labels is not None and len(set(labels)) != len(labels):
-            raise InputError("vertex/edge labels must be pairwise distinct")
-        return gset_from_rows(group, size, rows, labels)
-
-    vertices = build(nv, act["vertices"], vlab)
-    edges = build(ne, act["edges"], elab)
-    iota, tau = doc["iota"], doc["tau"]
-    for name, ends in (("iota", iota), ("tau", tau)):
-        if not isinstance(ends, list) or len(ends) != ne:
-            raise InputError(f"{name} must list one vertex per edge")
-        if not all(type(v) is int and 0 <= v < nv for v in ends):
-            raise InputError(f"{name} must hold vertex indices below {nv}")
-    t = GGraph(vertices, edges, tuple(iota), tuple(tau))
+    keys = ("group", "vertices", "edges", "iota", "tau", "action")
+    group_doc, vertex_points, edge_points, iota, tau, action = obj(doc, "", keys)
+    group = group_from_json(group_doc)
+    vertex_rows, edge_rows = obj(action, "action", ("vertices", "edges"))
+    vertices = gset_from_rows(group, vertex_points, vertex_rows, "vertices", "action.vertices")
+    edges = gset_from_rows(group, edge_points, edge_rows, "edges", "action.edges")
+    t = GGraph(vertices, edges, tuple(int_list(iota, "iota")), tuple(int_list(tau, "tau")))
     fails = t.equivariance_failures()
     if fails:
         raise InputError("instance is not equivariant: " + "; ".join(fails[:3]))

@@ -269,6 +269,30 @@ def _untwist_doc(function):
     }
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([0, 0, 1], "E.points[1] repeats the label of E.points[0]"),
+        ([{"a": 1}, 1, 2], "E.points[0] must be a number, string or list of them"),
+    ],
+    ids=["duplicate", "object"],
+)
+def test_gset_labels_follow_the_instance_label_rule(tmp_path, capsys, points, message):
+    # G-set points and G-tree vertices are read by one labels reader, so a
+    # repeated or object label exits 2 in both (untwist used to accept them)
+    doc = _untwist_doc([0, 1, 2])
+    doc["E"]["points"] = points
+    inp = tmp_path / "u.json"
+    inp.write_text(json.dumps(doc))
+    assert main(["almost", "untwist", "--input", str(inp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {message}") and err.count("\n") == 1
+    doc = _instance_doc(vertices=[0, 1, 1, 3] if points == [0, 0, 1] else [0, 1, {"a": 1}, 3])
+    inp.write_text(json.dumps(doc))
+    assert main(["retract", "run", "--input", str(inp)]) == 2
+    assert capsys.readouterr().err.startswith("input error: vertices[2] ")
+
+
 def _untwist_element_rows_doc(row, points=2):
     return {
         "group": {"generator_permutations": [[1, 0]]},
@@ -328,6 +352,10 @@ def _untwist_group_doc(group):
         (["counterexample", "verify"], {**default_data().to_json(), "tau_f_exp": True}),
         (["counterexample", "verify"], {**default_data().to_json(), "tau_e_exp": "2"}),
         (["almost", "untwist"], _untwist_element_rows_doc([1, 0], points=10**6)),
+        (["almost", "untwist"], _untwist_doc(None)),
+        (["almost", "untwist"], _untwist_group_doc({"mult_table": None, "generator_permutations": [[0]]})),
+        (["almost", "untwist"], _untwist_group_doc({"mult_table": [[0]], "order": None})),
+        (["counterexample", "verify"], {**default_data().to_json(), "tau_e_exp": None}),
     ],
     ids=[
         "factor-not-int", "matrix-entry-not-int", "element-row-not-int", "element-row-range", "function-not-list",
@@ -339,7 +367,7 @@ def _untwist_group_doc(group):
         "points-float", "module-text", "module-list", "derivation-not-int", "derivation-range",
         "derivation-bool", "transversal-text", "transversal-bool", "transversal-range",
         "fixture-exponent-float", "fixture-exponent-bool", "fixture-exponent-text",
-        "points-past-rows",
+        "points-past-rows", "function-null", "mult-table-null", "order-null", "fixture-exponent-null",
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, command, doc):

@@ -261,3 +261,12 @@ def test_gset_from_json_refuses_more_points_than_the_cap(monkeypatch):
     assert gset_from_json(grp, {"points": 5, "action": []}).size == 5
     with pytest.raises(InputError, match="at most 5 points"):
         gset_from_json(grp, {"points": 6, "action": []})
+
+
+def test_generator_closure_stops_past_the_order_cap(monkeypatch):
+    # lower the cap rather than build a large group: S_4 has order 24
+    monkeypatch.setattr(ga, "MAX_GROUP_ORDER", 24)
+    assert FiniteGroup.symmetric(4).order == 24
+    monkeypatch.setattr(ga, "MAX_GROUP_ORDER", 23)
+    with pytest.raises(InputError, match="more than 23 elements"):
+        FiniteGroup.symmetric(4)
