@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import InputError, PreconditionError, int_list, int_rows, label_list, obj
+from .errors import InputError, PreconditionError, int_, int_list, int_rows, label_list, obj
 
 #: most points of a G-set read from JSON: a G-set stores one permutation of
 #: its points per group element, and a bare count asks for no other data
@@ -14,6 +14,10 @@ MAX_GSET_POINTS = 1_000_000
 #: largest group from_generator_permutations closes: the group is stored as
 #: an order x order table (5040, the order of S_7, takes 25M entries)
 MAX_GROUP_ORDER = 5040
+
+#: most entries from_generator_permutations stores while it closes, one per
+#: element and permuted point: no more than the largest table it may build
+MAX_CLOSURE_ENTRIES = MAX_GROUP_ORDER * MAX_GROUP_ORDER
 
 
 class FiniteGroup:
@@ -137,7 +141,8 @@ class FiniteGroup:
 
         The table composes permutations, so it is a group table by
         construction and is not checked again.  The closure stops as soon as
-        it passes MAX_GROUP_ORDER elements.
+        it passes MAX_GROUP_ORDER elements, or its elements times the degree
+        pass MAX_CLOSURE_ENTRIES.
         """
         if not perms:
             raise InputError("need at least one generator permutation")
@@ -160,6 +165,11 @@ class FiniteGroup:
                     if b not in index:
                         if len(elements) == MAX_GROUP_ORDER:
                             raise InputError(f"generator permutations generate more than {MAX_GROUP_ORDER} elements")
+                        if (len(elements) + 1) * npts > MAX_CLOSURE_ENTRIES:
+                            raise InputError(
+                                f"generator permutations of {npts} points need more than "
+                                f"{MAX_CLOSURE_ENTRIES} entries to close"
+                            )
                         index[b] = len(elements)
                         elements.append(b)
                         nxt.append(b)
@@ -216,13 +226,14 @@ class GSet:
     validated G-set without checking again.  A direct GSet(...) expects a
     table that is already valid.  The fields are read-only.
 
-    Two tables are built on first use and kept: every point's stabilizer
-    (stabilizers) and every point's orbit number (orbit_ids).  No per-orbit
-    object is kept; orbits() rebuilds the member sets from the numbers.
-    Equality and hashing see group, act and labels, not the tables.
+    Three tables are built on first use and kept: every point's stabilizer
+    (stabilizers), every point's orbit number (orbit_ids) and the JSON text
+    of the labels' reprs (_label_json).  No per-orbit object is kept;
+    orbits() rebuilds the member sets from the numbers.  Equality and
+    hashing see group, act and labels, not the tables.
     """
 
-    __slots__ = ("group", "act", "labels", "_stabs", "_orbit_ids")
+    __slots__ = ("group", "act", "labels", "_stabs", "_orbit_ids", "_label_text")
 
     def __init__(
         self, group: FiniteGroup, act: tuple[tuple[int, ...], ...], labels: tuple[Hashable, ...]
@@ -235,6 +246,8 @@ class GSet:
         set_field(self, "_stabs", None)
         # every point's orbit number, filled on the first orbit_ids query
         set_field(self, "_orbit_ids", None)
+        # the labels' JSON text, filled on the first _label_json query
+        set_field(self, "_label_text", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -416,6 +429,15 @@ class GSet:
             table.append(stab)
         return tuple(table)
 
+    def _label_json(self) -> str:
+        """json.dumps of the list of the labels' reprs, built once per G-set;
+        GGraph.state_digest hashes it."""
+        if self._label_text is None:
+            import json  # on the first digest, like hashlib in GGraph.state_digest
+
+            object.__setattr__(self, "_label_text", json.dumps([repr(x) for x in self.labels]))
+        return self._label_text
+
     def is_action_closed(self, subset: Iterable[int]) -> bool:
         ss = set(subset)
         return all(self.act[g][p] in ss for p in ss for g in self.group.generators)
@@ -426,7 +448,7 @@ class GSet:
         if not self.is_action_closed(pts):
             raise PreconditionError("subset is not action-closed")
         renum = {p: i for i, p in enumerate(pts)}
-        rows = [tuple([renum[self.act[g][p]] for p in pts]) for g in self.group.elements]
+        rows = [tuple([renum[row[p]] for p in pts]) for row in self.act]
         return GSet(self.group, tuple(rows), tuple([self.labels[p] for p in pts]))
 
 
@@ -584,7 +606,7 @@ def group_from_json(doc: dict) -> FiniteGroup:
         int_rows(table, "group.mult_table")
         gens = range(len(table)) if gens is None else int_list(gens, "group.generators")
         group = FiniteGroup.from_mult_table(table, gens)
-        if order is not ... and order != group.order:
+        if order is not ... and int_(order, "group.order") != group.order:
             raise InputError(f"group.order does not match the table's {group.order} rows")
         return group
     if perms is not ...:

@@ -8,11 +8,18 @@ Each move checks what it receives (PreconditionError) and not what it
 builds: the G-tree it returns, and compress's retraction and pairing of
 removed edges with removed vertices, hold by construction and are checked by
 the tests.
+
+A graph keeps a private G-tree verdict, set once validate has passed on it
+(by a move's input check or the retract precheck).  A legal move takes a
+G-tree to a G-tree (Forester 2002), so the graph a move returns from a tree
+carries the verdict, and a chain of moves checks its tree once, at its
+start.  The public validate recomputes on every call.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from collections import deque
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -24,11 +31,22 @@ from .unionfind import UnionFind
 Adjacency = list[list[tuple[int, int, int]]]
 
 
+class _HeldAdjacency(list):
+    """An adjacency that its graph refers to weakly (see GGraph.adjacency)."""
+
+    __slots__ = ("__weakref__",)
+
+
 class GGraph:
     """Vertex and edge G-sets with the incidence maps iota and tau; the
-    fields are read-only."""
+    fields are read-only.
 
-    __slots__ = ("vertices", "edges", "iota", "tau")
+    The adjacency is shared while a caller holds it (see adjacency), and
+    _is_tree holds the G-tree verdict once it is known (see the module
+    docstring).  Equality and hashing see the four fields only.
+    """
+
+    __slots__ = ("vertices", "edges", "iota", "tau", "_adj", "_is_tree")
 
     def __init__(self, vertices: GSet, edges: GSet, iota: tuple[int, ...], tau: tuple[int, ...]) -> None:
         if vertices.group != edges.group:
@@ -36,15 +54,16 @@ class GGraph:
         ne = edges.size
         if len(iota) != ne or len(tau) != ne:
             raise InputError("iota/tau must assign a vertex to every edge")
-        nv = vertices.size
-        for v in iota + tau:
-            if not 0 <= v < nv:
-                raise InputError("incidence map hits a missing vertex")
+        ends = iota + tau
+        if ends and not (0 <= min(ends) and max(ends) < vertices.size):
+            raise InputError("incidence map hits a missing vertex")
         set_field = object.__setattr__
         set_field(self, "vertices", vertices)
         set_field(self, "edges", edges)
         set_field(self, "iota", iota)
         set_field(self, "tau", tau)
+        set_field(self, "_adj", None)
+        set_field(self, "_is_tree", False)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -80,14 +99,22 @@ class GGraph:
         return self.edges.size
 
     def adjacency(self) -> Adjacency:
-        """Per vertex: (edge, eps, other endpoint), eps +1 when leaving iota."""
-        adj: Adjacency = [[] for _ in range(self.n_vertices)]
-        for e in range(self.n_edges):
-            u, v = self.iota[e], self.tau[e]
-            adj[u].append((e, 1, v))
-            adj[v].append((e, -1, u))
-        for row in adj:
-            row.sort()
+        """Per vertex: (edge, eps, other endpoint), eps +1 when leaving iota.
+
+        While some caller still holds the list, every call returns that same
+        list, so none may change it.  The graph refers to it weakly, so a
+        graph that outlives its users keeps no table.
+        """
+        adj = self._adj and self._adj()
+        if adj is None:
+            adj = _HeldAdjacency([] for _ in range(self.n_vertices))
+            for e in range(self.n_edges):
+                u, v = self.iota[e], self.tau[e]
+                adj[u].append((e, 1, v))
+                adj[v].append((e, -1, u))
+            for row in adj:
+                row.sort()
+            object.__setattr__(self, "_adj", weakref.ref(adj))
         return adj
 
     def equivariance_failures(self) -> list[str]:
@@ -99,17 +126,18 @@ class GGraph:
         return out
 
     def state_digest(self) -> str:
+        """The first 16 hex digits of the sha256 of json.dumps(doc,
+        sort_keys=True), doc holding nv, ne, iota, tau and the reprs of the
+        vertex and edge labels (vlabels, elabels).  The text is assembled in
+        that key order from each G-set's _label_json, built once per G-set."""
         import hashlib  # on the first digest, so a command that takes none never loads it
 
-        doc = {
-            "nv": self.n_vertices,
-            "ne": self.n_edges,
-            "iota": list(self.iota),
-            "tau": list(self.tau),
-            "vlabels": [repr(x) for x in self.vertices.labels],
-            "elabels": [repr(x) for x in self.edges.labels],
-        }
-        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+        text = (
+            f'{{"elabels": {self.edges._label_json()}, "iota": {json.dumps(self.iota)}, '
+            f'"ne": {self.n_edges}, "nv": {self.n_vertices}, '
+            f'"tau": {json.dumps(self.tau)}, "vlabels": {self.vertices._label_json()}}}'
+        )
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 class GraphReport(NamedTuple):
@@ -130,14 +158,9 @@ class GPath(NamedTuple):
 def validate(t: GGraph) -> GraphReport:
     """Equivariance, connectivity, cycles; the tree verdict."""
     fails = tuple(t.equivariance_failures())
-    uf = UnionFind(t.n_vertices)
-    acyclic = True
-    merged = 0  # each successful union joins two components
-    for e in range(t.n_edges):
-        if uf.union(t.iota[e], t.tau[e]):
-            merged += 1
-        else:
-            acyclic = False
+    # each successful union joins two components; a failed one closes a cycle
+    merged = sum(map(UnionFind(t.n_vertices).union, t.iota, t.tau))
+    acyclic = merged == t.n_edges
     connected = t.n_vertices - merged == 1
     edge_count_matches = t.n_edges == t.n_vertices - 1
     return GraphReport(
@@ -149,22 +172,34 @@ def validate(t: GGraph) -> GraphReport:
     )
 
 
+def _mark_tree(t: GGraph) -> GGraph:
+    """Record that t is a G-tree and return t."""
+    object.__setattr__(t, "_is_tree", True)
+    return t
+
+
 def _require_tree(t: GGraph, where: str) -> None:
-    rep = validate(t)
-    if not rep.is_tree:
-        raise PreconditionError(f"{where} needs a G-tree input")
+    """A move's input check: validate, unless t already carries the verdict."""
+    if not t._is_tree:
+        if not validate(t).is_tree:
+            raise PreconditionError(f"{where} needs a G-tree input")
+        _mark_tree(t)
 
 
 def reorient(t: GGraph, flips: Iterable[int]) -> GGraph:
-    """Swap iota and tau exactly on an action-closed edge set; involutive."""
+    """Swap iota and tau exactly on an action-closed edge set; involutive.
+    The result of a G-tree carries its verdict."""
     fl = set(flips)
-    if not all(0 <= e < t.n_edges for e in fl):
+    ne = t.n_edges
+    if not all(0 <= e < ne for e in fl):
         raise PreconditionError("flip-set contains a missing edge")
     if not t.edges.is_action_closed(fl):
         raise PreconditionError("flip-set is not action-closed")
-    iota = tuple([t.tau[e] if e in fl else t.iota[e] for e in range(t.n_edges)])
-    tau = tuple([t.iota[e] if e in fl else t.tau[e] for e in range(t.n_edges)])
-    return GGraph(t.vertices, t.edges, iota, tau)
+    iota, tau = list(t.iota), list(t.tau)
+    for e in fl:
+        iota[e], tau[e] = t.tau[e], t.iota[e]
+    out = GGraph(t.vertices, t.edges, tuple(iota), tuple(tau))
+    return _mark_tree(out) if t._is_tree else out
 
 
 class CompressResult(NamedTuple):
@@ -187,42 +222,43 @@ def compress(t: GGraph, eprime: Iterable[int]) -> CompressResult:
     """
     _require_tree(t, "compress")
     keep = sorted(set(eprime))
-    if not all(0 <= e < t.n_edges for e in keep):
+    nv, ne = t.n_vertices, t.n_edges
+    if not all(0 <= e < ne for e in keep):
         raise PreconditionError("edge subset contains a missing edge")
     if not t.edges.is_action_closed(keep):
         raise PreconditionError("edge subset is not action-closed")
     keep_set = set(keep)
-    removed = [e for e in range(t.n_edges) if e not in keep_set]
+    removed = [e for e in range(ne) if e not in keep_set]
 
-    uf = UnionFind(t.n_vertices)
+    uf = UnionFind(nv)
     for e in removed:
         uf.union(t.iota[e], t.tau[e])
-    comp_of = [uf.find(v) for v in range(t.n_vertices)]
-    out_deg = [0] * t.n_vertices
+    comp_of = [uf.find(v) for v in range(nv)]
+    out_deg = [0] * nv
     for e in removed:
         out_deg[t.iota[e]] += 1
 
     sink_of: dict[int, int] = {}
-    for v in range(t.n_vertices):
+    for v in range(nv):
         c = comp_of[v]
         if out_deg[v] == 0:
             if c in sink_of:
                 raise PreconditionError(f"component of vertex {v} has two sinks")
             sink_of[c] = v
-    for v in range(t.n_vertices):
+    for v in range(nv):
         if comp_of[v] not in sink_of:
             raise PreconditionError(f"component of vertex {v} has no sink")
         if v != sink_of[comp_of[v]] and out_deg[v] != 1:
             raise PreconditionError(f"vertex {v} is not oriented towards a unique sink")
 
-    phi = tuple([sink_of[comp_of[v]] for v in range(t.n_vertices)])
+    phi = tuple([sink_of[comp_of[v]] for v in range(nv)])
     sinks = sorted(set(phi))
     new_vertices = t.vertices.restrict(sinks)
     new_edges = t.edges.restrict(keep)
     vidx = {v: i for i, v in enumerate(sinks)}
     iota = tuple([vidx[phi[t.iota[e]]] for e in keep])
     tau = tuple([vidx[phi[t.tau[e]]] for e in keep])
-    return CompressResult(GGraph(new_vertices, new_edges, iota, tau), phi, tuple(sinks), tuple(keep))
+    return CompressResult(_mark_tree(GGraph(new_vertices, new_edges, iota, tau)), phi, tuple(sinks), tuple(keep))
 
 
 def slide(t: GGraph, e: int, f: int) -> GGraph:
@@ -250,7 +286,7 @@ def slide(t: GGraph, e: int, f: int) -> GGraph:
     tau = list(t.tau)
     for g in t.group.elements:
         tau[ea[g][e]] = t.tau[ea[g][f]]
-    return GGraph(t.vertices, t.edges, t.iota, tuple(tau))
+    return _mark_tree(GGraph(t.vertices, t.edges, t.iota, tuple(tau)))
 
 
 class SubdivideResult(NamedTuple):
@@ -301,7 +337,7 @@ def subdivide(t: GGraph, f: int) -> SubdivideResult:
     tau += [t.tau[e] for e in orbit]
 
     return SubdivideResult(
-        GGraph(vertices, edges, tuple(iota), tuple(tau)),
+        _mark_tree(GGraph(vertices, edges, tuple(iota), tuple(tau))),
         {e: nv + pos[e] for e in orbit},
         {e: nk + pos[e] for e in orbit},
         {e: nk + k + pos[e] for e in orbit},

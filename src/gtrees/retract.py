@@ -19,6 +19,7 @@ from .errors import InternalCheckError, PreconditionError
 from .ggraph import (
     GGraph,
     GPath,
+    _mark_tree,
     bfs_parents,
     compress,
     path_to,
@@ -48,18 +49,23 @@ class Move(NamedTuple):
 class RetractState:
     """Immutable snapshot of the pipeline: tree + filtration + move history.
 
-    Each snapshot builds its tree's adjacency and the outside set w_set
-    once, and keeps the descent paths of each outside vertex once paths_P
-    has searched them.  A slide changes which paths exist, so
-    eliminate_problematic makes a new snapshot (with_tree) after each one.
-    A reorientation changes only the signs of the flipped edges on those
-    paths, so compress_to_U reads the snapshot it is given (see there) and
-    makes none.  Every tree version shares the input's vertex G-set, so its
+    Each snapshot holds its tree's adjacency (make_state holds it across
+    build_filtration, so the two share one; see GGraph.adjacency) and
+    builds the outside set w_set once.  It keeps the descent paths of each
+    outside vertex, with the vertices their search reached, once paths_P
+    has searched them, and the problematic sets once problematic has swept
+    them.  A slide changes which paths exist, so eliminate_problematic
+    makes a new snapshot (with_tree) after each slide step; the new
+    snapshot keeps every search that reached no endpoint, old or new, of an
+    edge the step changed, since such a search reads the same adjacency
+    rows again.  A reorientation changes only the signs of the flipped
+    edges on those paths, so compress_to_U reads the snapshot it is given
+    (see there) and makes none.  Every tree version shares the input's vertex G-set, so its
     stabilizer table is read from the tree.  The fields are read-only;
     equality and hashing see tree, filtration, u_set and move_log.
     """
 
-    __slots__ = ("tree", "filtration", "u_set", "move_log", "w_set", "_adj", "_paths")
+    __slots__ = ("tree", "filtration", "u_set", "move_log", "w_set", "_adj", "_paths", "_reached", "_problematic")
 
     def __init__(
         self, tree: GGraph, filtration: Filtration, u_set: frozenset[int], move_log: tuple[Move, ...] = ()
@@ -72,6 +78,8 @@ class RetractState:
         set_field(self, "w_set", frozenset(range(tree.n_vertices)) - u_set)
         set_field(self, "_adj", tree.adjacency())
         set_field(self, "_paths", {})
+        set_field(self, "_reached", {})  # w -> the vertices its search reached
+        set_field(self, "_problematic", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -103,14 +111,34 @@ class RetractState:
         return self.tree.vertices.stabilizers()[v]
 
     def with_tree(self, tree: GGraph, new_moves: Iterable[Move]) -> "RetractState":
-        return RetractState(tree, self.filtration, self.u_set, self.move_log + tuple(new_moves))
+        """The snapshot of tree, a version of self.tree, after new_moves.
+
+        Over the same vertex G-set and edge indices, it keeps the searches
+        that reached no vertex whose adjacency row differs, that is no old
+        or new endpoint of an edge whose incidence changed.
+        """
+        state = RetractState(tree, self.filtration, self.u_set, self.move_log + tuple(new_moves))
+        old = self.tree
+        if tree.vertices is old.vertices and tree.n_edges == old.n_edges:
+            ends = zip(old.iota, old.tau, tree.iota, tree.tau)
+            touched = {v for a, b, c, d in ends if a != c or b != d for v in (a, b, c, d)}
+            for w, reached in self._reached.items():
+                if touched.isdisjoint(reached):
+                    state._paths[w] = self._paths[w]
+                    state._reached[w] = reached
+        return state
 
 
 def make_state(tree: GGraph, u_set: Iterable[int], filtration: Optional[Filtration] = None) -> RetractState:
     u = frozenset(u_set)
+    # held until the snapshot holds it, so build_filtration and the snapshot
+    # share one adjacency (GGraph.adjacency)
+    adj = tree.adjacency()
     if filtration is None:
         filtration = build_filtration(tree, u)
-    return RetractState(tree, filtration, u)
+    state = RetractState(tree, filtration, u)
+    del adj
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +152,7 @@ def _retract_precheck(tree: GGraph, u: frozenset[int]) -> None:
     rep = validate(tree)
     if not rep.is_tree:
         raise PreconditionError("input graph is not a G-tree")
+    _mark_tree(tree)  # so the moves that follow skip their input check
     if not is_retract(tree.vertices, u):
         raise PreconditionError("the given vertex subset is not a G-retract")
 
@@ -236,37 +265,42 @@ def check_filtration(state: RetractState) -> list[str]:
 
     The caller's state is checked as it stands (make_state builds one from a
     tree, a retract and a filtration), so its stabilizers and adjacency are
-    not derived again.  The conditions are stated for a tree.  On a graph
-    with a cycle, (1) reports the cycle, and (4) asks whether paths_P finds
-    some window path (see there), not whether the BFS tree of the whole
-    graph holds one.
+    not derived again, and a tree that carries the G-tree verdict (see
+    gtrees.ggraph) is not searched for cycles.  The conditions are stated
+    for a tree.  On a graph with a cycle, (1) reports the cycle, and (4)
+    asks whether paths_P finds some window path (see there), not whether
+    the BFS tree of the whole graph holds one.
     """
     tree, u, filt = state.tree, state.u_set, state.filtration
     problems: list[str] = []
     nv, ne = tree.n_vertices, tree.n_edges
 
-    # degrees must be constant on orbits (action-closed level sets; also (3))
-    for v in range(nv):
-        for g in tree.group.generators:
-            if filt.vdeg[tree.vertices.act[g][v]] != filt.vdeg[v]:
-                problems.append(f"(1) vertex degree not constant on the orbit of {v}")
-    for e in range(ne):
-        for g in tree.group.generators:
-            if filt.edeg[tree.edges.act[g][e]] != filt.edeg[e]:
-                problems.append(f"(1) edge degree not constant on the orbit of {e}")
+    # degrees must be constant on orbits (action-closed level sets; also (3)):
+    # each generator row, read through the degrees, must give the degrees
+    # back; a point is reported once per generator that moves its degree
+    for kind, deg, gset in (("vertex", filt.vdeg, tree.vertices), ("edge", filt.edeg, tree.edges)):
+        moved = [[deg[q] for q in gset.act[g]] for g in tree.group.generators]
+        if any(row != list(deg) for row in moved):
+            for p in range(gset.size):
+                for row in moved:
+                    if row[p] != deg[p]:
+                        problems.append(f"(1) {kind} degree not constant on the orbit of {p}")
 
     # (1) every initial segment is a subforest with both endpoints present
-    for e in range(ne):
-        if max(filt.vdeg[tree.iota[e]], filt.vdeg[tree.tau[e]]) > filt.edeg[e]:
+    vdeg, edeg = filt.vdeg, filt.edeg
+    for e, (a, b) in enumerate(zip(tree.iota, tree.tau)):
+        if max(vdeg[a], vdeg[b]) > edeg[e]:
             problems.append(f"(1) edge {e} enters a level before both endpoints")
     # the edges below beta hold a cycle exactly when beta exceeds the degree
-    # of the first edge that closes one, adding edges in degree order
-    uf = UnionFind(nv)
-    for e in sorted(range(ne), key=filt.edeg.__getitem__):
-        if not uf.union(tree.iota[e], tree.tau[e]):
-            for beta in range(max(0, filt.edeg[e] + 1), filt.kappa + 1):
-                problems.append(f"(1) level set below {beta} contains a cycle")
-            break
+    # of the first edge that closes one, adding edges in degree order; a
+    # graph that carries the G-tree verdict has no cycle
+    if not tree._is_tree:
+        uf = UnionFind(nv)
+        for e in sorted(range(ne), key=edeg.__getitem__):
+            if not uf.union(tree.iota[e], tree.tau[e]):
+                for beta in range(max(0, edeg[e] + 1), filt.kappa + 1):
+                    problems.append(f"(1) level set below {beta} contains a cycle")
+                break
 
     # (2) level zero is exactly the retract, and holds no edges
     if {v for v in range(nv) if filt.vdeg[v] == 0} != u:
@@ -305,7 +339,8 @@ def paths_P(state: RetractState, w: int) -> list[GPath]:
     inside the window; the rest of the graph plays no part.
 
     The search runs once per snapshot and vertex: the list is kept on the
-    state, and every caller gets that same list, so none may change it.
+    state, with the vertices the search reached (see with_tree), and every
+    caller gets that same list, so none may change it.
     """
     memo = state._paths
     if w in memo:
@@ -319,6 +354,7 @@ def paths_P(state: RetractState, w: int) -> list[GPath]:
     out = [path_to(parent, v) for v in parent if vdeg[v] < dw]
     out.sort(key=lambda p: (len(p.steps), p.steps))
     memo[w] = out
+    state._reached[w] = parent.keys()
     return out
 
 
@@ -352,9 +388,12 @@ def problematic(state: RetractState) -> tuple[frozenset[int], frozenset[int]]:
     A vertex is problematic when some shortest descent path must first climb
     one level; the first edges of those paths (one level above the vertex)
     are the problematic edges reported here.  Both sets are empty after
-    eliminate_problematic.
+    eliminate_problematic.  The sweep runs once per snapshot; the pair is
+    kept on the state.
     """
-    tree, filt = state.tree, state.filtration
+    if state._problematic is not None:
+        return state._problematic
+    filt = state.filtration
     bad_edges = set()
     bad_vertices = set()
     for w in state.w_set:
@@ -369,7 +408,9 @@ def problematic(state: RetractState) -> tuple[frozenset[int], frozenset[int]]:
             if filt.vdeg[p.vertices[1]] == dw + 1:
                 bad_vertices.add(w)
                 bad_edges.add(p.steps[0][0])
-    return frozenset(bad_edges), frozenset(bad_vertices)
+    out = frozenset(bad_edges), frozenset(bad_vertices)
+    object.__setattr__(state, "_problematic", out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +486,8 @@ def eliminate_problematic(state: RetractState) -> RetractState:
     # exactly then
     _, bad_v = problematic(state)
     for alpha in range(1, filt.kappa):
+        if not bad_v:
+            break
         while True:
             level_bad = sorted(v for v in bad_v if filt.vdeg[v] == alpha)
             if not level_bad:
@@ -489,6 +532,43 @@ def eliminate_problematic(state: RetractState) -> RetractState:
 # ---------------------------------------------------------------------------
 
 
+def _distinguished_edges(state: RetractState, tree: GGraph) -> dict[int, int]:
+    """Outside vertex -> its distinguished edge in tree, state.tree
+    reoriented downhill: the first edge of the least descent path of the
+    least vertex of each orbit, translated along the orbit.
+
+    The translation walks the orbit by the generator rows, from each reached
+    vertex and its edge to their images.  A walk on which every generator
+    step agrees defines g v0 -> g e1 for every element g, so a clash is
+    exactly a vertex stabilizer that moves its edge.
+    """
+    distinguished: dict[int, int] = {}
+    rows = [(tree.vertices.act[g], tree.edges.act[g]) for g in tree.group.generators]
+    for v0 in sorted(state.w_set):
+        if v0 in distinguished:
+            continue
+        chosen = paths_P(state, v0)[0]
+        e1 = chosen.steps[0][0]
+        if tree.iota[e1] != v0:
+            raise InternalCheckError("distinguished edge does not leave its vertex")
+        if tree.edges.stabilizer(e1) != state.vstab(v0):
+            raise InternalCheckError("distinguished edge stabilizer differs from its vertex")
+        if not is_lower(state, chosen.vertices[1], v0):
+            raise InternalCheckError("distinguished neighbour is not lower")
+        distinguished[v0] = e1
+        reached = [v0]
+        for w in reached:
+            e = distinguished[w]
+            for va, ea in rows:
+                gw, ge = va[w], ea[e]
+                if gw not in distinguished:
+                    distinguished[gw] = ge
+                    reached.append(gw)
+                elif distinguished[gw] != ge:
+                    raise InternalCheckError("equivariant distinguished choice clashed")
+    return distinguished
+
+
 class RetractResult(NamedTuple):
     tree: GGraph
     move_log: tuple[Move, ...]
@@ -530,25 +610,7 @@ def compress_to_U(state: RetractState) -> RetractResult:
     if flips:
         tree = _log_move(state, log, "reorient", {"flips": flips}, reorient(tree, flips))
 
-    distinguished: dict[int, int] = {}
-    va, ea = tree.vertices.act, tree.edges.act
-    for v0 in sorted(state.w_set):
-        if v0 in distinguished:
-            continue
-        ps = paths_P(state, v0)
-        chosen = ps[0]
-        e1 = chosen.steps[0][0]
-        if tree.iota[e1] != v0:
-            raise InternalCheckError("distinguished edge does not leave its vertex")
-        if tree.edges.stabilizer(e1) != state.vstab(v0):
-            raise InternalCheckError("distinguished edge stabilizer differs from its vertex")
-        if not is_lower(state, chosen.vertices[1], v0):
-            raise InternalCheckError("distinguished neighbour is not lower")
-        for g in tree.group.elements:
-            w, eg = va[g][v0], ea[g][e1]
-            if distinguished.setdefault(w, eg) != eg:
-                raise InternalCheckError("equivariant distinguished choice clashed")
-    removed_set = set(distinguished.values())
+    removed_set = set(_distinguished_edges(state, tree).values())
     removed = sorted(removed_set)
 
     keep = [e for e in range(tree.n_edges) if e not in removed_set]

@@ -7,7 +7,10 @@ differential test oracles:
   time (the form before `GSet` kept a stabilizer table and orbit numbers);
 - the filtration by rescanning the placed vertices at every stage and every
   orbit representative (the form before `build_filtration` kept level
-  buckets and its lowest target per stabilizer).
+  buckets and its lowest target per stabilizer);
+- the distinguished edges of `compress_to_U` by translating each chosen edge
+  by every group element (the form before `_distinguished_edges` walked
+  each orbit by the generator rows).
 
 The retract criterion `gtrees.gaction.is_retract` has its oracle in the
 library: `retraction_map`, which builds the map it asserts.
@@ -15,7 +18,7 @@ library: `retraction_map`, which builds the map it asserts.
 
 from gtrees.errors import InternalCheckError, PreconditionError
 from gtrees.ggraph import GPath, bfs_parents, path_to
-from gtrees.retract import Filtration, _retract_precheck
+from gtrees.retract import Filtration, _retract_precheck, is_lower, paths_P
 
 
 def oracle_orbit(s, p):
@@ -162,3 +165,26 @@ def oracle_problematic(state):
                 bad_vertices.add(w)
                 bad_edges.add(p.steps[0][0])
     return frozenset(bad_edges), frozenset(bad_vertices)
+
+
+def oracle_distinguished_edges(state, tree):
+    """Outside vertex -> distinguished edge, as `compress_to_U` chooses them
+    on tree, state.tree reoriented downhill."""
+    distinguished = {}
+    va, ea = tree.vertices.act, tree.edges.act
+    for v0 in sorted(state.w_set):
+        if v0 in distinguished:
+            continue
+        chosen = paths_P(state, v0)[0]
+        e1 = chosen.steps[0][0]
+        if tree.iota[e1] != v0:
+            raise InternalCheckError("distinguished edge does not leave its vertex")
+        if tree.edges.stabilizer(e1) != state.vstab(v0):
+            raise InternalCheckError("distinguished edge stabilizer differs from its vertex")
+        if not is_lower(state, chosen.vertices[1], v0):
+            raise InternalCheckError("distinguished neighbour is not lower")
+        for g in tree.group.elements:
+            w, eg = va[g][v0], ea[g][e1]
+            if distinguished.setdefault(w, eg) != eg:
+                raise InternalCheckError("equivariant distinguished choice clashed")
+    return distinguished

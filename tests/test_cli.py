@@ -355,6 +355,7 @@ def _untwist_group_doc(group):
         (["almost", "untwist"], _untwist_doc(None)),
         (["almost", "untwist"], _untwist_group_doc({"mult_table": None, "generator_permutations": [[0]]})),
         (["almost", "untwist"], _untwist_group_doc({"mult_table": [[0]], "order": None})),
+        (["almost", "untwist"], _untwist_group_doc({"mult_table": [[0]], "order": True})),
         (["counterexample", "verify"], {**default_data().to_json(), "tau_e_exp": None}),
     ],
     ids=[
@@ -367,7 +368,7 @@ def _untwist_group_doc(group):
         "points-float", "module-text", "module-list", "derivation-not-int", "derivation-range",
         "derivation-bool", "transversal-text", "transversal-bool", "transversal-range",
         "fixture-exponent-float", "fixture-exponent-bool", "fixture-exponent-text",
-        "points-past-rows", "function-null", "mult-table-null", "order-null", "fixture-exponent-null",
+        "points-past-rows", "function-null", "mult-table-null", "order-null", "order-bool", "fixture-exponent-null",
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, command, doc):

@@ -238,3 +238,13 @@ def test_group_closure_past_the_order_cap_exits_two(tmp_path, capsys, monkeypatc
     doc = {"group": {"generator_permutations": [[1, 0, 2, 3], [1, 2, 3, 0]]}, "E": one_point, "A": one_point}
     code, err = _run(["almost", "untwist"], doc, tmp_path / "in.json", capsys)
     assert (code, err) == (2, "input error: generator permutations generate more than 10 elements\n")
+
+
+def test_group_closure_past_the_entry_cap_exits_two(tmp_path, capsys, monkeypatch):
+    # C_5 on 5 points against a cap of 20 entries: the closure stops at the
+    # 5th element, before it stores 25
+    monkeypatch.setattr(ga, "MAX_CLOSURE_ENTRIES", 20)
+    one_point = {"points": 1, "action": [[0]]}
+    doc = {"group": {"generator_permutations": [[1, 2, 3, 4, 0]]}, "E": one_point, "A": one_point}
+    code, err = _run(["almost", "untwist"], doc, tmp_path / "in.json", capsys)
+    assert (code, err) == (2, "input error: generator permutations of 5 points need more than 20 entries to close\n")

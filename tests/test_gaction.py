@@ -270,3 +270,22 @@ def test_generator_closure_stops_past_the_order_cap(monkeypatch):
     monkeypatch.setattr(ga, "MAX_GROUP_ORDER", 23)
     with pytest.raises(InputError, match="more than 23 elements"):
         FiniteGroup.symmetric(4)
+
+
+def test_generator_closure_stops_past_the_entry_cap(monkeypatch):
+    # lower the cap rather than permute many points: C_5 on 5 points stores
+    # 5 elements x 5 points = 25 entries while it closes
+    monkeypatch.setattr(ga, "MAX_CLOSURE_ENTRIES", 25)
+    assert FiniteGroup.cyclic(5).order == 5
+    monkeypatch.setattr(ga, "MAX_CLOSURE_ENTRIES", 24)
+    with pytest.raises(InputError, match="permutations of 5 points need more than 24 entries to close"):
+        FiniteGroup.cyclic(5)
+
+
+def test_group_order_is_read_as_an_integer():
+    assert group_from_json({"mult_table": [[0]], "order": 1}).order == 1
+    for order in (True, 1.0, "1"):
+        with pytest.raises(InputError, match="group.order must be an integer"):
+            group_from_json({"mult_table": [[0]], "order": order})
+    with pytest.raises(InputError, match="group.order does not match the table's 1 rows"):
+        group_from_json({"mult_table": [[0]], "order": 2})

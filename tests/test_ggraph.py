@@ -1,9 +1,12 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from instgen import random_instance
 
+import gtrees.ggraph as gg
 from gtrees.errors import PreconditionError
 from gtrees.gaction import FiniteGroup, GSet
 from gtrees.ggraph import (
@@ -304,3 +307,60 @@ def test_json_round_trip_and_dot():
     assert t2 == t
     dot = ggraph_to_dot(t)
     assert dot.startswith("digraph") and "->" in dot
+
+
+def _oracle_digest(t):
+    doc = {
+        "nv": t.n_vertices,
+        "ne": t.n_edges,
+        "iota": list(t.iota),
+        "tau": list(t.tau),
+        "vlabels": [repr(x) for x in t.vertices.labels],
+        "elabels": [repr(x) for x in t.edges.labels],
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def test_state_digest_matches_the_json_document_oracle():
+    # the digest text is assembled from each G-set's cached label text; it
+    # must be the bytes json.dumps gives for the whole document
+    group = FiniteGroup.trivial()
+    awkward = ['say "hi"', "back\\slash", "caf\u00e9 \u2603", None, ("nested", ('q"', 2.5)), -3]
+    vertices = GSet.trivial_action(group, len(awkward), labels=awkward)
+    edges = GSet.trivial_action(group, len(awkward) - 1, labels=["\n", "\t", "\u00fc", None, 7])
+    mixed = GGraph(vertices, edges, (0, 1, 2, 3, 4), (1, 2, 3, 4, 5))
+    twice = subdivide(subdivide(z2_path3(), 0).tree, 0).tree
+    nulls = GGraph(GSet.trivial_action(group, 2, [None, None]), GSet.trivial_action(group, 1, [None]), (0,), (1,))
+    ints = tree_with_trivial_group([(0, 1), (1, 2), (3, 1)])
+    no_edges = [tree_with_trivial_group([], n_vertices=n) for n in (0, 1)]
+    graphs = [ints, nulls, mixed, twice] + no_edges
+    assert twice.vertices.labels[-1] == ("mid", ("half1", "eb"))
+    for t in graphs:
+        assert t.state_digest() == _oracle_digest(t)
+        assert t.state_digest() == _oracle_digest(t)  # from the cached label text
+    rng = random.Random(4)
+    for _ in range(20):
+        t, _ = random_instance(rng, max_vertices=40)
+        assert t.state_digest() == _oracle_digest(t)
+
+
+def test_validate_runs_its_union_find_on_every_call(monkeypatch):
+    # a move's output carries the G-tree verdict, and the moves skip their
+    # input check on it, but the public validate still recomputes
+    unions = []
+
+    class CountingUnionFind(gg.UnionFind):
+        def union(self, a, b):
+            unions.append((a, b))
+            return super().union(a, b)
+
+    monkeypatch.setattr(gg, "UnionFind", CountingUnionFind)
+    t = slide(tree_with_trivial_group([(0, 1), (1, 2), (2, 3)]), 0, 1)
+    assert t._is_tree and len(unions) == 3  # the slide checked its input
+    unions.clear()
+    for k in range(1, 4):
+        assert validate(t).is_tree
+        assert len(unions) == k * t.n_edges
+    unions.clear()
+    slide(t, 0, 2)  # carries the verdict: no check
+    assert unions == []

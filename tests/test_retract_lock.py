@@ -5,6 +5,7 @@ oracle returns, on every state the pipeline passes through, and the move
 logs and results of a seeded corpus must keep their recorded digest.
 """
 
+import copy
 import hashlib
 import json
 import random
@@ -13,9 +14,10 @@ from collections import Counter
 import pytest
 
 from gaction_oracle import oracle_is_equivariant
-from instgen import random_instance, sibling_swap_generators
+from instgen import random_instance, random_slide_candidates, sibling_swap_generators
 from retract_oracle import (
     oracle_build_filtration,
+    oracle_distinguished_edges,
     oracle_orbit,
     oracle_paths_P,
     oracle_problematic,
@@ -30,6 +32,7 @@ from gtrees.gaction import FiniteGroup, GSet
 from gtrees.ggraph import GGraph, ggraph_to_json, reorient, validate
 from gtrees.retract import (
     Filtration,
+    RetractState,
     build_filtration,
     check_filtration,
     compress_to_U,
@@ -79,17 +82,18 @@ def _fresh(t):
 
 
 def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
-    # the input is checked once, by build_filtration, and each move checks
-    # the tree it receives but not the tree it returns: one G-tree check per
-    # slide and one for compress.  Each tree the pipeline passes through is
-    # digested once: before a move, the digest is the one the previous move
-    # left.  Each snapshot searches the descent paths of a vertex at most
-    # once, and each G-set builds its stabilizer table once and its orbit
-    # numbers at most once.  The retract precheck tests the criterion with
-    # is_retract and builds no retraction map.  build_filtration
-    # roots the tree with one unwindowed search, and compress_to_U's
-    # reorientation makes no new snapshot, so a tree with no slide runs one
-    # windowed search per outside vertex
+    # the input is checked once, by build_filtration, which leaves the
+    # G-tree verdict on it; every move after it receives a tree that carries
+    # the verdict, so no move runs a G-tree check.  Each tree the pipeline
+    # passes through is digested once: before a move, the digest is the one
+    # the previous move left.  Each snapshot searches the descent paths of a
+    # vertex at most once, and each G-set builds its stabilizer table once
+    # and its orbit numbers at most once.  The retract precheck tests the
+    # criterion with is_retract and builds no retraction map.
+    # build_filtration roots the tree with one unwindowed search, and
+    # compress_to_U's reorientation makes no new snapshot, so the first
+    # snapshot runs one windowed search per outside vertex, and a snapshot
+    # after a slide step only those its step invalidated
     calls = Counter()
 
     def count(owner, name, key=None):
@@ -122,6 +126,18 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
         return bfs(adj, root, crossable, stop)
 
     monkeypatch.setattr(rt, "bfs_parents", counted_bfs)
+    # per snapshot after a slide step, keyed by its adjacency: the searches
+    # of the snapshot before it that it did not keep
+    invalidated = {}
+    with_tree = rt.RetractState.with_tree
+
+    def counted_with_tree(self, tree, new_moves):
+        state = with_tree(self, tree, new_moves)
+        alive.append(state._adj)
+        invalidated[id(state._adj)] = len(self._paths) - len(state._paths)
+        return state
+
+    monkeypatch.setattr(rt.RetractState, "with_tree", counted_with_tree)
     # per G-set: whether its stabilizers were asked for, and how often it
     # built its table; a G-set with no table fails the builds assertion
     queried, builds = set(), Counter()
@@ -156,10 +172,12 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
 
     monkeypatch.setattr(GSet, "_orbit_id_table", built_orbits)
     flipped_without_slides = 0
+    kept_after_slides = 0
     for t, u in corpus:
         t = _fresh(t)
         calls.clear()
         searches.clear()
+        invalidated.clear()
         queried.clear()
         builds.clear()
         orbit_builds.clear()
@@ -168,17 +186,23 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
         assert calls == Counter(
             is_retract=1,
             validate=1,
-            move_validate=1 + slides,
+            move_validate=0,
             state_digest=len(res.move_log) + 1,
             build_filtration=1,
             unwindowed_bfs=1,
         )
         assert max(searches.values(), default=0) <= 1
         n_outside = t.n_vertices - len(u)
-        windowed = sum(searches.values())
-        assert windowed <= n_outside * (1 + slides)
+        per_snapshot = Counter()
+        for adj, _ in searches:
+            per_snapshot[adj] += 1
+        first = [adj for adj in per_snapshot if adj not in invalidated]
+        assert [per_snapshot[adj] for adj in first] == ([n_outside] if n_outside else [])
+        for adj, n in invalidated.items():
+            assert per_snapshot[adj] <= n
+            kept_after_slides += n_outside - n
         if not slides:
-            assert windowed == n_outside
+            assert not invalidated
             flipped_without_slides += any(m.kind == "reorient" for m in res.move_log)
         # edge stabilizers are read only by slide and by the choice of one
         # edge per outside vertex
@@ -189,6 +213,8 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     # compress_to_U flips an orbit on most of the trees that make no slide
     # (190 of 195), where a new snapshot would search every vertex again
     assert flipped_without_slides > 100, flipped_without_slides
+    # the snapshots after the 25 slide steps keep 228 searches and make 164
+    assert kept_after_slides > 150, kept_after_slides
 
 
 def test_every_tree_the_pipeline_builds_is_a_g_tree(corpus, monkeypatch):
@@ -214,6 +240,158 @@ def test_every_tree_the_pipeline_builds_is_a_g_tree(corpus, monkeypatch):
         retract_tree(t, u)
     assert built["compress"] == len(corpus)
     assert built["slide"] > 0 and built["reorient"] > 0, built
+
+
+def _assert_verdict_matches_validate(tree):
+    # copy.copy rebuilds through GGraph.__init__, so the copy carries no verdict
+    assert tree._is_tree == validate(copy.copy(tree)).is_tree
+
+
+def test_carried_tree_verdict_matches_validate_on_a_fresh_copy(corpus, monkeypatch):
+    # every tree a move builds inside the pipeline carries the verdict
+    built = Counter()
+
+    def checked(name, tree_of):
+        move = getattr(rt, name)
+
+        def wrapped(*args):
+            out = move(*args)
+            assert tree_of(out)._is_tree, name
+            _assert_verdict_matches_validate(tree_of(out))
+            built[name] += 1
+            return out
+
+        monkeypatch.setattr(rt, name, wrapped)
+
+    checked("slide", lambda t: t)
+    checked("reorient", lambda t: t)
+    checked("compress", lambda res: res.tree)
+    for t, u in corpus:
+        retract_tree(t, u)
+    assert built["slide"] > 0 and built["reorient"] > 0 and built["compress"] == len(corpus), built
+
+    # chains of random legal slides on instgen trees: only the first slide
+    # of a chain checks its input
+    rng = random.Random(23)
+    chained = 0
+    for _ in range(100):
+        t, _ = random_instance(rng, max_vertices=30, max_group=12)
+        assert not t._is_tree
+        for _ in range(5):
+            cands = random_slide_candidates(t)
+            if not cands:
+                break
+            t = gg.slide(t, *rng.choice(cands))
+            assert t._is_tree
+            _assert_verdict_matches_validate(t)
+            chained += 1
+        if t.n_edges:
+            sub = gg.subdivide(t, rng.randrange(t.n_edges)).tree
+            assert sub._is_tree
+            _assert_verdict_matches_validate(sub)
+    assert chained > 200, chained
+
+
+def test_a_graph_that_is_no_tree_never_carries_the_verdict():
+    # a triangle: reorient keeps what its input carries, and a move refuses it
+    group = FiniteGroup.trivial()
+    cycle = GGraph(GSet.trivial_action(group, 3), GSet.trivial_action(group, 3), (0, 1, 2), (1, 2, 0))
+    flipped = reorient(cycle, [0])
+    assert not flipped._is_tree
+    _assert_verdict_matches_validate(flipped)
+    with pytest.raises(PreconditionError, match="slide needs a G-tree input"):
+        gg.slide(flipped, 0, 1)
+    assert not flipped._is_tree
+
+
+def test_slide_steps_keep_only_searches_a_fresh_snapshot_repeats(corpus, monkeypatch):
+    # after each slide step, every descent search the new snapshot kept from
+    # the one before equals a search on a fresh snapshot of a fresh copy
+    counts = Counter()
+    with_tree = RetractState.with_tree
+
+    def checked(self, tree, new_moves):
+        state = with_tree(self, tree, new_moves)
+        fresh = RetractState(copy.copy(tree), state.filtration, state.u_set)
+        for w in state._paths:
+            assert state._paths[w] == paths_P(fresh, w), w
+        counts["kept"] += len(state._paths)
+        counts["dropped"] += len(self._paths) - len(state._paths)
+        return state
+
+    monkeypatch.setattr(RetractState, "with_tree", checked)
+    for t, u in corpus:
+        retract_tree(t, u)
+    assert counts["kept"] > 150, counts
+    # and, on each corpus tree with every search made, after a random legal
+    # slide, a random reorientation of an edge orbit, and a slide of each
+    # end of one edge orbit, which moves both of its endpoints: these change
+    # edges that many more searches reach than the pipeline's slides do
+    counts.clear()
+    rng = random.Random(29)
+    both_ends = 0
+    for t, u in corpus:
+        state = make_state(t, u)
+        for w in state.w_set:
+            paths_P(state, w)
+        trees = [reorient(t, t.edges.orbit(rng.randrange(t.n_edges)))]
+        cands = random_slide_candidates(t)
+        if cands:
+            e, f = rng.choice(cands)
+            trees.append(gg.slide(t, e, f))
+            back = reorient(trees[-1], trees[-1].edges.orbit(e))
+            ends = [g for e2, g in random_slide_candidates(back) if e2 == e]
+            if ends:
+                trees.append(gg.slide(back, e, rng.choice(ends)))
+                assert {trees[-1].iota[e], trees[-1].tau[e]}.isdisjoint({t.iota[e], t.tau[e]})
+                both_ends += 1
+        for tree in trees:
+            state.with_tree(tree, ())
+    assert min(counts["kept"], counts["dropped"]) > 1000 and both_ends > 50, (counts, both_ends)
+
+
+def _least_choice_not_equivariant():
+    """Klein four-group V = <a, b> on a tree with U = {c, p_i, q_i}, and each
+    outside vertex w_i joined to c, p_i and q_i (i in V, acting by left
+    multiplication).  Each w_i descends in one step to c and to p_i, and
+    takes the least edge index: the wp edge for w_0 and w_a, the cw edge for
+    w_b and w_ab.  So only the translation of w_0's choice by b is
+    equivariant, and a walk that read only the generator a would keep the
+    least choice of w_b."""
+    a, b = [1, 0, 3, 2], [2, 3, 0, 1]
+    group = FiniteGroup.from_generator_permutations([a, b])
+    # vertices: w_i = i, c = 4, p_i = 5 + i, q_i = 9 + i
+    vertex_images = [[g[i] for i in range(4)] + [4] + [5 + g[i] for i in range(4)] + [9 + g[i] for i in range(4)] for g in (a, b)]
+    vertices = GSet.from_generator_images(group, 13, vertex_images)
+    # the wp edges come first at w_0 and w_a, the cw edges at w_b and w_ab
+    names = [("wp", 0), ("cw", 0), ("cw", 2), ("wp", 2), ("cw", 3), ("wp", 3), ("wp", 1), ("cw", 1)]
+    names += [("wq", i) for i in range(4)]
+    index = {name: k for k, name in enumerate(names)}
+    edges = GSet.from_generator_images(group, 12, [[index[kind, g[i]] for kind, i in names] for g in (a, b)])
+    ends = {"wp": lambda i: (i, 5 + i), "cw": lambda i: (4, i), "wq": lambda i: (i, 9 + i)}
+    iota, tau = zip(*[ends[kind](i) for kind, i in names])
+    return GGraph(vertices, edges, iota, tau), frozenset(range(4, 13))
+
+
+def test_distinguished_edges_walk_matches_all_elements_oracle(corpus):
+    # on the corpus, on trees whose orbits need several generators, and on
+    # one where the least choice at each vertex is not equivariant
+    t, u = _least_choice_not_equivariant()
+    state = eliminate_problematic(make_state(t, u))
+    walked = rt._distinguished_edges(state, state.tree)
+    assert [paths_P(state, w)[0].steps[0][0] for w in range(4)] == [0, 6, 2, 4]
+    assert walked == {0: 0, 1: 6, 2: 3, 3: 5}
+    moved_orbits = 0
+    for t, u in corpus + _symmetric_instances() + [(t, u)]:
+        state = eliminate_problematic(make_state(t, u))
+        res = compress_to_U(state)
+        flips = [e for m in res.move_log[len(state.move_log) :] if m.kind == "reorient" for e in m.detail["flips"]]
+        tree = reorient(state.tree, flips)
+        walked = rt._distinguished_edges(state, tree)
+        assert walked == oracle_distinguished_edges(state, tree)
+        assert sorted(walked.values()) == list(res.removed_edges)
+        moved_orbits += sum(len(tree.vertices.orbit(v)) > 1 for v in state.w_set)
+    assert moved_orbits > 100, moved_orbits
 
 
 def _large_instances():
