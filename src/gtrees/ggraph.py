@@ -19,7 +19,6 @@ start.  The public validate recomputes on every call.
 from __future__ import annotations
 
 import json
-import weakref
 from collections import deque
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -31,22 +30,15 @@ from .unionfind import UnionFind
 Adjacency = list[list[tuple[int, int, int]]]
 
 
-class _HeldAdjacency(list):
-    """An adjacency that its graph refers to weakly (see GGraph.adjacency)."""
-
-    __slots__ = ("__weakref__",)
-
-
 class GGraph:
     """Vertex and edge G-sets with the incidence maps iota and tau; the
     fields are read-only.
 
-    The adjacency is shared while a caller holds it (see adjacency), and
     _is_tree holds the G-tree verdict once it is known (see the module
     docstring).  Equality and hashing see the four fields only.
     """
 
-    __slots__ = ("vertices", "edges", "iota", "tau", "_adj", "_is_tree")
+    __slots__ = ("vertices", "edges", "iota", "tau", "_is_tree")
 
     def __init__(self, vertices: GSet, edges: GSet, iota: tuple[int, ...], tau: tuple[int, ...]) -> None:
         if vertices.group != edges.group:
@@ -62,7 +54,6 @@ class GGraph:
         set_field(self, "edges", edges)
         set_field(self, "iota", iota)
         set_field(self, "tau", tau)
-        set_field(self, "_adj", None)
         set_field(self, "_is_tree", False)
 
     def __setattr__(self, name, value):
@@ -99,22 +90,14 @@ class GGraph:
         return self.edges.size
 
     def adjacency(self) -> Adjacency:
-        """Per vertex: (edge, eps, other endpoint), eps +1 when leaving iota.
-
-        While some caller still holds the list, every call returns that same
-        list, so none may change it.  The graph refers to it weakly, so a
-        graph that outlives its users keeps no table.
-        """
-        adj = self._adj and self._adj()
-        if adj is None:
-            adj = _HeldAdjacency([] for _ in range(self.n_vertices))
-            for e in range(self.n_edges):
-                u, v = self.iota[e], self.tau[e]
-                adj[u].append((e, 1, v))
-                adj[v].append((e, -1, u))
-            for row in adj:
-                row.sort()
-            object.__setattr__(self, "_adj", weakref.ref(adj))
+        """Per vertex: (edge, eps, other endpoint), eps +1 when leaving iota."""
+        adj: Adjacency = [[] for _ in range(self.n_vertices)]
+        for e in range(self.n_edges):
+            u, v = self.iota[e], self.tau[e]
+            adj[u].append((e, 1, v))
+            adj[v].append((e, -1, u))
+        for row in adj:
+            row.sort()
         return adj
 
     def equivariance_failures(self) -> list[str]:

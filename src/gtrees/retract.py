@@ -49,23 +49,20 @@ class Move(NamedTuple):
 class RetractState:
     """Immutable snapshot of the pipeline: tree + filtration + move history.
 
-    Each snapshot holds its tree's adjacency (make_state holds it across
-    build_filtration, so the two share one; see GGraph.adjacency) and
-    builds the outside set w_set once.  It keeps the descent paths of each
-    outside vertex, with the vertices their search reached, once paths_P
-    has searched them, and the problematic sets once problematic has swept
-    them.  A slide changes which paths exist, so eliminate_problematic
-    makes a new snapshot (with_tree) after each slide step; the new
-    snapshot keeps every search that reached no endpoint, old or new, of an
-    edge the step changed, since such a search reads the same adjacency
-    rows again.  A reorientation changes only the signs of the flipped
-    edges on those paths, so compress_to_U reads the snapshot it is given
-    (see there) and makes none.  Every tree version shares the input's vertex G-set, so its
-    stabilizer table is read from the tree.  The fields are read-only;
-    equality and hashing see tree, filtration, u_set and move_log.
+    Each snapshot builds its tree's adjacency and the outside set w_set
+    once, keeps the descent paths of each outside vertex once paths_P has
+    searched them, and keeps the problematic sets once problematic has
+    swept them.  A slide changes which paths exist, so
+    eliminate_problematic makes a new snapshot (with_tree) after each slide
+    step.  A reorientation changes only the signs of the flipped edges on
+    those paths, so compress_to_U reads the snapshot it is given (see
+    there) and makes none.  Every tree version shares the input's vertex
+    G-set, so its stabilizer table is read from the tree.  The fields are
+    read-only; equality and hashing see tree, filtration, u_set and
+    move_log.
     """
 
-    __slots__ = ("tree", "filtration", "u_set", "move_log", "w_set", "_adj", "_paths", "_reached", "_problematic")
+    __slots__ = ("tree", "filtration", "u_set", "move_log", "w_set", "_adj", "_paths", "_problematic")
 
     def __init__(
         self, tree: GGraph, filtration: Filtration, u_set: frozenset[int], move_log: tuple[Move, ...] = ()
@@ -78,7 +75,6 @@ class RetractState:
         set_field(self, "w_set", frozenset(range(tree.n_vertices)) - u_set)
         set_field(self, "_adj", tree.adjacency())
         set_field(self, "_paths", {})
-        set_field(self, "_reached", {})  # w -> the vertices its search reached
         set_field(self, "_problematic", None)
 
     def __setattr__(self, name, value):
@@ -111,34 +107,14 @@ class RetractState:
         return self.tree.vertices.stabilizers()[v]
 
     def with_tree(self, tree: GGraph, new_moves: Iterable[Move]) -> "RetractState":
-        """The snapshot of tree, a version of self.tree, after new_moves.
-
-        Over the same vertex G-set and edge indices, it keeps the searches
-        that reached no vertex whose adjacency row differs, that is no old
-        or new endpoint of an edge whose incidence changed.
-        """
-        state = RetractState(tree, self.filtration, self.u_set, self.move_log + tuple(new_moves))
-        old = self.tree
-        if tree.vertices is old.vertices and tree.n_edges == old.n_edges:
-            ends = zip(old.iota, old.tau, tree.iota, tree.tau)
-            touched = {v for a, b, c, d in ends if a != c or b != d for v in (a, b, c, d)}
-            for w, reached in self._reached.items():
-                if touched.isdisjoint(reached):
-                    state._paths[w] = self._paths[w]
-                    state._reached[w] = reached
-        return state
+        return RetractState(tree, self.filtration, self.u_set, self.move_log + tuple(new_moves))
 
 
 def make_state(tree: GGraph, u_set: Iterable[int], filtration: Optional[Filtration] = None) -> RetractState:
     u = frozenset(u_set)
-    # held until the snapshot holds it, so build_filtration and the snapshot
-    # share one adjacency (GGraph.adjacency)
-    adj = tree.adjacency()
     if filtration is None:
         filtration = build_filtration(tree, u)
-    state = RetractState(tree, filtration, u)
-    del adj
-    return state
+    return RetractState(tree, filtration, u)
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +252,13 @@ def check_filtration(state: RetractState) -> list[str]:
     nv, ne = tree.n_vertices, tree.n_edges
 
     # degrees must be constant on orbits (action-closed level sets; also (3)):
-    # each generator row, read through the degrees, must give the degrees
-    # back; a point is reported once per generator that moves its degree
+    # a point is reported once per generator that moves its degree
     for kind, deg, gset in (("vertex", filt.vdeg, tree.vertices), ("edge", filt.edeg, tree.edges)):
-        moved = [[deg[q] for q in gset.act[g]] for g in tree.group.generators]
-        if any(row != list(deg) for row in moved):
-            for p in range(gset.size):
-                for row in moved:
-                    if row[p] != deg[p]:
-                        problems.append(f"(1) {kind} degree not constant on the orbit of {p}")
+        rows = [gset.act[g] for g in tree.group.generators]
+        for p in range(gset.size):
+            for row in rows:
+                if deg[row[p]] != deg[p]:
+                    problems.append(f"(1) {kind} degree not constant on the orbit of {p}")
 
     # (1) every initial segment is a subforest with both endpoints present
     vdeg, edeg = filt.vdeg, filt.edeg
@@ -339,8 +313,7 @@ def paths_P(state: RetractState, w: int) -> list[GPath]:
     inside the window; the rest of the graph plays no part.
 
     The search runs once per snapshot and vertex: the list is kept on the
-    state, with the vertices the search reached (see with_tree), and every
-    caller gets that same list, so none may change it.
+    state, and every caller gets that same list, so none may change it.
     """
     memo = state._paths
     if w in memo:
@@ -354,7 +327,6 @@ def paths_P(state: RetractState, w: int) -> list[GPath]:
     out = [path_to(parent, v) for v in parent if vdeg[v] < dw]
     out.sort(key=lambda p: (len(p.steps), p.steps))
     memo[w] = out
-    state._reached[w] = parent.keys()
     return out
 
 

@@ -81,6 +81,23 @@ def test_build_filtration_equivariant_instance():
     assert filt.edeg[1] == filt.edeg[2]
 
 
+def test_check_filtration_reports_degrees_that_vary_on_an_orbit():
+    # raise one arm of the mirror tree a level: each point of the swapped
+    # vertex and edge orbits is reported, in point order
+    t = z2_mirror_tree()
+    filt = build_filtration(t, {0})
+    vdeg, edeg = list(filt.vdeg), list(filt.edeg)
+    vdeg[2] += 1
+    edeg[1] += 1
+    uneven = rt.Filtration(tuple(vdeg), tuple(edeg), filt.kappa + 1)
+    assert check_filtration(make_state(t, {0}, uneven)) == [
+        "(1) vertex degree not constant on the orbit of 2",
+        "(1) vertex degree not constant on the orbit of 3",
+        "(1) edge degree not constant on the orbit of 1",
+        "(1) edge degree not constant on the orbit of 2",
+    ]
+
+
 def test_paths_P_single_edge():
     t = single_edge()
     state = make_state(t, {0})
