@@ -129,32 +129,16 @@ def documented_mutations(data: Optional[ExampleData] = None) -> dict[str, Exampl
 # ---------------------------------------------------------------------------
 
 
-class Check:
+class Check(NamedTuple):
     """One verified fact: what was expected at depth n, what was computed,
     and whether they agree."""
 
-    __slots__ = ("name", "n", "expected", "computed", "passed", "note")
-
-    def __init__(self, name: str, n: Optional[int], expected: object, computed: object, passed: bool, note: str = ""):
-        self.name = name
-        self.n = n
-        self.expected = expected
-        self.computed = computed
-        self.passed = passed
-        self.note = note
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.n, self.expected, self.computed, self.passed, self.note) == (
-            other.name, other.n, other.expected, other.computed, other.passed, other.note
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"Check(name={self.name!r}, n={self.n!r}, expected={self.expected!r}, "
-            f"computed={self.computed!r}, passed={self.passed!r}, note={self.note!r})"
-        )
+    name: str
+    n: Optional[int]
+    expected: object
+    computed: object
+    passed: bool
+    note: str = ""
 
     def to_dict(self) -> dict:
         return {

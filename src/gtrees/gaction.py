@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
+from ._frozen import Frozen
 from .errors import InputError, PreconditionError, int_, int_list, int_rows, label_list, obj
 
 #: most points of a G-set read from JSON: a G-set stores one permutation of
@@ -20,19 +21,20 @@ MAX_GROUP_ORDER = 5040
 MAX_CLOSURE_ENTRIES = MAX_GROUP_ORDER * MAX_GROUP_ORDER
 
 
-class FiniteGroup:
+class FiniteGroup(Frozen):
     """A finite group given by its full multiplication table over element indices.
 
     A table from outside enters through from_mult_table, which checks the
     group laws.  The constructors that compose the table themselves
     (from_generator_permutations, cyclic, dihedral, symmetric,
     direct_product) build a group by construction and only derive its
-    inverses and generator words.  The fields are read-only; equality and
-    hashing see mult, identity and generators, not the derived inverse and
-    gen_words.
+    inverses and generator words.  Equality and hashing ignore the derived
+    inverse and gen_words.
     """
 
-    __slots__ = ("mult", "identity", "generators", "inverse", "gen_words")
+    _fields = ("mult", "identity", "generators", "inverse", "gen_words")
+    _key = ("mult", "identity", "generators")
+    __slots__ = _fields
 
     def __init__(
         self,
@@ -42,36 +44,7 @@ class FiniteGroup:
         inverse: tuple[int, ...] = (),
         gen_words: tuple[tuple[int, ...], ...] = (),
     ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "mult", mult)
-        set_field(self, "identity", identity)
-        set_field(self, "generators", generators)
-        set_field(self, "inverse", inverse)
-        set_field(self, "gen_words", gen_words)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which __setattr__ leaves as the only writer
-        return (FiniteGroup, (self.mult, self.identity, self.generators, self.inverse, self.gen_words))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.mult, self.identity, self.generators) == (other.mult, other.identity, other.generators)
-
-    def __hash__(self) -> int:
-        return hash((self.mult, self.identity, self.generators))
-
-    def __repr__(self) -> str:
-        return (
-            f"FiniteGroup(mult={self.mult!r}, identity={self.identity!r}, generators={self.generators!r}, "
-            f"inverse={self.inverse!r}, gen_words={self.gen_words!r})"
-        )
+        super().__init__(mult, identity, generators, inverse, gen_words)
 
     @property
     def order(self) -> int:
@@ -218,57 +191,35 @@ class FiniteGroup:
         return self.mult[self.mult[self.inverse[g]][h]][g]
 
 
-class GSet:
+class GSet(Frozen):
     """A finite set with a left action of a FiniteGroup, one permutation per element.
 
     build and from_generator_images (and so trivial_action and regular)
     check the action laws with validate; restrict derives its table from a
     validated G-set without checking again.  A direct GSet(...) expects a
-    table that is already valid.  The fields are read-only.
+    table that is already valid.
 
     Three tables are built on first use and kept: every point's stabilizer
     (stabilizers), every point's orbit number (orbit_ids) and the JSON text
     of the labels' reprs (_label_json).  No per-orbit object is kept;
     orbits() rebuilds the member sets from the numbers.  Equality and
-    hashing see group, act and labels, not the tables.
+    hashing ignore the tables.
     """
 
-    __slots__ = ("group", "act", "labels", "_stabs", "_orbit_ids", "_label_text")
+    _fields = ("group", "act", "labels")
+    __slots__ = _fields + ("_stabs", "_orbit_ids", "_label_text")
 
     def __init__(
         self, group: FiniteGroup, act: tuple[tuple[int, ...], ...], labels: tuple[Hashable, ...]
     ) -> None:
+        super().__init__(group, act, labels)
         set_field = object.__setattr__
-        set_field(self, "group", group)
-        set_field(self, "act", act)
-        set_field(self, "labels", labels)
         # every point's stabilizer, filled on the first stabilizer query
         set_field(self, "_stabs", None)
         # every point's orbit number, filled on the first orbit_ids query
         set_field(self, "_orbit_ids", None)
         # the labels' JSON text, filled on the first _label_json query
         set_field(self, "_label_text", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which __setattr__ leaves as the only writer
-        return (GSet, (self.group, self.act, self.labels))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.group, self.act, self.labels) == (other.group, other.act, other.labels)
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.act, self.labels))
-
-    def __repr__(self) -> str:
-        return f"GSet(group={self.group!r}, act={self.act!r}, labels={self.labels!r})"
 
     @property
     def size(self) -> int:
@@ -464,21 +415,6 @@ def is_subgroup(group: FiniteGroup, elements: Iterable[int]) -> bool:
     return all(group.mult[a][b] in ss for a in ss for b in ss) and all(
         group.inverse[a] in ss for a in ss
     )
-
-
-def subgroup_closure(group: FiniteGroup, elements: Iterable[int]) -> frozenset[int]:
-    ss = {group.identity} | set(elements)
-    frontier = list(ss)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(ss):
-                for c in (group.mult[a][b], group.mult[b][a], group.inverse[a]):
-                    if c not in ss:
-                        ss.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return frozenset(ss)
 
 
 def conjugate_subgroup(group: FiniteGroup, h: Iterable[int], g: int) -> frozenset[int]:

@@ -22,6 +22,7 @@ import json
 from collections import deque
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
+from ._frozen import Frozen
 from .errors import InputError, PreconditionError, int_list, obj
 from .gaction import FiniteGroup, GSet, group_from_json, group_to_json, gset_from_rows, non_equivariant
 from .unionfind import UnionFind
@@ -30,15 +31,15 @@ from .unionfind import UnionFind
 Adjacency = list[list[tuple[int, int, int]]]
 
 
-class GGraph:
-    """Vertex and edge G-sets with the incidence maps iota and tau; the
-    fields are read-only.
+class GGraph(Frozen):
+    """Vertex and edge G-sets with the incidence maps iota and tau.
 
     _is_tree holds the G-tree verdict once it is known (see the module
-    docstring).  Equality and hashing see the four fields only.
+    docstring).  Equality and hashing ignore it.
     """
 
-    __slots__ = ("vertices", "edges", "iota", "tau", "_is_tree")
+    _fields = ("vertices", "edges", "iota", "tau")
+    __slots__ = _fields + ("_is_tree",)
 
     def __init__(self, vertices: GSet, edges: GSet, iota: tuple[int, ...], tau: tuple[int, ...]) -> None:
         if vertices.group != edges.group:
@@ -49,33 +50,8 @@ class GGraph:
         ends = iota + tau
         if ends and not (0 <= min(ends) and max(ends) < vertices.size):
             raise InputError("incidence map hits a missing vertex")
-        set_field = object.__setattr__
-        set_field(self, "vertices", vertices)
-        set_field(self, "edges", edges)
-        set_field(self, "iota", iota)
-        set_field(self, "tau", tau)
-        set_field(self, "_is_tree", False)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which __setattr__ leaves as the only writer
-        return (GGraph, (self.vertices, self.edges, self.iota, self.tau))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertices, self.edges, self.iota, self.tau) == (other.vertices, other.edges, other.iota, other.tau)
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.edges, self.iota, self.tau))
-
-    def __repr__(self) -> str:
-        return f"GGraph(vertices={self.vertices!r}, edges={self.edges!r}, iota={self.iota!r}, tau={self.tau!r})"
+        super().__init__(vertices, edges, iota, tau)
+        object.__setattr__(self, "_is_tree", False)
 
     @property
     def group(self) -> FiniteGroup:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
+from ._frozen import Frozen
 from .errors import InternalCheckError, PreconditionError
 from .ggraph import (
     GGraph,
@@ -46,7 +47,7 @@ class Move(NamedTuple):
     post: str
 
 
-class RetractState:
+class RetractState(Frozen):
     """Immutable snapshot of the pipeline: tree + filtration + move history.
 
     Each snapshot builds its tree's adjacency and the outside set w_set
@@ -57,51 +58,22 @@ class RetractState:
     step.  A reorientation changes only the signs of the flipped edges on
     those paths, so compress_to_U reads the snapshot it is given (see
     there) and makes none.  Every tree version shares the input's vertex
-    G-set, so its stabilizer table is read from the tree.  The fields are
-    read-only; equality and hashing see tree, filtration, u_set and
-    move_log.
+    G-set, so its stabilizer table is read from the tree.  Equality and
+    hashing ignore w_set and the kept adjacency, paths and problematic sets.
     """
 
-    __slots__ = ("tree", "filtration", "u_set", "move_log", "w_set", "_adj", "_paths", "_problematic")
+    _fields = ("tree", "filtration", "u_set", "move_log")
+    __slots__ = _fields + ("w_set", "_adj", "_paths", "_problematic")
 
     def __init__(
         self, tree: GGraph, filtration: Filtration, u_set: frozenset[int], move_log: tuple[Move, ...] = ()
     ) -> None:
+        super().__init__(tree, filtration, u_set, move_log)
         set_field = object.__setattr__
-        set_field(self, "tree", tree)
-        set_field(self, "filtration", filtration)
-        set_field(self, "u_set", u_set)
-        set_field(self, "move_log", move_log)
         set_field(self, "w_set", frozenset(range(tree.n_vertices)) - u_set)
         set_field(self, "_adj", tree.adjacency())
         set_field(self, "_paths", {})
         set_field(self, "_problematic", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which __setattr__ leaves as the only writer
-        return (RetractState, (self.tree, self.filtration, self.u_set, self.move_log))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.tree, self.filtration, self.u_set, self.move_log) == (
-            other.tree, other.filtration, other.u_set, other.move_log
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.tree, self.filtration, self.u_set, self.move_log))
-
-    def __repr__(self) -> str:
-        return (
-            f"RetractState(tree={self.tree!r}, filtration={self.filtration!r}, "
-            f"u_set={self.u_set!r}, move_log={self.move_log!r})"
-        )
 
     def vstab(self, v: int) -> frozenset[int]:
         return self.tree.vertices.stabilizers()[v]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from ._frozen import Frozen
 from .errors import AlphabetMismatch, InputError
 
 Letter = tuple[int, int]  # (generator index, sign in {+1, -1})
@@ -25,11 +26,11 @@ Syllable = tuple[int, int]  # (generator index, nonzero exponent)
 _FORBIDDEN_IN_NAMES = set("^-,*() \t\n") | set("0123456789")
 
 
-class Alphabet:
-    """Generator names of a free group; equality is structural, and the
-    names are read-only."""
+class Alphabet(Frozen):
+    """Generator names of a free group."""
 
-    __slots__ = ("names",)
+    _fields = ("names",)
+    __slots__ = _fields
 
     def __init__(self, names: tuple[str, ...]) -> None:
         if len(names) < 1:
@@ -39,28 +40,7 @@ class Alphabet:
         for nm in names:
             if not nm or any(c in _FORBIDDEN_IN_NAMES for c in nm):
                 raise InputError(f"unusable generator name: {nm!r}")
-        object.__setattr__(self, "names", names)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which __setattr__ leaves as the only writer
-        return (Alphabet, (self.names,))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.names == other.names
-
-    def __hash__(self) -> int:
-        return hash((self.names,))
-
-    def __repr__(self) -> str:
-        return f"Alphabet(names={self.names!r})"
+        super().__init__(names)
 
     @classmethod
     def of(cls, *names: str) -> "Alphabet":

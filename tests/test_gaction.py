@@ -21,7 +21,6 @@ from gtrees.gaction import (
     is_subgroup,
     non_equivariant,
     retraction_map,
-    subgroup_closure,
 )
 
 
@@ -135,9 +134,20 @@ def test_retraction_is_equivariant_exhaustively():
             assert r[s.act[g][p]] == s.act[g][r[p]]
 
 
+def powers(grp, g):
+    """The subgroup of the powers of g."""
+    h, x = {grp.identity}, g
+    while x not in h:
+        h.add(x)
+        x = grp.mult[x][g]
+    return frozenset(h)
+
+
 def test_subgroup_helpers():
     grp = FiniteGroup.symmetric(3)
-    h = subgroup_closure(grp, [grp.generators[0]])
+    # the generators swap points 0, 1 and points 1, 2: point 2's stabilizer is the first one's powers
+    h = GSet.from_generator_images(grp, 3, [[1, 0, 2], [0, 2, 1]]).stabilizer(2)
+    assert h == powers(grp, grp.generators[0])
     assert is_subgroup(grp, h)
     assert len(h) == 2
     g = grp.generators[1]
@@ -146,12 +156,12 @@ def test_subgroup_helpers():
 
 def test_conjugate_incomparable_always_true_for_finite():
     grp = FiniteGroup.symmetric(3)
-    subs = [frozenset({grp.identity}), subgroup_closure(grp, [grp.generators[0]]), frozenset(grp.elements)]
+    subs = [frozenset({grp.identity}), powers(grp, grp.generators[0]), frozenset(grp.elements)]
     for h in subs:
         assert is_conjugate_incomparable(grp, h)
     d4 = FiniteGroup.dihedral(4)
     for g in d4.elements:
-        assert is_conjugate_incomparable(d4, subgroup_closure(d4, [g]))
+        assert is_conjugate_incomparable(d4, powers(d4, g))
 
 
 def test_json_round_trip():

@@ -73,7 +73,7 @@ def test_bare_import_loads_no_submodule(tmp_path):
 
 def test_stallings_commands_load_no_gtree_code(tmp_path):
     loaded = loaded_submodules(run_cli(["stallings", "member", "x^2,y^2", "xy"]), tmp_path)
-    assert loaded == {"cli", "errors", "words", "stallings", "unionfind"}
+    assert loaded == {"cli", "errors", "_frozen", "words", "stallings", "unionfind"}
 
 
 def test_counterexample_verify_loads_no_gtree_code(tmp_path):

@@ -1,18 +1,20 @@
 """The value types' contract: read-only fields, which fields equality and
-hashing see, the `Name(field=...)` repr of the records, and the documented
-mutants of the example fixture."""
+hashing see, the `Name(field=...)` repr of the records and the read-only
+classes, and the documented mutants of the example fixture."""
 
 import copy
 import hashlib
+import inspect
 import json
 import pickle
 
 import pytest
 
-from gtrees.counterexample import default_data, documented_mutations
+from gtrees._frozen import Frozen
+from gtrees.counterexample import Check, default_data, documented_mutations
 from gtrees.gaction import FiniteGroup, GSet
-from gtrees.ggraph import GPath, GGraph, tree_with_trivial_group
-from gtrees.retract import Filtration, Move, make_state
+from gtrees.ggraph import GPath, GGraph, _mark_tree, tree_with_trivial_group
+from gtrees.retract import Filtration, Move, make_state, problematic
 from gtrees.words import XY, Alphabet, parse_word
 
 # sha256 of the six mutants' to_json() documents, keyed by mutant name
@@ -49,6 +51,15 @@ def test_assigning_a_field_raises_attribute_error(index):
 
 
 @pytest.mark.parametrize("index", range(len(frozen_cases())))
+def test_deleting_a_field_raises_attribute_error(index):
+    value, name, _ = frozen_cases()[index]
+    before = getattr(value, name)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert getattr(value, name) == before
+
+
+@pytest.mark.parametrize("index", range(len(frozen_cases())))
 def test_read_only_values_copy_and_pickle(index):
     value = frozen_cases()[index][0]
     for clone in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
@@ -78,6 +89,29 @@ def test_gset_equality_ignores_caches_filled_on_one_side():
     assert GSet(group, filled.act, tuple(range(1, group.order + 1))) != filled
 
 
+def test_ggraph_equality_ignores_the_tree_verdict():
+    marked = _mark_tree(path_tree())
+    clone = copy.copy(marked)
+    assert marked._is_tree and not clone._is_tree
+    assert marked == clone and hash(marked) == hash(clone)
+
+
+def test_retract_state_equality_ignores_kept_searches():
+    swept = make_state(path_tree(), [0])
+    problematic(swept)
+    fresh = make_state(path_tree(), [0])
+    assert swept._paths and swept._problematic is not None
+    assert not fresh._paths and fresh._problematic is None
+    assert swept == fresh and hash(swept) == hash(fresh)
+
+
+def test_every_frozen_class_lists_its_constructor_arguments():
+    classes = Frozen.__subclasses__()
+    assert {cls.__name__ for cls in classes} == {"Alphabet", "FiniteGroup", "GSet", "GGraph", "RetractState"}
+    for cls in classes:
+        assert list(cls._fields) == list(inspect.signature(cls.__init__).parameters)[1:], cls.__name__
+
+
 def test_equal_alphabets_hash_equal():
     a, b = Alphabet.of("x", "y"), Alphabet(("x", "y"))
     assert a is not b and a == b and hash(a) == hash(b)
@@ -87,6 +121,28 @@ def test_equal_alphabets_hash_equal():
 def test_record_reprs_name_their_fields():
     assert repr(GPath((0, 1), ((0, 1),))) == "GPath(vertices=(0, 1), steps=((0, 1),))"
     assert repr(Move("slide", {"e": 0}, "a", "b")) == "Move(kind='slide', detail={'e': 0}, pre='a', post='b')"
+
+
+def test_read_only_value_reprs_name_their_fields():
+    trivial = "FiniteGroup(mult=((0,),), identity=0, generators=(0,), inverse=(0,), gen_words=((),))"
+    vertices = f"GSet(group={trivial}, act=((0, 1),), labels=(0, 1))"
+    edges = f"GSet(group={trivial}, act=((0,),), labels=(0,))"
+    tree = f"GGraph(vertices={vertices}, edges={edges}, iota=(0,), tau=(1,))"
+    edge = tree_with_trivial_group([(0, 1)])
+    assert repr(Alphabet.of("x", "y")) == "Alphabet(names=('x', 'y'))"
+    assert repr(FiniteGroup.trivial()) == trivial
+    assert repr(edge.vertices) == vertices and repr(edge.edges) == edges
+    assert repr(edge) == tree
+    assert repr(make_state(edge, [0])) == (
+        f"RetractState(tree={tree}, filtration=Filtration(vdeg=(0, 1), edeg=(1,), kappa=2), "
+        "u_set=frozenset({0}), move_log=())"
+    )
+
+
+def test_a_check_equals_the_tuple_of_its_fields():
+    check = Check("wordlength", 0, 3, 3, True)
+    assert check == ("wordlength", 0, 3, 3, True, "")
+    assert repr(check) == "Check(name='wordlength', n=0, expected=3, computed=3, passed=True, note='')"
 
 
 def test_documented_mutations_are_pinned():
