@@ -18,9 +18,7 @@ start.  The public validate recomputes on every call.
 
 from __future__ import annotations
 
-import json
-from collections import deque
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ._frozen import Frozen
 from .errors import InputError, PreconditionError, int_list, obj
@@ -48,6 +46,8 @@ class GGraph(Frozen):
         if len(iota) != ne or len(tau) != ne:
             raise InputError("iota/tau must assign a vertex to every edge")
         ends = iota + tau
+        if not set(map(type, ends)) <= {int}:
+            raise InputError("iota/tau entries must be plain ints")
         if ends and not (0 <= min(ends) and max(ends) < vertices.size):
             raise InputError("incidence map hits a missing vertex")
         super().__init__(vertices, edges, iota, tau)
@@ -88,13 +88,14 @@ class GGraph(Frozen):
         """The first 16 hex digits of the sha256 of json.dumps(doc,
         sort_keys=True), doc holding nv, ne, iota, tau and the reprs of the
         vertex and edge labels (vlabels, elabels).  The text is assembled in
-        that key order from each G-set's _label_json, built once per G-set."""
+        that key order from each G-set's _label_json, built once per G-set,
+        and from the list str of iota and tau, plain ints (see __init__)."""
         import hashlib  # on the first digest, so a command that takes none never loads it
 
         text = (
-            f'{{"elabels": {self.edges._label_json()}, "iota": {json.dumps(self.iota)}, '
+            f'{{"elabels": {self.edges._label_json()}, "iota": {list(self.iota)}, '
             f'"ne": {self.n_edges}, "nv": {self.n_vertices}, '
-            f'"tau": {json.dumps(self.tau)}, "vlabels": {self.vertices._label_json()}}}'
+            f'"tau": {list(self.tau)}, "vlabels": {self.vertices._label_json()}}}'
         )
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -303,29 +304,22 @@ def subdivide(t: GGraph, f: int) -> SubdivideResult:
     )
 
 
-def bfs_parents(
-    adj: Adjacency,
-    root: int,
-    crossable: Optional[Callable[[int, int], bool]] = None,
-    stop: Optional[int] = None,
-) -> dict[int, tuple[int, int, int]]:
+def bfs_parents(adj: Adjacency, root: int, stop: Optional[int] = None) -> dict[int, tuple[int, int, int]]:
     """Breadth-first search from root over an adjacency from GGraph.adjacency.
 
     Maps every reached vertex, in the order reached, to (previous vertex,
-    eps, edge); the root maps to (-1, 0, -1).  Only entries (e, eps, other)
-    with crossable(e, other) are followed, and the search ends once the
+    eps, edge); the root maps to (-1, 0, -1).  The search ends once the
     vertex stop leaves the queue.
     """
     parent: dict[int, tuple[int, int, int]] = {root: (-1, 0, -1)}
-    queue = deque((root,))
-    while queue:
-        v = queue.popleft()
+    reached = [root]
+    for v in reached:
         if v == stop:
             break
         for e, eps, other in adj[v]:
-            if other not in parent and (crossable is None or crossable(e, other)):
+            if other not in parent:
                 parent[other] = (v, eps, e)
-                queue.append(other)
+                reached.append(other)
     return parent
 
 
@@ -340,32 +334,6 @@ def path_to(parent: dict[int, tuple[int, int, int]], v: int) -> GPath:
         prev, eps, e = parent[prev]
     verts.reverse()
     steps.reverse()
-    return GPath(tuple(verts), tuple(steps))
-
-
-def rooted_path(parent: dict[int, tuple[int, int, int]], depth: Sequence[int], a: int, b: int) -> GPath:
-    """The path from a to b in a tree, read from a bfs_parents search over
-    the whole tree and each vertex's depth in it.
-
-    Both ends climb towards the root until they meet at their lowest common
-    ancestor, so the cost is the path's length, and no call recurses.  In a
-    tree this is the path that path_to(bfs_parents(adj, a, stop=b), b) gives:
-    a climbing step crosses its edge against the search, so its eps is the
-    negated one of the parent entry.
-    """
-    verts, steps = [a], []
-    back_verts, back_steps = [b], []
-    while a != b:
-        if depth[a] >= depth[b]:
-            a, eps, e = parent[a]
-            verts.append(a)
-            steps.append((e, -eps))
-        else:
-            b, eps, e = parent[b]
-            back_verts.append(b)
-            back_steps.append((e, eps))
-    verts += reversed(back_verts[:-1])
-    steps += reversed(back_steps)
     return GPath(tuple(verts), tuple(steps))
 
 

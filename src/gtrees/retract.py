@@ -25,7 +25,6 @@ from .ggraph import (
     compress,
     path_to,
     reorient,
-    rooted_path,
     slide,
     validate,
 )
@@ -120,8 +119,8 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
     bucket per stage, so each entry is lowered as a bucket joins, and a
     stabilizer met for the first time scans the candidates once.  Orbits are
     read from the G-sets' orbit numbers.  The tree is rooted once at vertex
-    0, and each geodesic is read by walking its two ends up to their lowest
-    common ancestor (rooted_path), in time proportional to its length.
+    0, keeping each vertex's depth and (parent, edge), and each geodesic is
+    walked only up to its cut, its first vertex below alpha (_cut_orbits).
     """
     u = frozenset(u_set)
     _retract_precheck(tree, u)
@@ -131,11 +130,12 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
     edge_members: list[list[int]] = [[] for _ in range(max(eorb, default=-1) + 1)]
     for e, k in enumerate(eorb):
         edge_members[k].append(e)
-    parent = bfs_parents(tree.adjacency(), 0)
     depth = [0] * nv
-    for v, (prev, _, _) in parent.items():
+    up = [(-1, -1)] * nv  # vertex -> (parent, edge to it) in the rooted tree
+    for v, (prev, _, e) in bfs_parents(tree.adjacency(), 0).items():
         if prev != -1:
             depth[v] = depth[prev] + 1
+            up[v] = (prev, e)
     edge_level = [-1] * ne
     vertex_level = [-1] * nv
     for v in u:
@@ -192,10 +192,7 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
                 if target is None:
                     raise InternalCheckError("no placed vertex absorbs the stabilizer of a placed vertex")
                 target_of[sw] = target
-            path = rooted_path(parent, depth, w, target)
-            cut = next(i for i in range(1, len(path.vertices)) if 0 <= vertex_level[path.vertices[i]] < alpha)
-            for e, _ in path.steps[:cut]:
-                collected.add(eorb[e])
+            collected.update(_cut_orbits(up, depth, vertex_level, alpha, eorb, w, target))
         # an orbit is placed whole, so its first member tells whether it is fresh
         fresh = sorted(e for k in collected if edge_level[edge_members[k][0]] < 0 for e in edge_members[k])
         if fresh:
@@ -205,6 +202,32 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
 
     kappa = 1 + max(edge_level, default=0)
     return Filtration(tuple(vertex_level), tuple(edge_level), kappa)
+
+
+def _cut_orbits(
+    up: list[tuple[int, int]], depth: list[int], level: list[int], alpha: int, eorb: tuple[int, ...], w: int, target: int
+) -> list[int]:
+    """The edge orbits that the geodesic from w to target crosses, in path
+    order, up to its first vertex at a level below alpha (target is one).
+    Both ends climb the rooted tree (up, depth) until they meet: w's side
+    comes first, so it is read as it climbs and stops at the cut; target's
+    side is climbed into a list and read back from the meeting vertex."""
+    orbits, back = [], []  # back: target's side, climbed from target
+    a, b = w, target
+    while a != b:
+        if depth[a] >= depth[b]:
+            a, e = up[a]
+            orbits.append(eorb[e])
+            if 0 <= level[a] < alpha:
+                return orbits
+        else:
+            back.append(b)
+            b = up[b][0]
+    for v in reversed(back):
+        orbits.append(eorb[up[v][1]])
+        if 0 <= level[v] < alpha:
+            break
+    return orbits
 
 
 def check_filtration(state: RetractState) -> list[str]:
@@ -269,16 +292,30 @@ def check_filtration(state: RetractState) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def _window_search(state: RetractState, w: int) -> dict[int, tuple[int, int, int]]:
+    """bfs_parents from w, crossing only the window edges into vertices z
+    with stab(w) <= stab(z) (see paths_P)."""
+    filt, vstab, adj = state.filtration, state.tree.vertices.stabilizers(), state._adj
+    edeg, lo, sw = filt.edeg, filt.vdeg[w], vstab[w]
+    parent, reached = {w: (-1, 0, -1)}, [w]
+    for v in reached:
+        for e, eps, z in adj[v]:
+            if z not in parent and lo <= edeg[e] <= lo + 1 and sw <= vstab[z]:
+                parent[z] = (v, eps, e)
+                reached.append(z)
+    return parent
+
+
 def paths_P(state: RetractState, w: int) -> list[GPath]:
     """All reduced paths from w whose pointwise stabilizer equals stab(w),
     which end strictly below deg(w), and whose edges stay in the window
     {deg(w), deg(w)+1}.  Sorted by (length, steps).
 
-    The search only crosses window edges into vertices z with
-    stab(w) <= stab(z).  In a tree the path to each vertex is unique, and
-    both conditions hold for a path exactly when they hold for each of its
-    prefixes, so this reaches precisely the endpoints of qualifying paths,
-    along those paths, without visiting the rest of the tree.
+    The search (_window_search) only crosses window edges into vertices z
+    with stab(w) <= stab(z).  In a tree the path to each vertex is unique,
+    and both conditions hold for a path exactly when they hold for each of
+    its prefixes, so this reaches precisely the endpoints of qualifying
+    paths, along those paths, without visiting the rest of the tree.
 
     The input is meant to be a tree.  On a graph with a cycle, each vertex
     the windowed search reaches gets one path, its first shortest path
@@ -292,12 +329,11 @@ def paths_P(state: RetractState, w: int) -> list[GPath]:
         return memo[w]
     if w in state.u_set:
         raise PreconditionError("descent paths are defined for outside vertices only")
-    vdeg, edeg, vstab = state.filtration.vdeg, state.filtration.edeg, state.tree.vertices.stabilizers()
-    dw = vdeg[w]
-    window, sw = (dw, dw + 1), vstab[w]
-    parent = bfs_parents(state._adj, w, lambda e, z: edeg[e] in window and sw <= vstab[z])
+    vdeg = state.filtration.vdeg
+    parent, dw = _window_search(state, w), vdeg[w]
     out = [path_to(parent, v) for v in parent if vdeg[v] < dw]
-    out.sort(key=lambda p: (len(p.steps), p.steps))
+    if len(out) > 1:
+        out.sort(key=lambda p: (len(p.steps), p.steps))
     memo[w] = out
     return out
 

@@ -10,7 +10,10 @@ differential test oracles:
   buckets and its lowest target per stabilizer);
 - the distinguished edges of `compress_to_U` by translating each chosen edge
   by every group element (the form before `_distinguished_edges` walked
-  each orbit by the generator rows).
+  each orbit by the generator rows);
+- the whole geodesic between two vertices of a rooted tree (`rooted_path`,
+  the form before `build_filtration` walked each geodesic only up to its cut
+  in `_cut_orbits`).
 
 The retract criterion `gtrees.gaction.is_retract` has its oracle in the
 library: `retraction_map`, which builds the map it asserts.
@@ -31,6 +34,32 @@ def oracle_stabilizer(s, p):
     if not 0 <= p < s.size:
         raise PreconditionError(f"point {p} outside the carrier")
     return frozenset(g for g in s.group.elements if s.act[g][p] == p)
+
+
+def rooted_path(parent, depth, a, b):
+    """The path from a to b in a tree, read from a bfs_parents search over
+    the whole tree and each vertex's depth in it.
+
+    Both ends climb towards the root until they meet at their lowest common
+    ancestor, so the cost is the path's length, and no call recurses.  In a
+    tree this is the path that path_to(bfs_parents(adj, a, stop=b), b) gives:
+    a climbing step crosses its edge against the search, so its eps is the
+    negated one of the parent entry.
+    """
+    verts, steps = [a], []
+    back_verts, back_steps = [b], []
+    while a != b:
+        if depth[a] >= depth[b]:
+            a, eps, e = parent[a]
+            verts.append(a)
+            steps.append((e, -eps))
+        else:
+            b, eps, e = parent[b]
+            back_verts.append(b)
+            back_steps.append((e, eps))
+    verts += reversed(back_verts[:-1])
+    steps += reversed(back_steps)
+    return GPath(tuple(verts), tuple(steps))
 
 
 def oracle_build_filtration(tree, u_set):

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from instgen import random_instance
+from retract_oracle import rooted_path
 
 import gtrees.ggraph as gg
-from gtrees.errors import PreconditionError
+from gtrees.errors import InputError, PreconditionError
 from gtrees.gaction import FiniteGroup, GSet
 from gtrees.ggraph import (
     GGraph,
@@ -19,7 +20,6 @@ from gtrees.ggraph import (
     ggraph_to_json,
     path_to,
     reorient,
-    rooted_path,
     slide,
     subdivide,
     tree_with_trivial_group,
@@ -342,6 +342,22 @@ def test_state_digest_matches_the_json_document_oracle():
     for _ in range(20):
         t, _ = random_instance(rng, max_vertices=40)
         assert t.state_digest() == _oracle_digest(t)
+
+
+def test_incidence_entries_must_be_plain_ints():
+    # state_digest writes iota and tau as their list str, which is their
+    # JSON text only for plain ints: str(True) is "True", JSON's is "true"
+    class Vertex(int):
+        def __repr__(self):
+            return f"Vertex({int(self)})"
+
+    group = FiniteGroup.trivial()
+    vertices, edges = GSet.trivial_action(group, 3), GSet.trivial_action(group, 2)
+    for iota, tau in [((True, 1), (1, 2)), ((0, 1), (1, False)), ((0, Vertex(1)), (1, 2)), ((0, 1.0), (1, 2))]:
+        with pytest.raises(InputError, match="iota/tau entries must be plain ints"):
+            GGraph(vertices, edges, iota, tau)
+    t = GGraph(vertices, edges, (0, 1), (1, 2))
+    assert t.state_digest() == _oracle_digest(t)
 
 
 def test_validate_runs_its_union_find_on_every_call(monkeypatch):

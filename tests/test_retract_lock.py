@@ -22,6 +22,7 @@ from retract_oracle import (
     oracle_paths_P,
     oracle_problematic,
     oracle_stabilizer,
+    rooted_path,
 )
 
 import gtrees.gaction as ga
@@ -109,21 +110,19 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     count(gg, "validate", "move_validate")
     count(GGraph, "state_digest")
     count(rt, "build_filtration")
+    count(rt, "bfs_parents", "unwindowed_bfs")
 
     # keyed by id; `alive` keeps every keyed object alive, so no id is reused
     alive = []
     searches = Counter()
-    bfs = rt.bfs_parents
+    window_search = rt._window_search
 
-    def counted_bfs(adj, root, crossable=None, stop=None):
-        if crossable is not None:
-            alive.append(adj)
-            searches[id(adj), root] += 1
-        else:
-            calls["unwindowed_bfs"] += 1
-        return bfs(adj, root, crossable, stop)
+    def counted_search(state, w):
+        alive.append(state)
+        searches[id(state), w] += 1
+        return window_search(state, w)
 
-    monkeypatch.setattr(rt, "bfs_parents", counted_bfs)
+    monkeypatch.setattr(rt, "_window_search", counted_search)
     # per G-set: whether its stabilizers were asked for, and how often it
     # built its table; a G-set with no table fails the builds assertion
     queried, builds = set(), Counter()
@@ -422,6 +421,37 @@ def test_filtration_matches_rescanning_oracle_on_renumbered_trees(corpus):
     for t, u in corpus:
         t, u = _renumbered(t, u, rng)
         assert build_filtration(t, u) == oracle_build_filtration(t, u)
+
+
+def test_cut_walk_matches_the_whole_rooted_geodesic(corpus, monkeypatch):
+    # at every stage of build_filtration, on the corpus and renumbered, the
+    # walk gives the orbits of the whole geodesic (rooted_path, over the
+    # tree rooted at 0) read up to its first vertex below alpha; the cut
+    # lies on w's side, up to the meeting vertex, or on target's side
+    walk = rt._cut_orbits
+    rooted = {}
+    branches = Counter()
+
+    def checked(up, depth, vertex_level, alpha, eorb, w, target):
+        got = walk(up, depth, vertex_level, alpha, eorb, w, target)
+        parent, depths = rooted["tree"]
+        path = rooted_path(parent, depths, w, target)
+        cut = next(i for i in range(1, len(path.vertices)) if 0 <= vertex_level[path.vertices[i]] < alpha)
+        assert got == [eorb[e] for e, _ in path.steps[:cut]], (w, target, alpha)
+        meet = min(range(len(path.vertices)), key=lambda i: depths[path.vertices[i]])
+        branches["w side" if cut <= meet else "target side"] += 1
+        return got
+
+    monkeypatch.setattr(rt, "_cut_orbits", checked)
+    rng = random.Random(17)
+    for t, u in corpus + [_renumbered(t, u, rng) for t, u in corpus]:
+        parent = gg.bfs_parents(t.adjacency(), 0)
+        depths = [0] * t.n_vertices
+        for v, (prev, _, _) in parent.items():
+            depths[v] = 0 if prev == -1 else depths[prev] + 1
+        rooted["tree"] = parent, depths
+        build_filtration(t, u)
+    assert min(branches["w side"], branches["target side"]) > 100, branches
 
 
 def test_filtration_matches_rescanning_oracle_where_stabilizers_differ():
