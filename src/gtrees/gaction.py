@@ -398,6 +398,11 @@ class GSet(Frozen):
         pts = sorted(set(points))
         if not self.is_action_closed(pts):
             raise PreconditionError("subset is not action-closed")
+        return self._restricted(pts)
+
+    def _restricted(self, pts: Sequence[int]) -> "GSet":
+        """restrict to ascending, distinct points that the caller knows to
+        be action-closed."""
         renum = {p: i for i, p in enumerate(pts)}
         rows = [tuple([renum[row[p]] for p in pts]) for row in self.act]
         return GSet(self.group, tuple(rows), tuple([self.labels[p] for p in pts]))

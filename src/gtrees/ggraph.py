@@ -213,8 +213,10 @@ def compress(t: GGraph, eprime: Iterable[int]) -> CompressResult:
 
     phi = tuple([sink_of[comp_of[v]] for v in range(nv)])
     sinks = sorted(set(phi))
-    new_vertices = t.vertices.restrict(sinks)
-    new_edges = t.edges.restrict(keep)
+    # keep was checked above, and the sinks are phi's image, closed because
+    # phi is equivariant
+    new_vertices = t.vertices._restricted(sinks)
+    new_edges = t.edges._restricted(keep)
     vidx = {v: i for i, v in enumerate(sinks)}
     iota = tuple([vidx[phi[t.iota[e]]] for e in keep])
     tau = tuple([vidx[phi[t.tau[e]]] for e in keep])

@@ -9,7 +9,7 @@ import pytest
 
 import fold_oracle
 import words_oracle
-from gtrees.stallings import LabeledGraphBuilder, fold, from_generators
+from gtrees.stallings import CoreGraph, LabeledGraphBuilder, fold, from_generators
 from gtrees.words import XY, Alphabet, Word, parse_word
 
 XYZ = Alphabet.of("x", "y", "z")
@@ -68,7 +68,12 @@ def edge_builder(rng):
 
 def assert_same_core(got, want):
     assert (got.n_vertices, got.base, got.out, got.inn) == (want.n_vertices, want.base, want.out, want.inn)
-    assert got.core_vertices() == fold_oracle.core_vertices(want)
+    # fold's graphs read their core off the base's tail; the same rows
+    # without it take the general peel
+    assert got._tail is not None
+    rebuilt = CoreGraph(got.alphabet, got.base, got.out, got.inn)
+    assert got.core_vertices() == rebuilt.core_vertices() == fold_oracle.core_vertices(want)
+    assert rebuilt._tail is None
 
 
 @pytest.mark.parametrize("family", [power_family, proper_powers, random_words, duplicate_loops])
@@ -112,6 +117,9 @@ EDGE_CASES = [
     ("base on a tail of two edges", builder_with(XY, 3, 0, [(0, 0, 1), (1, 1, 2), (2, 0, 2)]), 3, {2}),
     ("base on a tail of three edges", builder_with(XYZ, 4, 0, [(0, 2, 1), (2, 1, 1), (3, 2, 2), (3, 0, 3)]), 4, {3}),
     ("no edges", LabeledGraphBuilder(XYZ, 4, 2), 1, {0}),
+    # the base has no edge but another component has a cycle: the base is
+    # a tail of one vertex
+    ("base alone beside a loop", builder_with(XY, 3, 0, [(1, 0, 1), (2, 1, 1)]), 2, {1}),
     ("a path that trims to the base", builder_with(XY, 4, 1, [(0, 0, 1), (1, 0, 2), (3, 1, 2)]), 1, {0}),
     ("a tree that trims to the base", builder_with(XYZ, 6, 3, [(0, 0, 1), (2, 1, 1), (3, 2, 1), (3, 0, 4), (5, 1, 4)]), 1, {0}),
 ]
@@ -141,6 +149,15 @@ def random_core(rng):
     return fold_oracle.core_from_edges(alphabet, n, rng.randrange(n), edges)
 
 
+def run_tables(core):
+    """The power reads' tables, per label and vertex, as the oracle writes
+    them: (vertices, i, cyclic), or None where no read has entered a run."""
+    return [
+        [None if refs is None or refs[u] is None else (refs[u][0], pos[u], refs[u][1]) for u in range(core.n_vertices)]
+        for refs, pos in zip(core._runs, core._run_pos)
+    ]
+
+
 def test_power_reads_split_runs_on_first_entry():
     rng = random.Random(12)
     for _ in range(150):
@@ -148,6 +165,7 @@ def test_power_reads_split_runs_on_first_entry():
         want = fold_oracle.letter_runs(core)
         entries = [(lab, v) for lab in range(core.alphabet.size) for v in range(core.n_vertices)]
         rng.shuffle(entries)
+        entered = set()  # (label, run) of every run a read has entered
         for lab, v in entries:
             run, i, cyclic = want[lab][v]
             exp = rng.choice((1, -1)) * rng.randint(2, len(run) + 3)
@@ -158,12 +176,17 @@ def test_power_reads_split_runs_on_first_entry():
                 assert got == run[(i + exp) % len(run)]
             elif not 0 <= i + exp < len(run):
                 assert got is None
-            # every run cut so far is cut as the eager oracle cuts it
-            for lab2, place in enumerate(core._runs):
-                for u, entry in enumerate(place or ()):
-                    assert entry is None or entry == want[lab2][u]
-            assert core._runs[lab][v] == want[lab][v]
-        assert all(list(place) == list(runs) for place, runs in zip(core._runs, want))
+            entered.add((lab, run))
+            # exactly the runs entered so far are cut, as the eager oracle
+            # cuts them, and each run's vertices share one (vertices, cyclic)
+            tables = run_tables(core)
+            for lab2 in range(core.alphabet.size):
+                for u in range(core.n_vertices):
+                    cut = (lab2, want[lab2][u][0]) in entered
+                    assert tables[lab2][u] == (want[lab2][u] if cut else None)
+                    if cut:
+                        assert core._runs[lab2][u] is core._runs[lab2][want[lab2][u][0][0]]
+        assert tables == [list(runs) for runs in want]
 
 
 def test_add_word_loop_numbers_vertices_in_reading_order():

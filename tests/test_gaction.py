@@ -91,6 +91,19 @@ def test_is_retract_requires_action_closed():
         is_retract(sw, {0})
 
 
+def test_restrict_checks_closure_and_keeps_labels():
+    # Z/2 swapping 0 and 1 and fixing 2 and 3
+    g = FiniteGroup.cyclic(2)
+    s = GSet.from_generator_images(g, 4, [[1, 0, 2, 3]], labels=("a", "b", "c", "d"))
+    sub = s.restrict([3, 1, 0, 1])
+    assert sub == s._restricted([0, 1, 3])
+    assert sub.labels == ("a", "b", "d")
+    assert sub.act == ((0, 1, 2), (1, 0, 2))
+    sub.validate()
+    with pytest.raises(PreconditionError, match="subset is not action-closed"):
+        s.restrict([1, 2])
+
+
 def test_retract_stabilizer_condition():
     # Z/2 acting on 4 points: swap {0,1}, fix 2 and 3.
     g = FiniteGroup.cyclic(2)

@@ -1,8 +1,10 @@
+import gc
 import random
 
 import pytest
 
-from gtrees.errors import PreconditionError
+from gtrees import stallings
+from gtrees.errors import InternalCheckError, PreconditionError
 from gtrees.stallings import LabeledGraphBuilder, fold, from_generators
 from gtrees.words import XY, Word, multiply, parse_generators, parse_word
 
@@ -182,3 +184,31 @@ def test_coset_labels_and_text():
     text = h.to_text()
     assert "vertices: 3" in text and "edges: 4" in text
     assert h.to_dot().startswith("digraph")
+
+
+def test_from_generators_folds_with_gc_paused_and_restores_it(monkeypatch):
+    real_fold = stallings.fold
+    during = []
+
+    def spy(builder):
+        during.append(gc.isenabled())
+        return real_fold(builder)
+
+    def broken(builder):
+        raise InternalCheckError("edge set is not folded")
+
+    was_enabled = gc.isenabled()
+    try:
+        monkeypatch.setattr(stallings, "fold", spy)
+        for enabled in (True, False, True):
+            gc.enable() if enabled else gc.disable()
+            assert from_generators(gens("x^2, y^2")).n_vertices == 3
+            assert gc.isenabled() == enabled
+        assert during == [False] * 3
+        monkeypatch.setattr(stallings, "fold", broken)
+        gc.enable()
+        with pytest.raises(InternalCheckError):
+            from_generators(gens("x^2, y^2"))
+        assert gc.isenabled()
+    finally:
+        gc.enable() if was_enabled else gc.disable()
