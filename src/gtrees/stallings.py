@@ -72,9 +72,14 @@ class LabeledGraphBuilder:
 
 
 class CoreGraph:
-    """Folded based graph of a subgroup; immutable after construction."""
+    """Folded based graph of a subgroup; immutable after construction.
 
-    __slots__ = ("alphabet", "n_vertices", "base", "out", "inn", "_tail", "_core", "_runs", "_run_pos")
+    The rows are spur-trimmed except for the base's tail: no vertex off that
+    simple path has degree at most one.  `fold` leaves its graphs so, and
+    `canonical_form`, which only renumbers, keeps it.
+    """
+
+    __slots__ = ("alphabet", "n_vertices", "base", "out", "inn", "_core", "_runs")
 
     def __init__(
         self,
@@ -91,14 +96,8 @@ class CoreGraph:
         self.base = base
         self.out = out
         self.inn = inn
-        # the base's tail, set by fold on the graphs it trims (see core_vertices)
-        self._tail: Optional[list[int]] = None
         self._core: Optional[frozenset[int]] = None
-        # per label and vertex, filled when a power read first enters the
-        # vertex's run: the run's shared (vertices, cyclic) pair, and the
-        # vertex's index in it
         self._runs: list[Optional[list]] = [None] * alphabet.size
-        self._run_pos: list[Optional[list[int]]] = [None] * alphabet.size
 
     # -- structure ---------------------------------------------------------
 
@@ -118,33 +117,37 @@ class CoreGraph:
         return 2 * self.alphabet.size - self.out[v].count(None) - self.inn[v].count(None)
 
     def core_vertices(self) -> frozenset[int]:
-        """Vertices on some cyclically reduced closed path (degree-1 trimming).
+        """Vertices on some cyclically reduced closed path.
 
-        On a graph that fold trimmed this is every vertex off the base's
-        tail, or the base alone when the tail is all there is (no edges).
+        The rows are trimmed but for the base's tail, so this is every vertex
+        off that tail, or the base alone when the tail is every vertex (no
+        edges).  The tail is walked from the base: each of its vertices has
+        at most one edge end besides the one it was entered by.
         """
         if self._core is None:
-            n, tail = self.n_vertices, self._tail
-            if tail is not None:
-                self._core = frozenset(range(n)).difference(tail) if len(tail) < n else frozenset({self.base})
-            else:
-                out, inn = self.out, self.inn
-                k2 = 2 * self.alphabet.size
-                deg = [k2 - o.count(None) - i.count(None) for o, i in zip(out, inn)]
-                if any(deg):
-                    alive = [True] * n
-                    _peel(deg, alive, lambda v: [w for w in out[v] + inn[v] if w is not None])
-                    self._core = frozenset(compress(range(n), alive))
-                else:
-                    self._core = frozenset({self.base})
+            out, inn = self.out, self.inn
+            tail = []
+            prev, v = None, self.base
+            while True:
+                nbrs = [w for w in out[v] + inn[v] if w is not None]
+                if prev is not None:
+                    nbrs.remove(prev)
+                if len(nbrs) > 1:
+                    break
+                tail.append(v)
+                if not nbrs:
+                    break
+                prev, v = v, nbrs[0]
+            n = self.n_vertices
+            self._core = frozenset(range(n)).difference(tail) if len(tail) < n else frozenset({self.base})
         return self._core
 
-    def _run_through(self, lab: int, v: int) -> tuple[tuple[int, ...], bool]:
-        """The cycle or maximal path of lab-edges through v, as (vertices,
+    def _run_through(self, lab: int, v: int) -> tuple[tuple[int, ...], int, bool]:
+        """The cycle or maximal path of lab-edges through v, as (vertices, i,
         cyclic): the vertices in out-edge order, from the path's first vertex
-        or the cycle's smallest one; an isolated vertex is a path of one.
-        Split on first entry: every vertex of the run gets this one pair and
-        its index among the vertices.
+        or the cycle's smallest one, and v's index among them; an isolated
+        vertex is a path of one.  Split on first entry and cached for every
+        vertex of the run.
         """
         out, inn = self.out, self.inn
         seq = []  # the vertices before v, nearest first
@@ -163,15 +166,13 @@ class CoreGraph:
             while u is not None:
                 seq.append(u)
                 u = out[u][lab]
-        run = (tuple(seq), cyclic)
-        refs, pos = self._runs[lab], self._run_pos[lab]
-        if refs is None:
-            refs = self._runs[lab] = [None] * self.n_vertices
-            pos = self._run_pos[lab] = [0] * self.n_vertices
-        for i, u in enumerate(seq):
-            refs[u] = run
-            pos[u] = i
-        return run
+        run = tuple(seq)
+        place = self._runs[lab]
+        if place is None:
+            place = self._runs[lab] = [None] * self.n_vertices
+        for i, u in enumerate(run):
+            place[u] = (run, i, cyclic)
+        return place[v]
 
     # -- queries -----------------------------------------------------------
 
@@ -182,7 +183,7 @@ class CoreGraph:
         through the current vertex, so the cost is per syllable, not per
         letter; the first read that enters a run also splits it.
         """
-        out, inn, runs, run_pos = self.out, self.inn, self._runs, self._run_pos
+        out, inn, runs = self.out, self.inn, self._runs
         cur = start
         for idx, exp in w.syllables:
             if exp == 1:
@@ -190,9 +191,10 @@ class CoreGraph:
             elif exp == -1:
                 cur = inn[cur][idx]
             else:
-                refs = runs[idx]
-                run, cyclic = (refs[cur] if refs else None) or self._run_through(idx, cur)
-                i = run_pos[idx][cur] + exp
+                place = runs[idx]
+                entry = place[cur] if place else None
+                run, i, cyclic = entry or self._run_through(idx, cur)
+                i += exp
                 if cyclic:
                     cur = run[i % len(run)]
                 elif 0 <= i < len(run):
@@ -323,8 +325,7 @@ def fold(builder: LabeledGraphBuilder) -> CoreGraph:
     classes moves the absorbed class's slots into the survivor and adds one
     pair per slot both fill.  Each merge costs O(alphabet size), so folding
     is near-linear in the number of edges.  The surviving classes' slots then
-    give the spur trimming and the CoreGraph rows directly, and the rows the
-    base's tail, off which core_vertices reads the core.  The folded
+    give the spur trimming and the CoreGraph rows directly.  The folded
     partition is unique, and classes are numbered by their smallest vertex,
     so the result does not depend on the order of the builder's edges.
     """
@@ -396,26 +397,7 @@ def fold(builder: LabeledGraphBuilder) -> CoreGraph:
             raise InternalCheckError("edge set is not folded")
         out_cols.append(col)
         in_cols.append(list(map(sources.get, range(m))))
-    out_rows, in_rows = tuple(zip(*out_cols)), tuple(zip(*in_cols))
-
-    # after the trim only the base may have degree <= 1; peeling it and then
-    # each vertex it leaves at degree 1 walks the base's tail, a simple path
-    base = ids[builder.base]
-    tail = []
-    prev, v = None, base
-    while True:
-        ends = [w for w in out_rows[v] + in_rows[v] if w is not None]
-        if prev is not None:
-            ends.remove(prev)
-        if len(ends) > 1:
-            break
-        tail.append(v)
-        if not ends:
-            break
-        prev, v = v, ends[0]
-    core = CoreGraph(builder.alphabet, base, out_rows, in_rows)
-    core._tail = tail
-    return core
+    return CoreGraph(builder.alphabet, ids[builder.base], tuple(zip(*out_cols)), tuple(zip(*in_cols)))
 
 
 def from_generators(gens: Iterable[Word], alphabet: Alphabet | None = None) -> CoreGraph:

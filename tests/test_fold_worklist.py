@@ -9,7 +9,7 @@ import pytest
 
 import fold_oracle
 import words_oracle
-from gtrees.stallings import CoreGraph, LabeledGraphBuilder, fold, from_generators
+from gtrees.stallings import LabeledGraphBuilder, fold, from_generators
 from gtrees.words import XY, Alphabet, Word, parse_word
 
 XYZ = Alphabet.of("x", "y", "z")
@@ -68,12 +68,8 @@ def edge_builder(rng):
 
 def assert_same_core(got, want):
     assert (got.n_vertices, got.base, got.out, got.inn) == (want.n_vertices, want.base, want.out, want.inn)
-    # fold's graphs read their core off the base's tail; the same rows
-    # without it take the general peel
-    assert got._tail is not None
-    rebuilt = CoreGraph(got.alphabet, got.base, got.out, got.inn)
-    assert got.core_vertices() == rebuilt.core_vertices() == fold_oracle.core_vertices(want)
-    assert rebuilt._tail is None
+    # core_vertices walks the base's tail; the oracle sweeps every vertex
+    assert got.core_vertices() == fold_oracle.core_vertices(want)
 
 
 @pytest.mark.parametrize("family", [power_family, proper_powers, random_words, duplicate_loops])
@@ -86,7 +82,11 @@ def test_fold_matches_oracle_on_generator_sets(family):
         assert_same_core(fold(builder), want)
         random.Random(s).shuffle(builder.edges)
         assert_same_core(fold(builder), want)
-        assert_same_core(from_generators(words, alphabet), want)
+        got = from_generators(words, alphabet)
+        assert_same_core(got, want)
+        # canonical_form only renumbers, so it keeps the trim core_vertices reads
+        cf = got.canonical_form()
+        assert cf.core_vertices() == fold_oracle.core_vertices(cf)
 
 
 def test_fold_matches_oracle_on_arbitrary_graphs():
@@ -149,15 +149,6 @@ def random_core(rng):
     return fold_oracle.core_from_edges(alphabet, n, rng.randrange(n), edges)
 
 
-def run_tables(core):
-    """The power reads' tables, per label and vertex, as the oracle writes
-    them: (vertices, i, cyclic), or None where no read has entered a run."""
-    return [
-        [None if refs is None or refs[u] is None else (refs[u][0], pos[u], refs[u][1]) for u in range(core.n_vertices)]
-        for refs, pos in zip(core._runs, core._run_pos)
-    ]
-
-
 def test_power_reads_split_runs_on_first_entry():
     rng = random.Random(12)
     for _ in range(150):
@@ -178,15 +169,12 @@ def test_power_reads_split_runs_on_first_entry():
                 assert got is None
             entered.add((lab, run))
             # exactly the runs entered so far are cut, as the eager oracle
-            # cuts them, and each run's vertices share one (vertices, cyclic)
-            tables = run_tables(core)
-            for lab2 in range(core.alphabet.size):
+            # cuts them
+            for lab2, place in enumerate(core._runs):
                 for u in range(core.n_vertices):
                     cut = (lab2, want[lab2][u][0]) in entered
-                    assert tables[lab2][u] == (want[lab2][u] if cut else None)
-                    if cut:
-                        assert core._runs[lab2][u] is core._runs[lab2][want[lab2][u][0][0]]
-        assert tables == [list(runs) for runs in want]
+                    assert (place[u] if place else None) == (want[lab2][u] if cut else None)
+        assert all(list(place) == list(runs) for place, runs in zip(core._runs, want))
 
 
 def test_add_word_loop_numbers_vertices_in_reading_order():
