@@ -104,8 +104,7 @@ class GModule(NamedTuple):
 
     @classmethod
     def trivial(cls, group: FiniteGroup, carrier: AbelianGroup) -> "GModule":
-        row = tuple(range(carrier.size))
-        return cls.build(group, carrier, [row] * group.order)
+        return cls._additive(carrier, GSet.trivial_action(group, carrier.size))
 
     @classmethod
     def _additive(cls, carrier: AbelianGroup, points: GSet) -> "GModule":
@@ -149,17 +148,17 @@ def module_from_json(group: FiniteGroup, doc: dict) -> GModule:
 
 
 def check_derivation(module: GModule, d: Sequence[int]) -> bool:
-    """Exhaustive check of d(xy) = d(x) + x.d(y) over the whole group square."""
+    """Whether d(xy) = d(x) + x.d(y), checked as d(1) = 0 and d(xs) = d(x) +
+    x.d(s) for generators s: the y it holds for are closed under products."""
     group, add = module.group, module.carrier.add
     if len(d) != group.order:
         raise InputError("derivation must assign a value to every group element")
     if not all(type(x) is int and 0 <= x < module.carrier.size for x in d):
         raise InputError(f"derivation values must be module element indices below {module.carrier.size}")
-    for x in group.elements:
-        for y in group.elements:
-            if d[group.mult[x][y]] != add[d[x]][module.act[x][d[y]]]:
-                return False
-    return True
+    if d[group.identity] != module.carrier.zero:
+        return False
+    mult, act = group.mult, module.act
+    return all(d[mult[x][s]] == add[d[x]][act[x][d[s]]] for s in group.generators for x in group.elements)
 
 
 def inner_derivation(module: GModule, v: int) -> tuple[int, ...]:
@@ -172,13 +171,10 @@ def twisted_gset(module: GModule, d: Sequence[int]) -> GSet:
     """The module's carrier with the action g.m = gm + d(g)."""
     if not check_derivation(module, d):
         raise PreconditionError("the map is not a derivation")
-    add = module.carrier.add
-    rows = [
-        tuple(add[module.act[g][m]][d[g]] for m in range(module.carrier.size))
-        for g in module.group.elements
-    ]
-    s = GSet.build(module.group, module.carrier.size, rows)
-    return s
+    add, act = module.carrier.add, module.act
+    rows = tuple(tuple([add[x][d[g]] for x in act[g]]) for g in module.group.elements)
+    # an action by construction, as d is a checked derivation
+    return GSet(module.group, rows, tuple(range(module.carrier.size)))
 
 
 def twisted_stabilizer_kernel(module: GModule, d: Sequence[int], p: int) -> frozenset[int]:
@@ -208,11 +204,9 @@ def function_gset(e_set: GSet, a_set: GSet) -> GSet:
         raise InputError("function space too large to enumerate")
     fns = list(product(range(a_set.size), repeat=e_set.size))
     index = {fn: i for i, fn in enumerate(fns)}
-    rows = [
-        tuple(index[function_action(e_set, a_set, g, fn)] for fn in fns)
-        for g in e_set.group.elements
-    ]
-    return GSet.build(e_set.group, len(fns), rows, labels=fns)
+    rows = tuple(tuple(index[function_action(e_set, a_set, g, fn)] for fn in fns) for g in e_set.group.elements)
+    # an action by construction, from the two validated actions
+    return GSet(e_set.group, rows, tuple(fns))
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +229,23 @@ def ag_sub(a: AbelianGroup, u: Sequence[int], v: Sequence[int]) -> tuple[int, ..
 
 
 def check_function_derivation(group: FiniteGroup, a: AbelianGroup, d: Sequence[Sequence[int]]) -> bool:
-    """Cocycle rule for d: G -> (functions G -> A)."""
+    """Cocycle rule for d: G -> (functions G -> A), checked on generators as
+    in check_derivation."""
     if len(d) != group.order or any(len(row) != group.order for row in d):
         raise InputError("derivation must give one function per group element")
-    for x in group.elements:
-        for y in group.elements:
-            lhs = tuple(d[group.mult[x][y]])
-            rhs = ag_add(a, d[x], ag_shift(group, d[y], x))
-            if lhs != rhs:
-                return False
-    return True
+    if tuple(d[group.identity]) != (a.zero,) * group.order:
+        return False
+    mult, gens = group.mult, group.generators
+    return all(tuple(d[mult[x][s]]) == ag_add(a, d[x], ag_shift(group, d[s], x)) for s in gens for x in group.elements)
 
 
 def hochschild_v(group: FiniteGroup, a: AbelianGroup, d: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """The explicit potential v(x) = -(d(x))(x), with g.v - v = d(g) for all g."""
+    """The explicit potential v(x) = -(d(x))(x), with g.v - v = d(g) for all g:
+    checked for generators g, as two derivations agreeing there are equal."""
     if not check_function_derivation(group, a, d):
         raise PreconditionError("the map is not a derivation into the function module")
     v = tuple(a.neg[d[x][x]] for x in group.elements)
-    for g in group.elements:
+    for g in group.generators:
         if ag_sub(a, ag_shift(group, v, g), v) != tuple(d[g]):
             raise InternalCheckError("potential fails its defining identity")
     return v
@@ -269,24 +262,27 @@ def coset_retraction(
     """The equivariant retraction v + m -> v + pi(m) of the shifted coset.
 
     pi must be an additive, equivariant projection of the function module
-    onto the submodule P, and the derivation must take values in P.
+    onto the submodule P, and the derivation must take values in P.  pi's
+    additivity is checked against the functions c.delta_x (value c at x, 0
+    elsewhere), which generate the module, and equivariance on generators.
     """
     p_set = {tuple(m) for m in p_members}
     dom = list(pi.keys())
-    if len(dom) != a.size**group.order:
+    if len(dom) != a.size**group.order or set(dom) != set(product(range(a.size), repeat=group.order)):
         raise PreconditionError("the projection must be defined on the whole function module")
     if set(pi.values()) - p_set:
         raise PreconditionError("the projection does not land in the submodule")
     for m in p_set:
-        if tuple(pi[m]) != m:
+        if tuple(pi.get(m, ())) != m:
             raise PreconditionError("the projection is not the identity on the submodule")
-    for m in dom:
-        for m2 in dom:
-            if pi.get(ag_add(a, m, m2)) != ag_add(a, pi[m], pi[m2]):
-                raise PreconditionError("the projection is not additive")
-    for g in group.elements:
+    zero = (a.zero,) * group.order
+    for delta in [zero[:x] + (c,) + zero[x + 1 :] for x in group.elements for c in range(a.size)]:
         for m in dom:
-            if pi.get(ag_shift(group, m, g)) != ag_shift(group, pi[m], g):
+            if pi[ag_add(a, m, delta)] != ag_add(a, pi[m], pi[delta]):
+                raise PreconditionError("the projection is not additive")
+    for g in group.generators:
+        for m in dom:
+            if pi[ag_shift(group, m, g)] != ag_shift(group, pi[m], g):
                 raise PreconditionError("the projection is not equivariant")
     for g in group.elements:
         if tuple(d[g]) not in p_set:
@@ -297,14 +293,9 @@ def coset_retraction(
             raise PreconditionError("the shifted coset is not action-closed for this derivation")
 
     out = {ag_add(a, v, m): ag_add(a, v, pi[m]) for m in dom}
-    # equivariance in the ambient function space: g(v+m) = v + (gm + d(g))
-    for g in group.elements:
-        for m in dom:
-            src = ag_add(a, v, m)
-            moved = ag_shift(group, src, g)
-            if moved != ag_add(a, v, ag_add(a, ag_shift(group, m, g), d[g])):
-                raise InternalCheckError("ambient action disagrees with the twisted form")
-            if out[moved] != ag_shift(group, out[src], g):
+    for g in group.generators:
+        for src, image in out.items():
+            if out[ag_shift(group, src, g)] != ag_shift(group, image, g):
                 raise InternalCheckError("coset retraction is not equivariant")
     return out
 
@@ -341,15 +332,14 @@ def untwist(e_set: GSet, a_set: GSet, transversal: Sequence[int]) -> UntwistPair
     k = max(ids, default=-1) + 1
     if not all(0 <= x < e_set.size for x in tr) or sorted([ids[x] for x in tr]) != list(range(k)):
         raise PreconditionError("transversal must meet each orbit exactly once")
+    # stabilizers in one orbit are conjugate: one per orbit must fix A pointwise
     ident = tuple(range(a_set.size))
-    for x in range(e_set.size):
-        for s in e_set.stabilizer(x):
-            if a_set.act[s] != ident:
-                raise PreconditionError("a point stabilizer acts nontrivially on the value set")
     g_of = [None] * e_set.size
     for x0 in tr:
         for g in e_set.group.elements:
             y = e_set.act[g][x0]
             if g_of[y] is None:
                 g_of[y] = g
+            if y == x0 and a_set.act[g] != ident:
+                raise PreconditionError("a point stabilizer acts nontrivially on the value set")
     return UntwistPair(e_set, a_set, tuple(tr), tuple(g_of))

@@ -3,6 +3,7 @@ retract checks, and conjugate-incomparability."""
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from ._frozen import Frozen
@@ -57,7 +58,8 @@ class FiniteGroup(Frozen):
     @classmethod
     def from_mult_table(cls, table: Sequence[Sequence[int]], generators: Iterable[int]) -> "FiniteGroup":
         """The group of a table from outside: checks the range, the identity,
-        associativity, inverses and that the generators generate."""
+        inverses, that the generators generate and, on the generators only,
+        associativity."""
         mult = tuple(tuple(row) for row in table)
         n = len(mult)
         if any(len(row) != n for row in mult):
@@ -71,11 +73,6 @@ class FiniteGroup(Frozen):
                 break
         if identity is None:
             raise InputError("multiplication table has no identity")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
-                        raise InputError("multiplication table is not associative")
         # in a finite associative table with an identity, a right inverse is
         # two-sided, so a row holding the identity suffices
         if any(identity not in row for row in mult):
@@ -83,7 +80,10 @@ class FiniteGroup(Frozen):
         gens = list(generators)
         if any(not 0 <= g < n for g in gens):
             raise InputError("generator index out of range")
-        return cls._from_group_table(mult, identity, gens)
+        group = cls._from_group_table(mult, identity, gens)
+        # Light's test, now that every element is a product of generators
+        _check_composes(group, mult, "multiplication table is not associative")
+        return group
 
     @classmethod
     def _from_group_table(
@@ -191,13 +191,30 @@ class FiniteGroup(Frozen):
         return self.mult[self.mult[self.inverse[g]][h]][g]
 
 
+def _check_composes(group: FiniteGroup, rows: Sequence[tuple[int, ...]], message: str) -> None:
+    """InputError(message) unless rows[gh] = rows[g] after rows[h] for every
+    generator g and element h: the law (gh)p = g(hp), or for rows = mult
+    associativity.  The g it holds for are closed under products."""
+    for g in group.generators:
+        row, gh = rows[g], group.mult[g]
+        for h, hrow in enumerate(rows):
+            if rows[gh[h]] != _compose(row, hrow):
+                raise InputError(message)
+
+
+def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    # p[q[i]] for every i; itemgetter returns a tuple for two or more indices
+    return itemgetter(*q)(p) if len(q) > 1 else tuple([p[i] for i in q])
+
+
 class GSet(Frozen):
     """A finite set with a left action of a FiniteGroup, one permutation per element.
 
-    build and from_generator_images (and so trivial_action and regular)
-    check the action laws with validate; restrict derives its table from a
-    validated G-set without checking again.  A direct GSet(...) expects a
-    table that is already valid.
+    build (and so trivial_action and regular) checks the action laws with
+    validate.  from_generator_images composes each element's row from
+    checked generator permutations and checks only (gh)p = g(hp).  restrict
+    derives its table from a validated G-set without checking again.  A
+    direct GSet(...) expects a table that is already valid.
 
     Three tables are built on first use and kept: every point's stabilizer
     (stabilizers), every point's orbit number (orbit_ids) and the JSON text
@@ -250,26 +267,28 @@ class GSet(Frozen):
         gen_images: Sequence[Sequence[int]],
         labels: Optional[Sequence[Hashable]] = None,
     ) -> "GSet":
-        """Extend per-generator permutations to the whole group along generator words.
-
-        This is the one place where generator images become element images.
-        """
+        """Extend per-generator permutations to the whole group along the
+        Cayley tree of gen_words, one composition per element; this is the one
+        place where generator images become element images.  A composite of
+        permutations is one, so only (gh)p = g(hp) is checked."""
         if len(gen_images) != len(group.generators):
             raise InputError("need one permutation per group generator")
+        points = tuple(range(size))
         per_gen = {}
         for g, img in zip(group.generators, gen_images):
             ints = isinstance(img, (list, tuple)) and len(img) == size and all(type(p) is int for p in img)
-            if not ints or sorted(img) != list(range(size)):
+            if not ints or sorted(img) != list(points):
                 raise InputError("generator image is not a permutation of the points")
             per_gen[g] = tuple(img)
-        rows = []
-        for a in group.elements:
-            row = list(range(size))
-            # a = g1 g2 ... gk acts by applying gk first
-            for g in reversed(group.gen_words[a]):
-                row = [per_gen[g][p] for p in row]
-            rows.append(tuple(row))
-        return cls.build(group, size, rows, labels)
+        words, rows = group.gen_words, [points] * group.order
+        # by word length: a = b s, s the last letter of a's word, comes after
+        # its parent b, and acts by s first
+        for a in sorted(group.elements, key=lambda a: len(words[a]))[1:]:
+            s = words[a][-1]
+            rows[a] = _compose(rows[group.mult[a][group.inverse[s]]], per_gen[s])
+        gset = cls(group, tuple(rows), points if labels is None else tuple(labels))
+        _check_composes(group, gset.act, "action is not associative: (gh)p != g(hp)")
+        return gset
 
     @classmethod
     def trivial_action(cls, group: FiniteGroup, size: int, labels=None) -> "GSet":
@@ -278,16 +297,11 @@ class GSet(Frozen):
 
     @classmethod
     def regular(cls, group: FiniteGroup) -> "GSet":
-        rows = [tuple(group.mult[g][h] for h in group.elements) for g in group.elements]
-        return cls.build(group, group.order, rows)
+        return cls.build(group, group.order, group.mult)
 
     def validate(self) -> None:
         """The action laws: shape, the identity acts trivially, every element
-        acts by a permutation, and (gh)p = g(hp).
-
-        The last law is checked for generators g only: by induction along
-        each element's generator word it then holds for every g.
-        """
+        acts by a permutation, and (gh)p = g(hp), checked for generators g."""
         n, m = self.group.order, self.size
         if len(self.act) != n or any(len(r) != m for r in self.act):
             raise InputError("action table has wrong shape")
@@ -298,12 +312,7 @@ class GSet(Frozen):
             row = self.act[g]
             if not all(type(p) is int for p in row) or sorted(row) != points:
                 raise InputError(f"element {g} does not act by a permutation")
-        mult = self.group.mult
-        for g in self.group.generators:
-            ag = self.act[g]
-            for h in range(n):
-                if self.act[mult[g][h]] != tuple([ag[q] for q in self.act[h]]):
-                    raise InputError("action is not associative: (gh)p != g(hp)")
+        _check_composes(self.group, self.act, "action is not associative: (gh)p != g(hp)")
 
     # -- queries -------------------------------------------------------
 

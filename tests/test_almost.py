@@ -1,7 +1,15 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
+from gaction_oracle import (
+    oracle_check_derivation,
+    oracle_check_function_derivation,
+    oracle_coset_retraction,
+    oracle_untwist,
+    outcome,
+)
 
 import gtrees.almost as almost
 from gtrees.errors import InputError, PreconditionError
@@ -337,3 +345,211 @@ def test_untwist_mixed_orbits():
     pair = untwist(e_free, a, [0])
     phi = (0, 0)
     assert pair.tilde(pair.hat(phi)) == phi
+
+
+def test_the_trivial_group_without_generators():
+    # no generator law to check, so d(1) = 0 is checked on its own
+    t = FiniteGroup.from_mult_table([[0]], [])
+    z3 = AbelianGroup.from_factors([3])
+    assert not check_derivation(GModule.trivial(t, z3), [1])
+    assert check_derivation(GModule.trivial(t, z3), [0])
+    assert not check_function_derivation(t, z3, [[1]])
+    assert check_function_derivation(t, z3, [[0]])
+    assert GSet.from_generator_images(t, 3, []).act == ((0, 1, 2),)
+
+
+def test_coset_retraction_refuses_keys_outside_the_function_module():
+    # the right number of keys, one of which is no function C2 -> Z2
+    g = FiniteGroup.cyclic(2)
+    z2 = AbelianGroup.from_factors([2])
+    pi = {(0, 0): (0, 0), (0, 1): (0, 0), (1, 0): (0, 0), (5, 5): (0, 0)}
+    d = ((0, 0), (0, 0))
+    with pytest.raises(PreconditionError, match="the projection must be defined on the whole function module"):
+        coset_retraction(g, z2, (0, 0), [(0, 0)], pi, d)
+    # and a submodule member outside the module is not fixed by pi
+    everything = full_function_module(g, z2)
+    with pytest.raises(PreconditionError, match="the projection is not the identity on the submodule"):
+        coset_retraction(g, z2, (0, 0), everything + [(7, 7)], {m: m for m in everything}, d)
+
+
+FIXTURE_GROUPS = {
+    "C2": FiniteGroup.cyclic(2),
+    "C3": FiniteGroup.cyclic(3),
+    "C4": FiniteGroup.cyclic(4),
+    "S3": FiniteGroup.symmetric(3),
+    "D4": FiniteGroup.dihedral(4),
+}
+
+
+def _modules(grp, a):
+    """A with the trivial action, and with every generator acting by
+    negation when that is an action."""
+    out = [GModule.trivial(grp, a)]
+    try:
+        out.append(GModule.from_generator_maps(grp, a, [list(a.neg)] * len(grp.generators)))
+    except InputError:
+        pass
+    return out
+
+
+def _along_words(grp, gen_value, step, zero):
+    """The map with d(1) = zero and d(bs) = step(d(b), b, d(s)) along the
+    Cayley tree: a derivation exactly when the relations allow one."""
+    d = [zero] * grp.order
+    for x in sorted(grp.elements, key=lambda x: len(grp.gen_words[x]))[1:]:
+        s = grp.gen_words[x][-1]
+        d[x] = step(d[grp.mult[x][grp.inverse[s]]], grp.mult[x][grp.inverse[s]], gen_value[s])
+    return d
+
+
+@pytest.mark.parametrize("factors", [[2], [3]])
+@pytest.mark.parametrize("name", list(FIXTURE_GROUPS))
+def test_check_derivation_matches_the_square_oracle(name, factors):
+    grp, a = FIXTURE_GROUPS[name], AbelianGroup.from_factors(factors)
+    rng = random.Random(f"{name}{factors}")
+    verdicts = Counter()
+    for module in _modules(grp, a):
+        for trial in range(24):
+            if trial % 3 == 0:
+                d = list(inner_derivation(module, rng.randrange(a.size)))
+            else:
+                gen_value = {s: rng.randrange(a.size) for s in grp.generators}
+                d = _along_words(grp, gen_value, lambda db, b, ds: a.add[db][module.act[b][ds]], a.zero)
+            if trial % 3 == 2:
+                x = rng.randrange(grp.order)
+                d[x] = a.add[d[x]][1]
+            verdicts[check_derivation(module, d)] += 1
+            assert check_derivation(module, d) == oracle_check_derivation(module, d)
+            if check_derivation(module, d):
+                # twisted_gset builds its action unchecked: it is one by construction
+                twisted_gset(module, d).validate()
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+@pytest.mark.parametrize("factors", [[2], [3]])
+@pytest.mark.parametrize("name", list(FIXTURE_GROUPS))
+def test_check_function_derivation_matches_the_square_oracle(name, factors):
+    grp, a = FIXTURE_GROUPS[name], AbelianGroup.from_factors(factors)
+    rng = random.Random(f"{name}{factors}")
+    zero = (a.zero,) * grp.order
+    verdicts = Counter()
+    for trial in range(24):
+        if trial % 3 == 0:
+            u = tuple(rng.randrange(a.size) for _ in grp.elements)
+            d = [ag_sub(a, ag_shift(grp, u, x), u) for x in grp.elements]
+        else:
+            gen_value = {s: tuple(rng.randrange(a.size) for _ in grp.elements) for s in grp.generators}
+            d = _along_words(grp, gen_value, lambda db, b, ds: ag_add(a, db, ag_shift(grp, ds, b)), zero)
+        if trial % 3 == 2:
+            x, y = rng.randrange(grp.order), rng.randrange(grp.order)
+            d[x] = d[x][:y] + (a.add[d[x][y]][1],) + d[x][y + 1 :]
+        verdicts[check_function_derivation(grp, a, d)] += 1
+        assert check_function_derivation(grp, a, d) == oracle_check_function_derivation(grp, a, d)
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def _projections(grp, a):
+    """(P, pi) pairs on the function module, for A = Z/k: the identity, zero,
+    averaging onto the constants when |G| is a unit mod k, and the value at
+    the identity, which is additive but not equivariant."""
+    everything, n = full_function_module(grp, a), grp.order
+    out = [(everything, {m: m for m in everything}), ([(0,) * n], {m: (0,) * n for m in everything})]
+    constants = [(c,) * n for c in range(a.size)]
+    unit = [k for k in range(a.size) if k * n % a.size == 1]
+    if unit:
+        out.append((constants, {m: (unit[0] * sum(m) % a.size,) * n for m in everything}))
+    out.append((constants, {m: (m[grp.identity],) * n for m in everything}))
+    return out
+
+
+# the oracle checks additivity over pairs of module elements, so it runs
+# only where the function module has at most 81 elements: D4 with Z/2 (256
+# elements) alone would take about 3 s
+@pytest.mark.parametrize(
+    "name, factors",
+    [(name, [k]) for name, grp in FIXTURE_GROUPS.items() for k in (2, 3) if k**grp.order <= 81],
+)
+def test_coset_retraction_matches_the_elementwise_oracle(name, factors):
+    grp, a = FIXTURE_GROUPS[name], AbelianGroup.from_factors(factors)
+    rng = random.Random(f"{name}{factors}")
+
+    def bump(m, i):
+        return m[:i] + (a.add[m[i]][1],) + m[i + 1 :]
+
+    verdicts = Counter()
+    for p_members, pi in _projections(grp, a):
+        for change in range(4):
+            if len(p_members) == a.size**grp.order:
+                v = tuple(rng.randrange(a.size) for _ in grp.elements)
+                d = [ag_sub(a, ag_shift(grp, v, x), v) for x in grp.elements]
+            else:  # a potential of the zero derivation: a constant
+                v, d = (rng.randrange(a.size),) * grp.order, [(0,) * grp.order] * grp.order
+            proj = dict(pi)
+            if change == 1:
+                proj[rng.choice(list(proj))] = rng.choice(p_members)
+            elif change == 2:
+                x = rng.randrange(grp.order)
+                d[x] = bump(d[x], rng.randrange(grp.order))
+            elif change == 3:
+                v = bump(v, rng.randrange(grp.order))
+            got = outcome(coset_retraction, grp, a, v, p_members, proj, d)
+            assert got == outcome(oracle_coset_retraction, grp, a, v, p_members, proj, d)
+            verdicts[got[1] if isinstance(got, tuple) else "ok"] += 1
+    assert verdicts["ok"] and len(verdicts) >= 3, verdicts
+
+
+def _union(*blocks):
+    """Generator images of the disjoint union of actions, each block given by
+    its generator images."""
+    images, offset = [[] for _ in blocks[0]], 0
+    for block in blocks:
+        for row, image in zip(images, block):
+            row += [offset + p for p in image]
+        offset += len(block[0])
+    return images
+
+
+@pytest.mark.parametrize(
+    "name, natural",
+    [("C4", [[1, 2, 3, 0]]), ("S3", [[1, 0, 2], [0, 2, 1]]), ("D4", [[1, 2, 3, 0], [0, 3, 2, 1]])],
+)
+def test_untwist_matches_the_stabilizer_table_oracle(name, natural):
+    # E has several orbits of different kinds: the natural action, the
+    # regular action and a fixed point; A is moved by the group or not
+    grp = FIXTURE_GROUPS[name]
+    regular = [list(grp.mult[s]) for s in grp.generators]
+    fixed = [[0] for _ in grp.generators]
+    rng = random.Random(name)
+    a_sets = [GSet.trivial_action(grp, 2), GSet.from_generator_images(grp, len(natural[0]), natural)]
+    verdicts = Counter()
+    for blocks in ([natural, natural], [natural, regular, fixed], [regular, regular], [fixed, natural]):
+        images = _union(*blocks)
+        e_set = GSet.from_generator_images(grp, len(images[0]), images)
+        for a_set in a_sets:
+            for trial in range(3):
+                tr = [rng.choice(sorted(orbit)) for orbit in e_set.orbits()]
+                rng.shuffle(tr)
+                if trial == 2:
+                    tr.append(rng.randrange(e_set.size))
+                got = outcome(untwist, e_set, a_set, tr)
+                assert got == outcome(oracle_untwist, e_set, a_set, tr)
+                verdicts["ok" if isinstance(got, almost.UntwistPair) else got[1]] += 1
+    assert len(verdicts) == 3, verdicts
+
+
+def test_coset_retraction_checks_each_generator_and_each_direction():
+    # onto the constants of C3 -> Z/2, a projection that is additive along
+    # the functions c.delta_0 but not along c.delta_2
+    c3, z2 = FIXTURE_GROUPS["C3"], AbelianGroup.from_factors([2])
+    zero3, constants = ((0,) * 3, [(0,) * 3, (1,) * 3])
+    pi = {m: ((m[0] + (m[1:] == (0, 1))) % 2,) * 3 for m in full_function_module(c3, z2)}
+    with pytest.raises(PreconditionError, match="the projection is not additive"):
+        coset_retraction(c3, z2, zero3, constants, pi, [zero3] * 3)
+    # onto the constants of S3 -> Z/3, the average over the subgroup that the
+    # first generator s generates: equivariant under s, not under the second
+    s3, z3 = FIXTURE_GROUPS["S3"], AbelianGroup.from_factors([3])
+    e, s = s3.identity, s3.generators[0]
+    zero6 = (0,) * 6
+    pi = {m: (2 * (m[e] + m[s]) % 3,) * 6 for m in full_function_module(s3, z3)}
+    with pytest.raises(PreconditionError, match="the projection is not equivariant"):
+        coset_retraction(s3, z3, zero6, [(c,) * 6 for c in range(3)], pi, [zero6] * 6)

@@ -3,7 +3,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from gaction_oracle import oracle_action_is_homomorphism
+from gaction_oracle import oracle_action_is_homomorphism, oracle_from_generator_images, oracle_from_mult_table, outcome
 
 import gtrees.gaction as ga
 
@@ -215,6 +215,8 @@ def test_symmetric_six_builds():
     s6 = FiniteGroup.symmetric(6)
     assert s6.order == 720
     assert all(s6.mult[a][s6.inverse[a]] == s6.identity == s6.mult[s6.inverse[a]][a] for a in s6.elements)
+    # the checked path runs Light's test on 5 x 720 rows, not 720^3 triples
+    assert FiniteGroup.from_mult_table(s6.mult, s6.generators) == s6
 
 
 def test_validate_matches_elementwise_action_law():
@@ -312,3 +314,67 @@ def test_group_order_is_read_as_an_integer():
             group_from_json({"mult_table": [[0]], "order": order})
     with pytest.raises(InputError, match="group.order does not match the table's 1 rows"):
         group_from_json({"mult_table": [[0]], "order": 2})
+
+
+def _relabeled_table(grp, sigma):
+    """grp's table with element i renamed sigma[i], and its generators renamed."""
+    inv = sorted(range(grp.order), key=sigma.__getitem__)
+    table = [[sigma[grp.mult[inv[a]][inv[b]]] for b in grp.elements] for a in grp.elements]
+    return table, [sigma[g] for g in grp.generators]
+
+
+def test_light_associativity_test_matches_the_cubic_check():
+    # a relabeled group table passes; one with two entries of a row swapped
+    # breaks a law.  A table that breaks one law gets the cubic check's
+    # message; one that also breaks associativity may be refused for another
+    rng = random.Random(11)
+    verdicts = Counter()
+    for grp in _library_groups():
+        n = grp.order
+        if n > 64:
+            continue
+        for trial in range(4):
+            table, gens = _relabeled_table(grp, rng.sample(range(n), n))
+            if trial and n > 1:
+                row = table[rng.randrange(n)]
+                i, j = rng.sample(range(n), 2)
+                row[i], row[j] = row[j], row[i]
+            got = outcome(FiniteGroup.from_mult_table, table, gens)
+            want = outcome(oracle_from_mult_table, table, gens)
+            if isinstance(want, tuple):
+                assert got == want or want[1] == "multiplication table is not associative", (got, want)
+                assert isinstance(got, tuple) and got[0] == "InputError"
+            else:
+                assert got == want and got.gen_words == want.gen_words
+            verdicts[got if isinstance(got, tuple) else "ok"] += 1
+    assert verdicts["ok"] > 60 and verdicts["InputError", "multiplication table is not associative"] > 60, verdicts
+
+
+def test_generator_images_match_the_word_replay_oracle():
+    # a relabeled regular action or coset action satisfies every relation;
+    # random images of a few points mostly break one, and both forms refuse
+    # those with the same message
+    rng = random.Random(12)
+    verdicts = Counter()
+    for grp in _library_groups():
+        n = grp.order
+        for trial in range(4):
+            if trial < 2:
+                size = n
+                sigma = rng.sample(range(n), n)
+                inv = sorted(range(n), key=sigma.__getitem__)
+                images = [[sigma[grp.mult[g][inv[p]]] for p in range(n)] for g in grp.generators]
+                if trial:
+                    images[rng.randrange(len(images))] = rng.sample(range(n), n)
+            else:
+                size = rng.randint(0, 4)
+                images = [rng.sample(range(size), size) for _ in grp.generators]
+            got = outcome(GSet.from_generator_images, grp, size, images)
+            want = outcome(oracle_from_generator_images, grp, size, images)
+            assert got == want
+            if isinstance(got, tuple):
+                assert got == ("InputError", "action is not associative: (gh)p != g(hp)")
+            else:
+                assert got.act == want.act and got.labels == want.labels
+            verdicts[isinstance(got, tuple)] += 1
+    assert min(verdicts.values()) > 40, verdicts
