@@ -28,7 +28,7 @@ from .words import XY, Alphabet, Word, format_word, multiply, parse_word, power_
 AUX = Alphabet.of("X", "Y")
 
 #: largest depth `verify_all` accepts; words stay three syllables at every
-#: depth, so the cap only bounds the run time (a few seconds at the cap)
+#: depth, so the cap only bounds the run time
 N_MAX_CAP = 256
 
 
@@ -219,17 +219,29 @@ def _census_value(core: CoreGraph, word: Word) -> str:
 
 
 class RunCache:
-    """The folded cores, loop bases and derived endomorphisms of one run.
+    """Each graph and word that one run derives, derived once.
 
-    `verify_all` makes one per call and passes it to every verifier, so each
-    generator tuple is folded once per call and `phi` is derived once.  A
+    `verify_all` makes one per call and passes it to every verifier.  A
     verifier called without one makes its own, which lives for that call.
+    It keeps:
+
+    * the folded core per generator tuple and alphabet, and the loop basis
+      of each folded generator tuple;
+    * each `express_in_generators` result per (generators, word, output
+      alphabet), so each distinct rewrite runs its certificate once;
+    * per data: `derive_phi(data)` (or the mismatch deriving it raised) with
+      the words derived from it (`PhiWords`), and the t^2-conjugates of the
+      edge-group generators.
+
+    So a run to depth n_max makes O(n_max) substitutions, not O(n_max²).
     """
 
     def __init__(self) -> None:
         self._cores: dict = {}
         self._bases: dict = {}
-        self._phis: dict = {}
+        self._rewrites: dict = {}
+        self._phi_words: dict = {}
+        self._ge_t2: dict = {}
 
     def core(self, gens: Sequence[Word], alphabet: Optional[Alphabet] = None) -> CoreGraph:
         """`from_generators(gens, alphabet)`, folded once per run."""
@@ -244,17 +256,29 @@ class RunCache:
             self._bases[gens] = _loop_basis(self.core(gens), gens)
         return self._bases[gens]
 
+    def phi_words(self, data: ExampleData) -> "PhiWords":
+        """`derive_phi(data)` with its derived words, once per run; a
+        mismatch is raised on every call."""
+        words = self._phi_words.get(data)
+        if words is None:
+            try:
+                words = PhiWords(derive_phi(data, cache=self))
+            except VerificationMismatch as exc:
+                words = exc
+            self._phi_words[data] = words
+        if isinstance(words, VerificationMismatch):
+            raise words
+        return words
+
     def phi(self, data: ExampleData) -> "PhiEndo":
         """`derive_phi(data)`, once per run; a mismatch is raised on every call."""
-        if data not in self._phis:
-            try:
-                self._phis[data] = derive_phi(data, cache=self)
-            except VerificationMismatch as exc:
-                self._phis[data] = exc
-        phi = self._phis[data]
-        if isinstance(phi, VerificationMismatch):
-            raise phi
-        return phi
+        return self.phi_words(data).phi
+
+    def ge_t2(self, data: ExampleData) -> list[Word]:
+        """`ge_t2_generators(data, phi)`, once per run."""
+        if data not in self._ge_t2:
+            self._ge_t2[data] = ge_t2_generators(data, self.phi(data), cache=self)
+        return self._ge_t2[data]
 
 
 def _loop_basis(h: CoreGraph, gens: tuple[Word, ...]) -> dict[tuple[int, int, int], tuple[int, int]]:
@@ -308,9 +332,10 @@ def express_in_generators(
 
     Works via the folded graph of the subgroup: the walk of w is decomposed
     against a spanning tree, and the loop basis must match the generators up
-    to inversion.  The result is certified by substituting back.  The walk
-    goes letter by letter, so w should be short; the verifiers rewrite only
-    fixture words, never the depth-n words.
+    to inversion.  The result is certified by substituting back, once per
+    distinct rewrite and cache.  The walk goes letter by letter, so w should
+    be short; the verifiers rewrite only fixture words, never the depth-n
+    words.
     """
     gens = tuple(g for g in gens if not g.is_identity())
     if not gens:
@@ -318,6 +343,9 @@ def express_in_generators(
     if len(gens) > out_alphabet.size:
         raise InputError("not enough output letters for the generators")
     cache = cache or RunCache()
+    key = (gens, w, out_alphabet)
+    if key in cache._rewrites:
+        return cache._rewrites[key]
     h = cache.core(gens)
     if w.alphabet != h.alphabet:
         raise InputError("word and generators live over different alphabets")
@@ -348,6 +376,7 @@ def express_in_generators(
         images[out_alphabet.names[k]] = Word.identity(h.alphabet)
     if substitute(expr, images) != w:
         raise InternalCheckError("rewriting certificate failed")
+    cache._rewrites[key] = expr
     return expr
 
 
@@ -375,6 +404,32 @@ class PhiEndo(NamedTuple):
 
     def embed(self, w: Word) -> Word:
         return substitute(w, self.emb)
+
+
+class PhiWords:
+    """The words one run derives from phi, each once: the iterates φ^k(start),
+    extended one `substitute` past the deepest so far, and the embedding of
+    each auxiliary word asked for."""
+
+    __slots__ = ("phi", "_iterates", "_embedded")
+
+    def __init__(self, phi: PhiEndo) -> None:
+        self.phi = phi
+        self._iterates = [phi.start]
+        self._embedded: dict[Word, Word] = {}
+
+    def iterate(self, k: int) -> Word:
+        """`phi.apply(phi.start, k)`."""
+        iterates = self._iterates
+        while len(iterates) <= k:
+            iterates.append(self.phi.apply(iterates[-1]))
+        return iterates[k]
+
+    def embed(self, w: Word) -> Word:
+        """`phi.embed(w)`."""
+        if w not in self._embedded:
+            self._embedded[w] = self.phi.embed(w)
+        return self._embedded[w]
 
 
 def derive_phi(data: ExampleData, *, cache: Optional[RunCache] = None) -> PhiEndo:
@@ -447,13 +502,13 @@ def verify_really(data: ExampleData, n: int, *, cache: Optional[RunCache] = None
     """
     report = Report("conjugation identities")
     try:
-        phi = (cache or RunCache()).phi(data)
+        words = (cache or RunCache()).phi_words(data)
     except VerificationMismatch as exc:
         report.fail("really.derive", n, str(exc))
         return report
 
-    lhs = phi.embed(phi.apply(phi.start, n))
-    rhs_stated = phi.embed(power_word(n, alphabet=AUX))
+    lhs = words.embed(words.iterate(n))
+    rhs_stated = words.embed(power_word(n, alphabet=AUX))
     report.add(
         "really.ii.identity",
         n,
@@ -475,7 +530,7 @@ def verify_really(data: ExampleData, n: int, *, cache: Optional[RunCache] = None
             Check("really.i.identity", 1, "excluded", "excluded", True, "the statement excludes n = 1")
         )
     else:
-        lhs_i = phi.embed(phi.apply(phi.start, n - 2))
+        lhs_i = words.embed(words.iterate(n - 2))
         report.add(
             "really.i.identity",
             n,
@@ -496,7 +551,7 @@ def verify_stabilizer_inclusions(data: ExampleData, *, cache: Optional[RunCache]
         report.add("stab.ge-in-gu", None, True, gu_core.contains(g), note=format_word(g))
     try:
         phi = cache.phi(data)
-        derived_ge_t2 = ge_t2_generators(data, phi, cache=cache)
+        derived_ge_t2 = cache.ge_t2(data)
         derived_gf_t = [t_conjugate(data, phi, g, 1, cache=cache) for g in data.gw_gens]
     except VerificationMismatch as exc:
         report.fail("stab.derive", None, str(exc))
@@ -537,11 +592,8 @@ def fixed_point_profile(data: ExampleData, n_max: int, *, cache: Optional[RunCac
     report = Report("fixed-point profile")
     cache = cache or RunCache()
     try:
-        phi = cache.phi(data)
-        aux_ii = [
-            express_in_generators(data.gw_gens, w, AUX, cache=cache)
-            for w in ge_t2_generators(data, phi, cache=cache)
-        ]
+        words = cache.phi_words(data)
+        aux_ii = [express_in_generators(data.gw_gens, w, AUX, cache=cache) for w in cache.ge_t2(data)]
         aux_iii = [express_in_generators(data.gw_gens, w, AUX, cache=cache) for w in data.t_images]
     except VerificationMismatch as exc:
         report.fail("fixed.derive", None, str(exc))
@@ -557,7 +609,7 @@ def fixed_point_profile(data: ExampleData, n_max: int, *, cache: Optional[RunCac
         c_i = _census_value(core_i, word_xy)
         c_ii = _census_value(core_ii, word_aux)
         c_iii = _census_value(core_iii, word_aux)
-        c_iv = gw_core.contains(phi.embed(word_aux))
+        c_iv = gw_core.contains(words.embed(word_aux))
 
         report.add("fixed.census.u-edges", n, "empty" if n == 1 else "base", c_i)
         report.add("fixed.census.w-in-e-edges", n, "empty" if n == 1 else "base", c_ii)
@@ -606,8 +658,8 @@ def fixed_point_profile(data: ExampleData, n_max: int, *, cache: Optional[RunCac
 def verify_all(data: Optional[ExampleData] = None, n_max: int = 10, parts: Optional[Sequence[str]] = None) -> Report:
     """Run every verifier up to the depth bound and aggregate one report.
 
-    The depth bound must lie in 0..N_MAX_CAP; each generator tuple is folded
-    and `phi` derived once per call.
+    The depth bound must lie in 0..N_MAX_CAP; one `RunCache` serves every
+    verifier, so each graph and word is derived once per call.
     """
     if not 0 <= n_max <= N_MAX_CAP:
         raise InputError(f"n_max must lie between 0 and {N_MAX_CAP}, got {n_max}")

@@ -270,7 +270,9 @@ class GSet(Frozen):
         """Extend per-generator permutations to the whole group along the
         Cayley tree of gen_words, one composition per element; this is the one
         place where generator images become element images.  A composite of
-        permutations is one, so only (gh)p = g(hp) is checked."""
+        permutations is one, so only (gh)p = g(hp) is checked, and that each
+        given image is the row built for its generator (the identity's row
+        and a generator listed twice read no image or one of two)."""
         if len(gen_images) != len(group.generators):
             raise InputError("need one permutation per group generator")
         points = tuple(range(size))
@@ -286,6 +288,12 @@ class GSet(Frozen):
         for a in sorted(group.elements, key=lambda a: len(words[a]))[1:]:
             s = words[a][-1]
             rows[a] = _compose(rows[group.mult[a][group.inverse[s]]], per_gen[s])
+        for g, img in zip(group.generators, gen_images):
+            if rows[g] != tuple(img):
+                raise InputError(
+                    f"inconsistent image for generator {g}: the identity acts trivially "
+                    "and a repeated generator by one permutation"
+                )
         gset = cls(group, tuple(rows), points if labels is None else tuple(labels))
         _check_composes(group, gset.act, "action is not associative: (gh)p != g(hp)")
         return gset

@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple, Optional
 from ._frozen import Frozen
 from .errors import InternalCheckError, PreconditionError
 from .ggraph import (
+    Adjacency,
     GGraph,
     GPath,
     _mark_tree,
@@ -49,16 +50,17 @@ class Move(NamedTuple):
 class RetractState(Frozen):
     """Immutable snapshot of the pipeline: tree + filtration + move history.
 
-    Each snapshot builds its tree's adjacency and the outside set w_set
-    once, keeps the descent paths of each outside vertex once paths_P has
-    searched them, and keeps the problematic sets once problematic has
-    swept them.  A slide changes which paths exist, so
-    eliminate_problematic makes a new snapshot (with_tree) after each slide
-    step.  A reorientation changes only the signs of the flipped edges on
-    those paths, so compress_to_U reads the snapshot it is given (see
-    there) and makes none.  Every tree version shares the input's vertex
-    G-set, so its stabilizer table is read from the tree.  Equality and
-    hashing ignore w_set and the kept adjacency, paths and problematic sets.
+    Each snapshot builds its tree's adjacency (the first keeps the one
+    make_state built) and the outside set w_set once, keeps the descent
+    paths of each outside vertex once paths_P has searched them, and keeps
+    the problematic sets once problematic has swept them.  A slide changes
+    which paths exist, so eliminate_problematic makes a new snapshot
+    (with_tree) after each slide step.  A reorientation changes only the
+    signs of the flipped edges on those paths, so compress_to_U reads the
+    snapshot it is given (see there) and makes none.  Every tree version
+    shares the input's vertex G-set, so its stabilizer table is read from
+    the tree.  Equality and hashing ignore w_set and the kept adjacency,
+    paths and problematic sets.
     """
 
     _fields = ("tree", "filtration", "u_set", "move_log")
@@ -68,9 +70,20 @@ class RetractState(Frozen):
         self, tree: GGraph, filtration: Filtration, u_set: frozenset[int], move_log: tuple[Move, ...] = ()
     ) -> None:
         super().__init__(tree, filtration, u_set, move_log)
+        self._derive(tree.adjacency())
+
+    @classmethod
+    def _of(cls, tree: GGraph, filtration: Filtration, u_set: frozenset[int], adj: Adjacency) -> "RetractState":
+        """A first snapshot that keeps adj, the tree's adjacency built by the caller."""
+        state = cls.__new__(cls)
+        Frozen.__init__(state, tree, filtration, u_set, ())
+        state._derive(adj)
+        return state
+
+    def _derive(self, adj: Adjacency) -> None:
         set_field = object.__setattr__
-        set_field(self, "w_set", frozenset(range(tree.n_vertices)) - u_set)
-        set_field(self, "_adj", tree.adjacency())
+        set_field(self, "w_set", frozenset(range(self.tree.n_vertices)) - self.u_set)
+        set_field(self, "_adj", adj)
         set_field(self, "_paths", {})
         set_field(self, "_problematic", None)
 
@@ -82,10 +95,13 @@ class RetractState(Frozen):
 
 
 def make_state(tree: GGraph, u_set: Iterable[int], filtration: Optional[Filtration] = None) -> RetractState:
+    """The first snapshot; the tree's adjacency is built once, for the
+    filtration build and the snapshot both."""
     u = frozenset(u_set)
+    adj = tree.adjacency()
     if filtration is None:
-        filtration = build_filtration(tree, u)
-    return RetractState(tree, filtration, u)
+        filtration = build_filtration(tree, u, adj)
+    return RetractState._of(tree, filtration, u, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +120,7 @@ def _retract_precheck(tree: GGraph, u: frozenset[int]) -> None:
         raise PreconditionError("the given vertex subset is not a G-retract")
 
 
-def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
+def build_filtration(tree: GGraph, u_set: Iterable[int], adj: Optional[Adjacency] = None) -> Filtration:
     """Assign degrees stagewise.
 
     Stage 1 consumes one fresh edge orbit.  A later stage alpha+1 routes each
@@ -121,6 +137,7 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
     read from the G-sets' orbit numbers.  The tree is rooted once at vertex
     0, keeping each vertex's depth and (parent, edge), and each geodesic is
     walked only up to its cut, its first vertex below alpha (_cut_orbits).
+    adj, when given, is tree.adjacency(), built by the caller.
     """
     u = frozenset(u_set)
     _retract_precheck(tree, u)
@@ -132,7 +149,7 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
         edge_members[k].append(e)
     depth = [0] * nv
     up = [(-1, -1)] * nv  # vertex -> (parent, edge to it) in the rooted tree
-    for v, (prev, _, e) in bfs_parents(tree.adjacency(), 0).items():
+    for v, (prev, _, e) in bfs_parents(tree.adjacency() if adj is None else adj, 0).items():
         if prev != -1:
             depth[v] = depth[prev] + 1
             up[v] = (prev, e)

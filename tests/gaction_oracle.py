@@ -99,6 +99,12 @@ def oracle_from_generator_images(group, size, gen_images, labels=None):
         for g in reversed(group.gen_words[a]):
             row = [per_gen[g][p] for p in row]
         rows.append(tuple(row))
+    for g, img in zip(group.generators, gen_images):
+        if rows[g] != tuple(img):
+            raise InputError(
+                f"inconsistent image for generator {g}: the identity acts trivially "
+                "and a repeated generator by one permutation"
+            )
     return GSet.build(group, size, rows, labels)
 
 

@@ -357,6 +357,15 @@ def _untwist_group_doc(group):
         (["almost", "untwist"], _untwist_group_doc({"mult_table": [[0]], "order": None})),
         (["almost", "untwist"], _untwist_group_doc({"mult_table": [[0]], "order": True})),
         (["counterexample", "verify"], {**default_data().to_json(), "tau_e_exp": None}),
+        (
+            ["almost", "untwist"],
+            {
+                "group": {"mult_table": [[0, 1], [1, 0]]},
+                "E": {"points": 2, "action": [[1, 0], [1, 0]]},
+                "A": {"points": 1, "action": [[0], [0]]},
+                "function": [0, 0],
+            },
+        ),
     ],
     ids=[
         "factor-not-int", "matrix-entry-not-int", "element-row-not-int", "element-row-range", "function-not-list",
@@ -369,6 +378,7 @@ def _untwist_group_doc(group):
         "derivation-bool", "transversal-text", "transversal-bool", "transversal-range",
         "fixture-exponent-float", "fixture-exponent-bool", "fixture-exponent-text",
         "points-past-rows", "function-null", "mult-table-null", "order-null", "order-bool", "fixture-exponent-null",
+        "identity-generator-image",
     ],
 )
 def test_malformed_input_exits_two_with_one_line(tmp_path, capsys, command, doc):

@@ -4,6 +4,7 @@ from gtrees.errors import VerificationMismatch
 from gtrees.counterexample import (
     AUX,
     ExampleData,
+    RunCache,
     default_data,
     derive_phi,
     documented_mutations,
@@ -125,6 +126,40 @@ def test_verify_really_base_cases(data):
     rep1 = verify_really(data, 1)
     assert rep1.passed
     assert phi.embed(phi.apply(phi.start, 1)) == w("x^8y^8x^8") == power_word(3)
+
+
+def test_run_cache_words_match_a_fresh_derivation():
+    # the kept iterates, embeddings, rewrites and t^2-conjugates are the
+    # words derived from scratch, whatever order they are asked in
+    for d in [default_data(), *documented_mutations().values()]:
+        cache = RunCache()
+        try:
+            words = cache.phi_words(d)
+        except VerificationMismatch:
+            with pytest.raises(VerificationMismatch):
+                derive_phi(d)
+            with pytest.raises(VerificationMismatch):
+                cache.phi_words(d)
+            continue
+        phi = derive_phi(d)
+        assert words.phi == phi
+        for k in (5, 0, 3, 5, 9, 1):
+            assert words.iterate(k) == phi.apply(phi.start, k)
+            assert words.embed(words.iterate(k)) == phi.embed(phi.apply(phi.start, k))
+            aux = power_word(k, alphabet=AUX)
+            assert words.embed(aux) == phi.embed(aux)
+        for g in d.gw_gens + d.t_images + (d.base_rhs,):
+            kept = express_in_generators(d.gw_gens, g, AUX, cache=cache)
+            assert kept == express_in_generators(d.gw_gens, g, AUX)
+            assert express_in_generators(d.gw_gens, g, AUX, cache=cache) is kept
+        try:
+            fresh = ge_t2_generators(d, phi)
+        except VerificationMismatch:
+            with pytest.raises(VerificationMismatch):
+                cache.ge_t2(d)
+            continue
+        assert cache.ge_t2(d) == fresh
+        assert cache.ge_t2(d) is cache.ge_t2(d)
 
 
 def test_verify_really_through_ten(data):

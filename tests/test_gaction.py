@@ -350,6 +350,27 @@ def test_light_associativity_test_matches_the_cubic_check():
     assert verdicts["ok"] > 60 and verdicts["InputError", "multiplication table is not associative"] > 60, verdicts
 
 
+def test_every_given_generator_image_is_read():
+    # a mult_table group without listed generators takes every element as
+    # one, the identity included, and a group built directly may list a
+    # generator twice; each given image must be the permutation its
+    # generator acts by, as in the word-replay oracle
+    c2 = FiniteGroup.from_mult_table([[0, 1], [1, 0]], [0, 1])
+    twice = FiniteGroup(c2.mult, c2.identity, (1, 1), c2.inverse, c2.gen_words)
+    for grp, images, ok in [
+        (c2, [[1, 0], [1, 0]], False),
+        (c2, [[0, 1], [1, 0]], True),
+        (twice, [[0, 1], [1, 0]], False),
+        (twice, [[1, 0], [1, 0]], True),
+    ]:
+        got = outcome(GSet.from_generator_images, grp, 2, images)
+        assert got == outcome(oracle_from_generator_images, grp, 2, images)
+        if ok:
+            assert got.act == ((0, 1), (1, 0))
+        else:
+            assert got[0] == "InputError" and got[1].startswith("inconsistent image for generator ")
+
+
 def test_generator_images_match_the_word_replay_oracle():
     # a relabeled regular action or coset action satisfies every relation;
     # random images of a few points mostly break one, and both forms refuse
@@ -373,7 +394,11 @@ def test_generator_images_match_the_word_replay_oracle():
             want = outcome(oracle_from_generator_images, grp, size, images)
             assert got == want
             if isinstance(got, tuple):
-                assert got == ("InputError", "action is not associative: (gh)p != g(hp)")
+                # a product with the trivial group lists its identity as a
+                # generator, whose random image is refused before the law
+                assert got == ("InputError", "action is not associative: (gh)p != g(hp)") or (
+                    grp.identity in grp.generators and got[1].startswith("inconsistent image for generator ")
+                )
             else:
                 assert got.act == want.act and got.labels == want.labels
             verdicts[isinstance(got, tuple)] += 1

@@ -33,6 +33,7 @@ from gtrees.gaction import FiniteGroup, GSet
 from gtrees.ggraph import GGraph, ggraph_to_json, reorient, validate
 from gtrees.retract import (
     Filtration,
+    RetractState,
     build_filtration,
     check_filtration,
     compress_to_U,
@@ -92,7 +93,9 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     # criterion with is_retract and builds no retraction map.
     # build_filtration roots the tree with one unwindowed search, and
     # compress_to_U's reorientation makes no new snapshot, so a tree with no
-    # slide runs one windowed search per outside vertex
+    # slide runs one windowed search per outside vertex.  make_state builds
+    # the input's adjacency once for the filtration and the first snapshot,
+    # and the snapshot after each slide step builds its tree's
     calls = Counter()
 
     def count(owner, name, key=None):
@@ -111,6 +114,8 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     count(GGraph, "state_digest")
     count(rt, "build_filtration")
     count(rt, "bfs_parents", "unwindowed_bfs")
+    count(GGraph, "adjacency")
+    count(RetractState, "with_tree", "slide_steps")
 
     # keyed by id; `alive` keeps every keyed object alive, so no id is reused
     alive = []
@@ -166,6 +171,9 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
         orbit_builds.clear()
         res = retract_tree(t, u)
         slides = sum(m.kind == "slide" for m in res.move_log)
+        # a slide step may slide along several edges and makes one snapshot
+        steps = calls["slide_steps"]
+        assert (steps > 0) == (slides > 0) and steps <= slides
         assert calls == Counter(
             is_retract=1,
             validate=1,
@@ -173,6 +181,8 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
             state_digest=len(res.move_log) + 1,
             build_filtration=1,
             unwindowed_bfs=1,
+            adjacency=1 + steps,
+            slide_steps=steps,
         )
         assert max(searches.values(), default=0) <= 1
         n_outside = t.n_vertices - len(u)

@@ -6,6 +6,7 @@ recorded with the letter-tuple words that syllable words replaced.
 
 import hashlib
 import json
+import math
 import time
 
 import pytest
@@ -14,6 +15,7 @@ import gtrees.counterexample as cx
 import gtrees.stallings as st
 from gtrees.counterexample import default_data, documented_mutations, verify_all
 from gtrees.errors import InputError
+from gtrees.words import substitute
 
 GOLDEN_DEFAULT_N14 = "fbeb96f8e2fc65069797c6a64a84e321549e87599cc067a482b20cc79dedb4b7"
 GOLDEN_MUTANTS_N10 = {
@@ -85,3 +87,30 @@ def test_each_generator_tuple_is_folded_once_per_run(monkeypatch):
         phis.clear()
         verify_all(mutant, n_max=6)
         assert len(folded) == len(set(folded)) and len(phis) == 1
+
+
+def log_log_slope(xs, ys) -> float:
+    """Least-squares slope of log y against log x."""
+    lx, ly = [math.log(x) for x in xs], [math.log(y) for y in ys]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sum((a - mx) ** 2 for a in lx)
+
+
+def test_substitutions_grow_linearly_with_the_depth(monkeypatch):
+    # work contract: a run keeps phi's iterates, their embeddings and each
+    # rewrite, so depth n costs one substitution past the deepest iterate and
+    # the count grows linearly in n_max; applying phi from scratch at every
+    # depth makes it grow as n_max^2 (slope 1.9 over these depths)
+    calls = [0]
+
+    def counted(w, images):
+        calls[0] += 1
+        return substitute(w, images)
+
+    monkeypatch.setattr(cx, "substitute", counted)
+    depths, counts = (16, 32, 64, 128), []
+    for n_max in depths:
+        calls[0] = 0
+        assert verify_all(n_max=n_max).passed
+        counts.append(calls[0])
+    assert log_log_slope(depths, counts) <= 1.1, counts
