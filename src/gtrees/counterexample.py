@@ -270,14 +270,10 @@ class RunCache:
             raise words
         return words
 
-    def phi(self, data: ExampleData) -> "PhiEndo":
-        """`derive_phi(data)`, once per run; a mismatch is raised on every call."""
-        return self.phi_words(data).phi
-
     def ge_t2(self, data: ExampleData) -> list[Word]:
         """`ge_t2_generators(data, phi)`, once per run."""
         if data not in self._ge_t2:
-            self._ge_t2[data] = ge_t2_generators(data, self.phi(data), cache=self)
+            self._ge_t2[data] = ge_t2_generators(data, self.phi_words(data).phi, cache=self)
         return self._ge_t2[data]
 
 
@@ -550,7 +546,7 @@ def verify_stabilizer_inclusions(data: ExampleData, *, cache: Optional[RunCache]
     for g in data.ge_gens:
         report.add("stab.ge-in-gu", None, True, gu_core.contains(g), note=format_word(g))
     try:
-        phi = cache.phi(data)
+        phi = cache.phi_words(data).phi
         derived_ge_t2 = cache.ge_t2(data)
         derived_gf_t = [t_conjugate(data, phi, g, 1, cache=cache) for g in data.gw_gens]
     except VerificationMismatch as exc:

@@ -18,7 +18,7 @@ from gtrees.counterexample import (
     verify_stabilizer_inclusions,
 )
 from gtrees.stallings import from_generators
-from gtrees.words import XY, Word, conjugate, multiply, parse_word, power_word
+from gtrees.words import XY, Alphabet, Word, conjugate, multiply, parse_word, power_word
 
 
 def w(text, alph=XY):
@@ -128,6 +128,9 @@ def test_verify_really_base_cases(data):
     assert phi.embed(phi.apply(phi.start, 1)) == w("x^8y^8x^8") == power_word(3)
 
 
+PQ = Alphabet.of("P", "Q")
+
+
 def test_run_cache_words_match_a_fresh_derivation():
     # the kept iterates, embeddings, rewrites and t^2-conjugates are the
     # words derived from scratch, whatever order they are asked in
@@ -152,6 +155,7 @@ def test_run_cache_words_match_a_fresh_derivation():
             kept = express_in_generators(d.gw_gens, g, AUX, cache=cache)
             assert kept == express_in_generators(d.gw_gens, g, AUX)
             assert express_in_generators(d.gw_gens, g, AUX, cache=cache) is kept
+            assert express_in_generators(d.gw_gens, g, PQ, cache=cache) == express_in_generators(d.gw_gens, g, PQ)
         try:
             fresh = ge_t2_generators(d, phi)
         except VerificationMismatch:

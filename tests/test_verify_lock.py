@@ -114,3 +114,7 @@ def test_substitutions_grow_linearly_with_the_depth(monkeypatch):
         assert verify_all(n_max=n_max).passed
         counts.append(calls[0])
     assert log_log_slope(depths, counts) <= 1.1, counts
+    # each further depth costs two: one application of phi and one embedding
+    # (phi^n(start) is the auxiliary power word, so both sides of the
+    # identity share it)
+    assert [b - a for a, b in zip(counts, counts[1:])] == [2 * (m - n) for n, m in zip(depths, depths[1:])], counts
