@@ -85,7 +85,8 @@ class GModule(NamedTuple):
     """A finite abelian group on which the group acts by additive automorphisms.
 
     The action laws are checked by the G-set of the carrier's points
-    (GSet.validate); a module checks only that the action is additive.
+    (GSet.from_generator_images); a module checks only that the action is
+    additive.
     """
 
     group: FiniteGroup

@@ -207,14 +207,24 @@ def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return itemgetter(*q)(p) if len(q) > 1 else tuple([p[i] for i in q])
 
 
+def _point_labels(points: tuple[int, ...], labels: Optional[Sequence[Hashable]]) -> tuple[Hashable, ...]:
+    """The given labels as a tuple, one per point, or else the points."""
+    labels = points if labels is None else tuple(labels)
+    if len(labels) != len(points):
+        raise InputError(f"need one label per point: {len(points)} points, {len(labels)} labels")
+    return labels
+
+
 class GSet(Frozen):
     """A finite set with a left action of a FiniteGroup, one permutation per element.
 
-    build (and so trivial_action and regular) checks the action laws with
-    validate.  from_generator_images composes each element's row from
-    checked generator permutations and checks only (gh)p = g(hp).  restrict
-    derives its table from a validated G-set without checking again.  A
-    direct GSet(...) expects a table that is already valid.
+    from_generator_images is the one place where the action laws are
+    checked: it composes each element's row from checked generator
+    permutations and checks (gh)p = g(hp) for generators g.  build reads a
+    table with one row per element through it, and checks that each given
+    row is the row composed there.  A direct GSet(...) expects a table that
+    is already valid, as trivial_action, regular, restrict and
+    ggraph.subdivide compose it.
 
     Three tables are built on first use and kept: every point's stabilizer
     (stabilizers), every point's orbit number (orbit_ids) and the JSON text
@@ -250,14 +260,20 @@ class GSet(Frozen):
         element_images: Sequence[Sequence[int]],
         labels: Optional[Sequence[Hashable]] = None,
     ) -> "GSet":
+        """The G-set of one row per element: the generators' rows go through
+        from_generator_images, and every given row must be the row composed
+        there.  So a table passes exactly when it is an action: each row is
+        then a composite of checked permutations (the identity's is the
+        empty one), and the law holds on generators, so for all elements."""
         # the shape first: a huge size with short rows allocates nothing
         if len(element_images) != group.order or any(len(row) != size for row in element_images):
             raise InputError("action table has wrong shape")
-        if labels is None:
-            labels = tuple(range(size))
-        s = cls(group, tuple([tuple(row) for row in element_images]), tuple(labels))
-        s.validate()
-        return s
+        gset = cls.from_generator_images(group, size, [tuple(element_images[g]) for g in group.generators], labels)
+        for a, (given, row) in enumerate(zip(element_images, gset.act)):
+            # == takes True for 1: the type scan refuses what a generator image may not hold
+            if tuple(given) != row or not set(map(type, given)) <= {int}:
+                raise InputError(f"the row of element {a} is not the product of its generators' rows")
+        return gset
 
     @classmethod
     def from_generator_images(
@@ -269,13 +285,15 @@ class GSet(Frozen):
     ) -> "GSet":
         """Extend per-generator permutations to the whole group along the
         Cayley tree of gen_words, one composition per element; this is the one
-        place where generator images become element images.  A composite of
+        place where generator images become element images, and where the
+        action laws are checked (build comes through here).  A composite of
         permutations is one, so only (gh)p = g(hp) is checked, and that each
         given image is the row built for its generator (the identity's row
         and a generator listed twice read no image or one of two)."""
         if len(gen_images) != len(group.generators):
             raise InputError("need one permutation per group generator")
         points = tuple(range(size))
+        labels = _point_labels(points, labels)
         per_gen = {}
         for g, img in zip(group.generators, gen_images):
             ints = isinstance(img, (list, tuple)) and len(img) == size and all(type(p) is int for p in img)
@@ -294,33 +312,18 @@ class GSet(Frozen):
                     f"inconsistent image for generator {g}: the identity acts trivially "
                     "and a repeated generator by one permutation"
                 )
-        gset = cls(group, tuple(rows), points if labels is None else tuple(labels))
+        gset = cls(group, tuple(rows), labels)
         _check_composes(group, gset.act, "action is not associative: (gh)p != g(hp)")
         return gset
 
     @classmethod
     def trivial_action(cls, group: FiniteGroup, size: int, labels=None) -> "GSet":
         row = tuple(range(size))
-        return cls.build(group, size, [row] * group.order, labels)
+        return cls(group, (row,) * group.order, _point_labels(row, labels))
 
     @classmethod
     def regular(cls, group: FiniteGroup) -> "GSet":
-        return cls.build(group, group.order, group.mult)
-
-    def validate(self) -> None:
-        """The action laws: shape, the identity acts trivially, every element
-        acts by a permutation, and (gh)p = g(hp), checked for generators g."""
-        n, m = self.group.order, self.size
-        if len(self.act) != n or any(len(r) != m for r in self.act):
-            raise InputError("action table has wrong shape")
-        if self.act[self.group.identity] != tuple(range(m)):
-            raise InputError("identity does not act trivially")
-        points = list(range(m))
-        for g in range(n):
-            row = self.act[g]
-            if not all(type(p) is int for p in row) or sorted(row) != points:
-                raise InputError(f"element {g} does not act by a permutation")
-        _check_composes(self.group, self.act, "action is not associative: (gh)p != g(hp)")
+        return cls(group, group.mult, tuple(group.elements))
 
     # -- queries -------------------------------------------------------
 
@@ -467,7 +470,7 @@ def non_equivariant(source: GSet, target: GSet, f: Union[Sequence[int], Mapping[
     f sends points of source to points of target: a sequence indexed by every
     point, or a dict whose keys should form an action-closed subset, in which
     case a generator moving a key out of the keys is reported as well.
-    Generators suffice: both actions are homomorphisms (GSet.validate), so a
+    Generators suffice: both actions are homomorphisms (see GSet), so a
     map that commutes with each generator commutes with every element.
     """
     domain = f if isinstance(f, Mapping) else range(len(f))

@@ -33,11 +33,12 @@ class GGraph(Frozen):
     """Vertex and edge G-sets with the incidence maps iota and tau.
 
     _is_tree holds the G-tree verdict once it is known (see the module
-    docstring).  Equality and hashing ignore it.
+    docstring).  The adjacency is built on first use and kept.  Equality and
+    hashing ignore both.
     """
 
     _fields = ("vertices", "edges", "iota", "tau")
-    __slots__ = _fields + ("_is_tree",)
+    __slots__ = _fields + ("_is_tree", "_adj")
 
     def __init__(self, vertices: GSet, edges: GSet, iota: tuple[int, ...], tau: tuple[int, ...]) -> None:
         if vertices.group != edges.group:
@@ -52,6 +53,8 @@ class GGraph(Frozen):
             raise InputError("incidence map hits a missing vertex")
         super().__init__(vertices, edges, iota, tau)
         object.__setattr__(self, "_is_tree", False)
+        # the adjacency, filled on the first adjacency query
+        object.__setattr__(self, "_adj", None)
 
     @property
     def group(self) -> FiniteGroup:
@@ -66,7 +69,14 @@ class GGraph(Frozen):
         return self.edges.size
 
     def adjacency(self) -> Adjacency:
-        """Per vertex: (edge, eps, other endpoint), eps +1 when leaving iota."""
+        """Per vertex: (edge, eps, other endpoint), eps +1 when leaving iota,
+        sorted.  Built once per graph: every caller gets the same lists, so
+        none may change them."""
+        if self._adj is None:
+            object.__setattr__(self, "_adj", self._adjacency_table())
+        return self._adj
+
+    def _adjacency_table(self) -> Adjacency:
         adj: Adjacency = [[] for _ in range(self.n_vertices)]
         for e in range(self.n_edges):
             u, v = self.iota[e], self.tau[e]
@@ -260,7 +270,9 @@ class SubdivideResult(NamedTuple):
 
 def subdivide(t: GGraph, f: int) -> SubdivideResult:
     """Replace the orbit of f by two half-edge orbits through new midpoints;
-    splitting each edge of a G-tree equivariantly leaves a G-tree."""
+    splitting each edge of a G-tree equivariantly leaves a G-tree.  The new
+    G-sets' rows are the input's, restricted and extended by how each
+    element permutes the orbit, so they are actions by construction."""
     _require_tree(t, "subdivide")
     if not 0 <= f < t.n_edges:
         raise PreconditionError("subdivide edge out of range")
@@ -270,11 +282,9 @@ def subdivide(t: GGraph, f: int) -> SubdivideResult:
 
     nv, k = t.n_vertices, len(orbit)
     va, ea = t.vertices.act, t.edges.act
-    vertex_rows = [
-        tuple(list(va[g]) + [nv + pos[ea[g][e]] for e in orbit]) for g in t.group.elements
-    ]
-    vlabels = list(t.vertices.labels) + [("mid", t.edges.labels[e]) for e in orbit]
-    vertices = GSet.build(t.group, nv + k, vertex_rows, vlabels)
+    vertex_rows = tuple([va[g] + tuple([nv + pos[ea[g][e]] for e in orbit]) for g in t.group.elements])
+    vlabels = t.vertices.labels + tuple([("mid", t.edges.labels[e]) for e in orbit])
+    vertices = GSet(t.group, vertex_rows, vlabels)
 
     kept_idx = {e: i for i, e in enumerate(kept)}
     nk = len(kept)
@@ -289,7 +299,7 @@ def subdivide(t: GGraph, f: int) -> SubdivideResult:
         + [("half1", t.edges.labels[e]) for e in orbit]
         + [("half2", t.edges.labels[e]) for e in orbit]
     )
-    edges = GSet.build(t.group, nk + 2 * k, edge_rows, elabels)
+    edges = GSet(t.group, tuple(edge_rows), tuple(elabels))
 
     iota = [t.iota[e] for e in kept]
     tau = [t.tau[e] for e in kept]

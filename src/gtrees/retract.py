@@ -18,7 +18,6 @@ from typing import Iterable, NamedTuple, Optional
 from ._frozen import Frozen
 from .errors import InternalCheckError, PreconditionError
 from .ggraph import (
-    Adjacency,
     GGraph,
     GPath,
     _mark_tree,
@@ -50,8 +49,7 @@ class Move(NamedTuple):
 class RetractState(Frozen):
     """Immutable snapshot of the pipeline: tree + filtration + move history.
 
-    Each snapshot builds its tree's adjacency (the first keeps the one
-    make_state built) and the outside set w_set once, keeps the descent
+    Each snapshot builds the outside set w_set once, keeps the descent
     paths of each outside vertex once paths_P has searched them, and keeps
     the problematic sets once problematic has swept them.  A slide changes
     which paths exist, so eliminate_problematic makes a new snapshot
@@ -59,31 +57,20 @@ class RetractState(Frozen):
     signs of the flipped edges on those paths, so compress_to_U reads the
     snapshot it is given (see there) and makes none.  Every tree version
     shares the input's vertex G-set, so its stabilizer table is read from
-    the tree.  Equality and hashing ignore w_set and the kept adjacency,
+    the tree; so is the adjacency, which each tree version builds once
+    (GGraph.adjacency).  Equality and hashing ignore w_set and the kept
     paths and problematic sets.
     """
 
     _fields = ("tree", "filtration", "u_set", "move_log")
-    __slots__ = _fields + ("w_set", "_adj", "_paths", "_problematic")
+    __slots__ = _fields + ("w_set", "_paths", "_problematic")
 
     def __init__(
         self, tree: GGraph, filtration: Filtration, u_set: frozenset[int], move_log: tuple[Move, ...] = ()
     ) -> None:
         super().__init__(tree, filtration, u_set, move_log)
-        self._derive(tree.adjacency())
-
-    @classmethod
-    def _of(cls, tree: GGraph, filtration: Filtration, u_set: frozenset[int], adj: Adjacency) -> "RetractState":
-        """A first snapshot that keeps adj, the tree's adjacency built by the caller."""
-        state = cls.__new__(cls)
-        Frozen.__init__(state, tree, filtration, u_set, ())
-        state._derive(adj)
-        return state
-
-    def _derive(self, adj: Adjacency) -> None:
         set_field = object.__setattr__
-        set_field(self, "w_set", frozenset(range(self.tree.n_vertices)) - self.u_set)
-        set_field(self, "_adj", adj)
+        set_field(self, "w_set", frozenset(range(tree.n_vertices)) - u_set)
         set_field(self, "_paths", {})
         set_field(self, "_problematic", None)
 
@@ -95,13 +82,10 @@ class RetractState(Frozen):
 
 
 def make_state(tree: GGraph, u_set: Iterable[int], filtration: Optional[Filtration] = None) -> RetractState:
-    """The first snapshot; the tree's adjacency is built once, for the
-    filtration build and the snapshot both."""
+    """The first snapshot, with the filtration build_filtration assigns
+    unless one is given."""
     u = frozenset(u_set)
-    adj = tree.adjacency()
-    if filtration is None:
-        filtration = build_filtration(tree, u, adj)
-    return RetractState._of(tree, filtration, u, adj)
+    return RetractState(tree, build_filtration(tree, u) if filtration is None else filtration, u)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +104,7 @@ def _retract_precheck(tree: GGraph, u: frozenset[int]) -> None:
         raise PreconditionError("the given vertex subset is not a G-retract")
 
 
-def build_filtration(tree: GGraph, u_set: Iterable[int], adj: Optional[Adjacency] = None) -> Filtration:
+def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
     """Assign degrees stagewise.
 
     Stage 1 consumes one fresh edge orbit.  A later stage alpha+1 routes each
@@ -137,7 +121,6 @@ def build_filtration(tree: GGraph, u_set: Iterable[int], adj: Optional[Adjacency
     read from the G-sets' orbit numbers.  The tree is rooted once at vertex
     0, keeping each vertex's depth and (parent, edge), and each geodesic is
     walked only up to its cut, its first vertex below alpha (_cut_orbits).
-    adj, when given, is tree.adjacency(), built by the caller.
     """
     u = frozenset(u_set)
     _retract_precheck(tree, u)
@@ -149,7 +132,7 @@ def build_filtration(tree: GGraph, u_set: Iterable[int], adj: Optional[Adjacency
         edge_members[k].append(e)
     depth = [0] * nv
     up = [(-1, -1)] * nv  # vertex -> (parent, edge to it) in the rooted tree
-    for v, (prev, _, e) in bfs_parents(tree.adjacency() if adj is None else adj, 0).items():
+    for v, (prev, _, e) in bfs_parents(tree.adjacency(), 0).items():
         if prev != -1:
             depth[v] = depth[prev] + 1
             up[v] = (prev, e)
@@ -312,7 +295,7 @@ def check_filtration(state: RetractState) -> list[str]:
 def _window_search(state: RetractState, w: int) -> dict[int, tuple[int, int, int]]:
     """bfs_parents from w, crossing only the window edges into vertices z
     with stab(w) <= stab(z) (see paths_P)."""
-    filt, vstab, adj = state.filtration, state.tree.vertices.stabilizers(), state._adj
+    filt, vstab, adj = state.filtration, state.tree.vertices.stabilizers(), state.tree.adjacency()
     edeg, lo, sw = filt.edeg, filt.vdeg[w], vstab[w]
     parent, reached = {w: (-1, 0, -1)}, [w]
     for v in reached:

@@ -6,10 +6,13 @@ differential test oracles.  Each is the form a generator-only check in
   (before `gtrees.gaction.non_equivariant` checked the generators);
 - the action law (gh)p = g(hp), checked for every pair of elements (before
   `GSet.validate` checked it for generators g);
+- a G-set's action table checked row by row (`oracle_validate`, the form of
+  `GSet.validate` before `GSet.build` went through
+  `GSet.from_generator_images`);
 - associativity of a multiplication table over every triple (before
   `FiniteGroup.from_mult_table` ran Light's test on the generators);
 - a G-set's rows from generator images, each element's generator word
-  replayed over every point and then validated (before
+  replayed over every point and then checked by `oracle_validate` (before
   `GSet.from_generator_images` composed along the Cayley tree);
 - the derivation rule over the whole group square, into a module and into
   the function module (before `check_derivation` and
@@ -58,6 +61,23 @@ def oracle_action_is_homomorphism(s):
     )
 
 
+def oracle_validate(s):
+    """The action laws of s, row by row: shape, the identity acts
+    trivially, every element acts by a permutation of int points, and
+    (gh)p = g(hp) for every pair of elements.  Returns None or raises
+    InputError."""
+    n, m = s.group.order, s.size
+    if len(s.act) != n or any(len(row) != m for row in s.act):
+        raise InputError("action table has wrong shape")
+    if tuple(s.act[s.group.identity]) != tuple(range(m)):
+        raise InputError("identity does not act trivially")
+    for g, row in enumerate(s.act):
+        if not all(type(p) is int for p in row) or sorted(row) != list(range(m)):
+            raise InputError(f"element {g} does not act by a permutation")
+    if not oracle_action_is_homomorphism(s):
+        raise InputError("action is not associative: (gh)p != g(hp)")
+
+
 def oracle_from_mult_table(table, generators):
     """FiniteGroup.from_mult_table with associativity checked on every
     triple, before the inverses and the generators."""
@@ -83,7 +103,7 @@ def oracle_from_mult_table(table, generators):
 
 def oracle_from_generator_images(group, size, gen_images, labels=None):
     """GSet.from_generator_images by replaying each element's generator word
-    over every point, then GSet.build's full validation."""
+    over every point, then oracle_validate."""
     if len(gen_images) != len(group.generators):
         raise InputError("need one permutation per group generator")
     per_gen = {}
@@ -105,7 +125,9 @@ def oracle_from_generator_images(group, size, gen_images, labels=None):
                 f"inconsistent image for generator {g}: the identity acts trivially "
                 "and a repeated generator by one permutation"
             )
-    return GSet.build(group, size, rows, labels)
+    s = GSet(group, tuple(rows), tuple(range(size)) if labels is None else tuple(labels))
+    oracle_validate(s)
+    return s
 
 
 def oracle_check_derivation(module, d):

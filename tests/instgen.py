@@ -179,6 +179,18 @@ def random_instance(rng, max_vertices=40, max_group=24):
     return t, u_set
 
 
+def instance_with_vertices(rng, n, max_vertices, max_group=24):
+    """random_instance conditioned on n vertices, as the benchmark's
+    retract workload draws it: generator states whose first draw, the
+    vertex count, is another count are skipped, so no instance is built
+    only to be rejected."""
+    while True:
+        state = rng.getstate()
+        if rng.randrange(2, max_vertices + 1) == n:
+            rng.setstate(state)
+            return random_instance(rng, max_vertices=max_vertices, max_group=max_group)
+
+
 def sample_retract(rng, t: GGraph):
     """A random action-closed vertex subset satisfying the retract condition."""
     orbits = t.vertices.orbits()

@@ -8,6 +8,7 @@ from gaction_oracle import (
     oracle_check_function_derivation,
     oracle_coset_retraction,
     oracle_untwist,
+    oracle_validate,
     outcome,
 )
 
@@ -262,7 +263,7 @@ def test_function_gset_and_action_law():
     a = GSet.trivial_action(g, 3)
     fs = function_gset(e, a)
     assert fs.size == 9
-    fs.validate()
+    oracle_validate(fs)
 
 
 def test_function_gset_refuses_a_space_above_the_cap(monkeypatch):
@@ -422,7 +423,7 @@ def test_check_derivation_matches_the_square_oracle(name, factors):
             assert check_derivation(module, d) == oracle_check_derivation(module, d)
             if check_derivation(module, d):
                 # twisted_gset builds its action unchecked: it is one by construction
-                twisted_gset(module, d).validate()
+                oracle_validate(twisted_gset(module, d))
     assert verdicts[True] and verdicts[False], verdicts
 
 

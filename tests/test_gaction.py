@@ -3,7 +3,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from gaction_oracle import oracle_action_is_homomorphism, oracle_from_generator_images, oracle_from_mult_table, outcome
+from gaction_oracle import oracle_from_generator_images, oracle_from_mult_table, oracle_validate, outcome
 
 import gtrees.gaction as ga
 
@@ -99,7 +99,7 @@ def test_restrict_checks_closure_and_keeps_labels():
     assert sub == s._restricted([0, 1, 3])
     assert sub.labels == ("a", "b", "d")
     assert sub.act == ((0, 1, 2), (1, 0, 2))
-    sub.validate()
+    oracle_validate(sub)
     with pytest.raises(PreconditionError, match="subset is not action-closed"):
         s.restrict([1, 2])
 
@@ -219,10 +219,13 @@ def test_symmetric_six_builds():
     assert FiniteGroup.from_mult_table(s6.mult, s6.generators) == s6
 
 
-def test_validate_matches_elementwise_action_law():
+def test_build_accepts_exactly_what_the_elementwise_oracle_accepts():
     # the regular action with its points relabeled on every row, on a random
-    # set of rows, or swapped in one row: the generator-only law check
-    # rejects exactly the tables the element-wise law rejects
+    # set of rows, or swapped in one row, a wrong identity row, a
+    # non-generator row that is not a permutation, and one that holds True
+    # for 1 (equal under ==): GSet.build, which reads the generators' rows
+    # and checks the law on generators, accepts exactly the tables that the
+    # row-by-row checks accept
     rng = random.Random(3)
     verdicts = Counter()
     for grp in _library_groups():
@@ -230,11 +233,12 @@ def test_validate_matches_elementwise_action_law():
             continue
         reg = GSet.regular(grp)
         n = grp.order
-        for trial in range(6):
+        rows = [g for g in grp.elements if g != grp.identity]
+        non_generators = [g for g in rows if g not in grp.generators]
+        for trial in range(9):
             sigma = rng.sample(range(n), n)
             inv = sorted(range(n), key=sigma.__getitem__)
-            rows = [g for g in grp.elements if g != grp.identity]
-            changed = set(rows) if trial == 0 else set(rng.sample(rows, rng.randint(0, len(rows))))
+            changed = set(rows) if trial in (0, 6, 7, 8) else set(rng.sample(rows, rng.randint(0, len(rows))))
             act = [
                 [sigma[row[inv[p]]] for p in range(n)] if g in changed else list(row) for g, row in enumerate(reg.act)
             ]
@@ -242,16 +246,25 @@ def test_validate_matches_elementwise_action_law():
                 g = rng.choice(rows)
                 i, j = rng.sample(range(n), 2)
                 act[g][i], act[g][j] = act[g][j], act[g][i]
+            if trial == 6 and rows:
+                act[grp.identity] = list(act[rng.choice(rows)])
+            if trial == 7 and non_generators:
+                g = rng.choice(non_generators)
+                i, j = rng.sample(range(n), 2)
+                act[g][i] = act[g][j]
+            if trial == 8 and non_generators:
+                g = rng.choice(non_generators)
+                act[g] = [True if p == 1 else p for p in act[g]]
             s = GSet(grp, tuple(map(tuple, act)), reg.labels)
-            try:
-                s.validate()
-                ok = True
-            except InputError as exc:
-                assert "not associative" in str(exc)
-                ok = False
-            assert ok == oracle_action_is_homomorphism(s)
-            verdicts[ok] += 1
-    assert min(verdicts.values()) > 20, verdicts
+            ok = outcome(oracle_validate, s) is None
+            got = outcome(GSet.build, grp, n, act)
+            assert (got == s) == ok, (grp, trial, got)
+            verdicts[trial, ok] += 1
+    # relabeling every row gives an action; a wrong identity row, a repeated
+    # point or a bool gives none, but on groups too small to hold them; the
+    # random subsets and swaps give both
+    assert verdicts[0, False] == 0 and min(verdicts[t, False] for t in (6, 7, 8)) > 40, verdicts
+    assert min(sum(verdicts[t, ok] for t in range(1, 6)) for ok in (True, False)) > 40, verdicts
 
 
 def test_non_equivariant_reports_generator_pairs():
@@ -276,6 +289,21 @@ def test_build_refuses_a_wrong_shape_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 10**6
+
+
+def test_every_constructor_takes_one_label_per_point():
+    # a G-set's size is its number of labels, so labels of another length
+    # would leave its rows longer or shorter than the G-set
+    c2 = FiniteGroup.cyclic(2)
+    for make in (
+        lambda labels: GSet.build(c2, 3, [[0, 1, 2], [1, 0, 2]], labels),
+        lambda labels: GSet.from_generator_images(c2, 3, [[1, 0, 2]], labels),
+        lambda labels: GSet.trivial_action(c2, 3, labels),
+    ):
+        assert make("abc").labels == ("a", "b", "c")
+        for labels in ("ab", "abcd"):
+            with pytest.raises(InputError, match="need one label per point: 3 points"):
+                make(labels)
 
 
 def test_gset_from_json_refuses_more_points_than_the_cap(monkeypatch):

@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 
 from gaction_oracle import oracle_is_equivariant
-from instgen import random_instance, random_slide_candidates, sibling_swap_generators
+from instgen import instance_with_vertices, random_instance, random_slide_candidates, sibling_swap_generators
 from retract_oracle import (
     oracle_build_filtration,
     oracle_distinguished_edges,
@@ -24,6 +24,7 @@ from retract_oracle import (
     oracle_stabilizer,
     rooted_path,
 )
+from test_verify_lock import log_log_slope
 
 import gtrees.gaction as ga
 import gtrees.ggraph as gg
@@ -93,9 +94,9 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     # criterion with is_retract and builds no retraction map.
     # build_filtration roots the tree with one unwindowed search, and
     # compress_to_U's reorientation makes no new snapshot, so a tree with no
-    # slide runs one windowed search per outside vertex.  make_state builds
-    # the input's adjacency once for the filtration and the first snapshot,
-    # and the snapshot after each slide step builds its tree's
+    # slide runs one windowed search per outside vertex.  Each graph builds
+    # its adjacency once: the input's serves the filtration and the first
+    # snapshot, and the tree of each slide step's snapshot builds its own
     calls = Counter()
 
     def count(owner, name, key=None):
@@ -114,7 +115,7 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     count(GGraph, "state_digest")
     count(rt, "build_filtration")
     count(rt, "bfs_parents", "unwindowed_bfs")
-    count(GGraph, "adjacency")
+    count(GGraph, "_adjacency_table", "adjacency")
     count(RetractState, "with_tree", "slide_steps")
 
     # keyed by id; `alive` keeps every keyed object alive, so no id is reused
@@ -200,6 +201,39 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     # compress_to_U flips an orbit on most of the trees that make no slide
     # (190 of 195), where a new snapshot would search every vertex again
     assert flipped_without_slides > 100, flipped_without_slides
+
+
+def test_retract_work_grows_linearly_with_the_vertices(monkeypatch):
+    # work contract on a seeded ladder of 125 to 1000 vertices, three trees
+    # a rung: build_filtration walks each geodesic only up to its cut (the
+    # whole geodesic gives slope 1.2 here), and retract_tree runs one
+    # unwindowed search and one windowed search per outside vertex and
+    # snapshot (slopes 1.00 and 1.03 on this ladder)
+    rng = random.Random("retract-ladder")
+    rungs = (125, 250, 500, 1000)
+    ladder = [[instance_with_vertices(rng, n, n) for _ in range(3)] for n in rungs]
+    work = Counter()
+
+    def counting(f, key, amount):
+        def counted(*args, **kwargs):
+            out = f(*args, **kwargs)
+            work[key] += amount(out)
+            return out
+
+        return counted
+
+    monkeypatch.setattr(rt, "_cut_orbits", counting(rt._cut_orbits, "cut", len))
+    monkeypatch.setattr(rt, "_window_search", counting(rt._window_search, "search", lambda out: 1))
+    monkeypatch.setattr(rt, "bfs_parents", counting(rt.bfs_parents, "search", lambda out: 1))
+    cut, searches = [], []
+    for trees in ladder:
+        work.clear()
+        for t, u in trees:
+            retract_tree(t, u)
+        cut.append(work["cut"])
+        searches.append(work["search"])
+    assert log_log_slope(rungs, cut) <= 1.05, cut
+    assert log_log_slope(rungs, searches) <= 1.1, searches
 
 
 def test_every_tree_the_pipeline_builds_is_a_g_tree(corpus, monkeypatch):
