@@ -1,12 +1,15 @@
 """Scaling ladders for gtrees, outside the benchmark: how cost grows with size.
 
-    python3 ladders/run.py [--n-max 256] [--repeats 3] [--tag TAG]
+    python3 ladders/run.py [--ladder verify|fold ...] [--n-max 256]
+                           [--fold-a-max 262144] [--repeats 3] [--tag TAG]
 
 Run from any directory; the runner imports `gtrees` from the `src` of the
-checkout it sits in.  The `verify` ladder runs `verify_all` at n_max 32, 64,
-128 and 256 (the rungs up to `--n-max`) on the documented example data and
-on each of its six documented mutants, and checks every verdict: the data
-must pass and each mutant must fail.  Per rung it records
+checkout it sits in.  `--ladder` picks the ladders to run (both by default).
+
+The `verify` ladder runs `verify_all` at n_max 32, 64, 128 and 256 (the
+rungs up to `--n-max`) on the documented example data and on each of its
+six documented mutants, and checks every verdict: the data must pass and
+each mutant must fail.  Per rung it records
 
 * `time_s`: the best of `--repeats` timed runs on the documented data, and
   `mutants_time_s`: the sum over the mutants of the best of theirs;
@@ -15,11 +18,27 @@ must pass and each mutant must fail.  Per rung it records
   separate untimed run;
 * the exponents of both against the rung below, log(y1/y0) / log(n1/n0).
 
-The least-squares log-log slopes over all rungs are the fitted exponents.
+The `fold` ladder runs `from_generators` on the power family
+[x^a y^a x^a, x^a] at a = 2^10 ... 2^18 (the rungs up to `--fold-a-max`)
+and, once `--fold-a-max` reaches 250,000, on two rungs at the 1,000,000
+letter cap (`MAX_FOLD_LETTERS`): the power family at a = 250,000 and four
+seeded random reduced words of 250,000 letters each over x, y.  At a = 2^18
+the family has 1,048,576 letters, so that rung checks that the cap refuses
+it with `InputError`.  Each rung runs in a child process of its own, so
+that its peak RSS is its own; it is the child's high-water RSS (VmHWM, or
+`ru_maxrss` where /proc is missing) after its runs, and includes the
+interpreter and the input words.  Per rung it records `time_s`, the best of
+`--repeats` runs of `from_generators`, the core's vertex count, the peak
+RSS, and for the power family the time exponent against the rung below,
+over the letters.  Each core must have 2a - 1 vertices on the power family
+and contain every generator.
+
+The least-squares log-log slopes over all rungs (of the fold ladder, over
+the power rungs that the cap admits) are the fitted exponents.
 The results, with the git sha of the checkout (and whether `src` differs
 from it), the Python version and the machine, go to BENCH_<tag>.json at the
 root of the checkout; the tag defaults to the short git sha.  The exit code
-is 1 when a verdict is wrong, after the file is written.
+is 1 when a verdict or a core is wrong, after the file is written.
 """
 
 from __future__ import annotations
@@ -29,6 +48,8 @@ import json
 import math
 import os
 import platform
+import random
+import resource
 import subprocess
 import sys
 import time
@@ -38,8 +59,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from gtrees import counterexample as cx  # noqa: E402
+from gtrees import stallings as st  # noqa: E402
+from gtrees.errors import InputError  # noqa: E402
+from gtrees.words import XY, Word, parse_word  # noqa: E402
 
 VERIFY_RUNGS = (32, 64, 128, 256)
+FOLD_POWER_A = tuple(2**k for k in range(10, 19))
+FOLD_CAP_A = st.MAX_FOLD_LETTERS // 4
+FOLD_CAP_WORDS = 4
 
 
 def slope(xs: list[float], ys: list[float]) -> float | None:
@@ -120,6 +147,106 @@ def verify_ladder(n_max: int, repeats: int) -> tuple[dict, list[str]]:
     return ladder, wrong
 
 
+def fold_rungs(a_max: int) -> list[dict]:
+    """The fold rungs up to a_max, in order of letters."""
+    rungs = [{"name": f"power-a{a}", "family": "power", "a": a, "letters": 4 * a} for a in FOLD_POWER_A if a <= a_max]
+    if a_max >= FOLD_CAP_A:
+        cap = st.MAX_FOLD_LETTERS
+        rungs.append({"name": "power-cap", "family": "power", "a": FOLD_CAP_A, "letters": cap})
+        rungs.append({"name": "random-cap", "family": "random", "words": FOLD_CAP_WORDS, "letters": cap})
+    return sorted(rungs, key=lambda r: r["letters"])
+
+
+def random_reduced_word(rng: random.Random, length: int) -> Word:
+    """A uniformly random reduced word over x, y; each letter is one of the
+    three that do not cancel the one before."""
+    letters = [(0, 1), (0, -1), (1, 1), (1, -1)]
+    out = [rng.choice(letters)]
+    while len(out) < length:
+        idx, sign = out[-1]
+        nxt = rng.choice(letters)
+        if nxt != (idx, -sign):
+            out.append(nxt)
+    return Word(XY, out)
+
+
+def fold_generators(rung: dict) -> list[Word]:
+    if rung["family"] == "power":
+        a = rung["a"]
+        return [parse_word(XY, f"x^{a}y^{a}x^{a}"), parse_word(XY, f"x^{a}")]
+    length = rung["letters"] // rung["words"]
+    return [random_reduced_word(random.Random(f"fold-cap:{i}"), length) for i in range(rung["words"])]
+
+
+def peak_rss_mb() -> float:
+    """This process's high-water RSS.  VmHWM belongs to the process image,
+    while ru_maxrss also counts the parent's RSS at the fork."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def fold_child(name: str, repeats: int) -> dict:
+    """One fold rung, run in this process: its times, core and peak RSS."""
+    rung = next(r for r in fold_rungs(FOLD_POWER_A[-1]) if r["name"] == name)
+    gens = fold_generators(rung)
+    wrong = []
+    if rung["letters"] > st.MAX_FOLD_LETTERS:
+        t0 = time.perf_counter()
+        try:
+            st.from_generators(gens)
+            wrong.append(f"{name}: {rung['letters']} letters are folded, above the cap")
+        except InputError:
+            pass
+        return {"refused": True, "time_s": time.perf_counter() - t0, "peak_rss_mb": peak_rss_mb(), "wrong": wrong}
+    best = math.inf
+    for _ in range(repeats):
+        core = None  # so that a run's core is not alive during the next one
+        t0 = time.perf_counter()
+        core = st.from_generators(gens)
+        best = min(best, time.perf_counter() - t0)
+    if rung["family"] == "power" and core.n_vertices != 2 * rung["a"] - 1:
+        wrong.append(f"{name}: the core has {core.n_vertices} vertices, not 2a - 1 = {2 * rung['a'] - 1}")
+    if not all(core.contains(g) for g in gens):
+        wrong.append(f"{name}: the core does not contain every generator")
+    return {"time_s": best, "vertices": core.n_vertices, "peak_rss_mb": peak_rss_mb(), "wrong": wrong}
+
+
+def fold_ladder(a_max: int, repeats: int) -> tuple[dict, list[str]]:
+    """The fold rungs up to a_max, each in a child process, and every wrong core."""
+    wrong: list[str] = []
+    rungs = []
+    for spec in fold_rungs(a_max):
+        cmd = [sys.executable, str(Path(__file__).resolve()), "--fold-child", spec["name"], "--repeats", str(repeats)]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        if proc.returncode != 0:
+            wrong.append(f"{spec['name']}: the child exited {proc.returncode}: {proc.stderr.strip()[-300:]}")
+            continue
+        got = json.loads(proc.stdout.splitlines()[-1])
+        wrong += got.pop("wrong")
+        rung = {**spec, **got, "time_s": round(got["time_s"], 6), "peak_rss_mb": round(got["peak_rss_mb"], 1)}
+        below = [r for r in rungs if r["family"] == "power" and not r.get("refused")]
+        if spec["family"] == "power" and not rung.get("refused") and below:
+            prev = below[-1]
+            rung["time_exponent"] = round(math.log(rung["time_s"] / prev["time_s"]) / math.log(rung["letters"] / prev["letters"]), 3)
+        rungs.append(rung)
+    power = [r for r in rungs if r["family"] == "power" and not r.get("refused")]
+    fit = slope([r["letters"] for r in power], [r["time_s"] for r in power])
+    ladder = {
+        "what": "from_generators on [x^a y^a x^a, x^a] by a, and on four random words at the letter cap; each rung in a child process",
+        "repeats": repeats,
+        "rungs": rungs,
+        "fit": {"time_exponent": None if fit is None else round(fit, 3)},
+        "cores_ok": not wrong,
+    }
+    return ladder, wrong
+
+
 def git(*args: str) -> str:
     try:
         proc = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True, timeout=30)
@@ -146,28 +273,50 @@ def environment() -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--ladder", action="append", choices=("verify", "fold"), help="a ladder to run (repeatable); both by default")
     ap.add_argument("--n-max", type=int, default=VERIFY_RUNGS[-1], help="the deepest verify rung to run")
+    ap.add_argument("--fold-a-max", type=int, default=FOLD_POWER_A[-1], help="the largest power-family a to run; the cap rungs run from 250000 on")
     ap.add_argument("--repeats", type=int, default=3, help="timed runs per rung; the best one counts")
     ap.add_argument("--tag", default=None, help="BENCH_<tag>.json; defaults to the short git sha")
+    ap.add_argument("--fold-child", default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if not VERIFY_RUNGS[0] <= args.n_max <= cx.N_MAX_CAP:
         ap.error(f"--n-max must lie between {VERIFY_RUNGS[0]} and {cx.N_MAX_CAP}")
+    if args.fold_a_max < FOLD_POWER_A[0]:
+        ap.error(f"--fold-a-max must be at least {FOLD_POWER_A[0]}")
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
+    if args.fold_child:
+        print(json.dumps(fold_child(args.fold_child, args.repeats)))
+        return 0
+    ladders = args.ladder or ["verify", "fold"]
     env = environment()
     tag = args.tag or (env["git_sha"][:12] if env["git_sha"] != "unknown" else "local")
-    verify, wrong = verify_ladder(args.n_max, args.repeats)
-    doc = {"tag": tag, **env, "ladders": {"verify": verify}}
+    doc = {"tag": tag, **env, "ladders": {}}
+    wrong: list[str] = []
+    if "verify" in ladders:
+        verify, bad = verify_ladder(args.n_max, args.repeats)
+        doc["ladders"]["verify"] = verify
+        wrong += bad
+        for rung in verify["rungs"]:
+            print(
+                f"verify n_max={rung['n_max']:>3}: {rung['time_s'] * 1e3:8.2f} ms, mutants {rung['mutants_time_s'] * 1e3:8.2f} ms, "
+                f"{rung['substitute_calls']:>6} substitute calls"
+            )
+        print(f"verify fitted exponents: {verify['fit']}")
+    if "fold" in ladders:
+        fold, bad = fold_ladder(args.fold_a_max, args.repeats)
+        doc["ladders"]["fold"] = fold
+        wrong += bad
+        for rung in fold["rungs"]:
+            what = "refused by the cap" if rung.get("refused") else f"{rung['time_s'] * 1e3:9.2f} ms, {rung['vertices']:>7} vertices"
+            print(f"fold {rung['name']:>14}: {rung['letters']:>8} letters, {what}, peak RSS {rung['peak_rss_mb']:6.1f} MB")
+        print(f"fold fitted exponents: {fold['fit']}")
     out = ROOT / f"BENCH_{tag}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n")
-    for rung in verify["rungs"]:
-        print(
-            f"verify n_max={rung['n_max']:>3}: {rung['time_s'] * 1e3:8.2f} ms, mutants {rung['mutants_time_s'] * 1e3:8.2f} ms, "
-            f"{rung['substitute_calls']:>6} substitute calls"
-        )
-    print(f"fitted exponents: {verify['fit']}; wrote {out.name}")
+    print(f"wrote {out.name}")
     for line in wrong:
-        print(f"wrong verdict: {line}", file=sys.stderr)
+        print(f"wrong: {line}", file=sys.stderr)
     return 1 if wrong else 0
 
 

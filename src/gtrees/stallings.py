@@ -6,6 +6,14 @@ reduced words readable along closed paths at the base vertex are exactly the
 elements of H.  The *core* is the subgraph carrying every cyclically reduced
 closed path; the based graph may additionally carry a simple tail from the
 base into the core.
+
+`from_generators` folds by reading: it reads each generator from the base
+along the graph folded so far and adds only the rest that graph cannot
+spell, as a path of fresh vertices.  `fold` folds any `LabeledGraphBuilder`.
+Both keep one out-slot and one in-slot per label and vertex, identify
+vertices through one worklist (`_merge`) and turn the slots into a
+`CoreGraph` in one tail (`_core_graph`), so on the same loops they give the
+same rows.
 """
 
 from __future__ import annotations
@@ -20,9 +28,8 @@ from .errors import AlphabetMismatch, InputError, InternalCheckError, Preconditi
 from .unionfind import UnionFind
 from .words import Alphabet, Word, format_word
 
-#: most letters `from_generators` folds: the unfolded graph has one vertex
-#: per letter, and a short exponent such as x^(10^12) asks for more than fits
-#: in memory
+#: most letters `from_generators` folds: it may add a vertex per letter, and
+#: a short exponent such as x^(10^12) asks for more than fits in memory
 MAX_FOLD_LETTERS = 1_000_000
 
 
@@ -314,38 +321,16 @@ def _peel(deg: list[int], alive: list[bool], ends: Callable[[int], Iterable[int]
                     queue.append(w)
 
 
-def fold(builder: LabeledGraphBuilder) -> CoreGraph:
-    """Fold a based labeled graph.
+def _merge(uf: UnionFind, slots: list[list[int]], pending: list[tuple[int, int]]) -> None:
+    """Identify the vertex pairs on the worklist and every pair they force.
 
-    Identifies exactly the vertex pairs forced by label-determinism; the
-    language of closed base paths is unchanged.  Every vertex class keeps
-    one out-slot and one in-slot per label, and a worklist holds the vertex
-    pairs still to be identified.  Placing the builder's edges in the slots
-    seeds it with one pair per edge that finds its slot taken; merging two
-    classes moves the absorbed class's slots into the survivor and adds one
-    pair per slot both fill.  Each merge costs O(alphabet size), so folding
-    is near-linear in the number of edges.  The surviving classes' slots then
-    give the spur trimming and the CoreGraph rows directly.  The folded
-    partition is unique, and classes are numbered by their smallest vertex,
-    so the result does not depend on the order of the builder's edges.
+    For a label lab < k, `slots[lab][v]` holds a vertex of the class that
+    the lab-edge from v's class enters, or -1, and `slots[k + lab][v]`
+    likewise for the entering edge; a class keeps its edges in its root's
+    slots.  Merging two classes
+    moves the absorbed class's slots into the survivor, the smaller root,
+    and queues one pair per slot both fill, so each merge costs O(k).
     """
-    k = builder.alphabet.size
-    n = builder.n_vertices
-    out = [-1] * (n * k)  # out[v*k + lab]: a vertex the lab-edge from v's class enters
-    inn = [-1] * (n * k)
-    pending = []
-    for u, lab, v in builder.edges:
-        i, j = u * k + lab, v * k + lab
-        if out[i] < 0:
-            out[i] = v
-        elif out[i] != v:
-            pending.append((out[i], v))
-        if inn[j] < 0:
-            inn[j] = u
-        elif inn[j] != u:
-            pending.append((inn[j], u))
-
-    uf = UnionFind(n)
     find, parent = uf.find, uf.parent
     while pending:
         a, b = pending.pop()
@@ -353,55 +338,127 @@ def fold(builder: LabeledGraphBuilder) -> CoreGraph:
         if ra == rb:
             continue
         keep, gone = (ra, rb) if ra < rb else (rb, ra)
-        parent[gone] = keep  # the smaller root survives
-        for table in (out, inn):
-            for i in range(gone * k, gone * k + k):
-                t = table[i]
-                if t >= 0:
-                    j = i + (keep - gone) * k
-                    s = table[j]
-                    if s < 0:
-                        table[j] = t
-                    elif s != t:
-                        pending.append((s, t))
+        parent[gone] = keep
+        for col in slots:
+            t = col[gone]
+            if t >= 0:
+                s = col[keep]
+                if s < 0:
+                    col[keep] = t
+                elif s != t:
+                    pending.append((s, t))
 
-    # parent[v] <= v, so one ascending pass points every vertex at its root
-    for v in range(n):
+
+def _core_graph(alphabet: Alphabet, base: int, parent: list[int], slots: list[list[int]]) -> CoreGraph:
+    """The CoreGraph of merged slots: trim the spurs, number the surviving
+    classes by their least vertex, and read the rows off the roots' slots.
+    `parent` is the union-find's parent list, each root its class's least
+    vertex.
+
+    An edge into a dropped class, like an empty slot (index -1), reads None.
+    Each in-column must invert its out-column; otherwise the slots were not
+    folded.
+    """
+    k = alphabet.size
+    n = len(parent)
+    # only the roots start alive; parent[v] < v off them, so one ascending
+    # pass points every other vertex at its root
+    alive = list(map(operator.eq, parent, range(n)))
+    for v in compress(range(n), map(operator.not_, alive)):
         parent[v] = parent[parent[v]]
 
     # a class's edges sit in its root's slots: count their ends there (a loop
-    # twice) and trim the spurs; only the roots start alive
-    alive = list(map(operator.eq, parent, range(n)))
-    slots = [table[lab::k] for table in (out, inn) for lab in range(k)]  # columns: out per label, then inn
+    # twice) and trim the spurs
     deg = [2 * k - row.count(-1) for row in zip(*slots)]
 
     def ends(v: int) -> list[int]:
-        return [parent[t] for t in out[v * k : v * k + k] + inn[v * k : v * k + k] if t >= 0]
+        return [parent[col[v]] for col in slots if col[v] >= 0]
 
-    _peel(deg, alive, ends, parent[builder.base])
+    _peel(deg, alive, ends, parent[base])
 
-    # renumber the surviving classes densely and read their rows off the
-    # out-slots; an edge into a dropped class, like an empty slot (index -1),
-    # reads None, and each in-row entry is the one out-edge entering it
-    kept = list(compress(range(n), alive))
-    m = len(kept)
-    renum = dict(zip(kept, range(m)))
-    ids = [renum.get(r) for r in parent]
+    # number the surviving classes in order of their roots; ids[v] is the
+    # number of v's class, and ids[-1] (an empty slot) is None
+    num: list[Optional[int]] = [None] * n
+    for i, r in enumerate(compress(range(n), alive)):
+        num[r] = i
+    ids = list(map(num.__getitem__, parent))
     ids.append(None)
-    out_cols, in_cols = [], []
-    for lab in range(k):
-        col = [ids[t] for t in compress(slots[lab], alive)]
-        sources = dict(zip(col, range(m)))
-        sources.pop(None, None)
-        if len(sources) != m - col.count(None):
+    cols = [list(map(ids.__getitem__, compress(col, alive))) for col in slots]
+    out_cols, in_cols = cols[:k], cols[k:]
+    for oc, ic in zip(out_cols, in_cols):
+        back = [ic[j] for j in oc if j is not None]
+        if back != [i for i, j in enumerate(oc) if j is not None] or len(back) != len(ic) - ic.count(None):
             raise InternalCheckError("edge set is not folded")
-        out_cols.append(col)
-        in_cols.append(list(map(sources.get, range(m))))
-    return CoreGraph(builder.alphabet, ids[builder.base], tuple(zip(*out_cols)), tuple(zip(*in_cols)))
+    return CoreGraph(alphabet, ids[base], tuple(zip(*out_cols)), tuple(zip(*in_cols)))
+
+
+def fold(builder: LabeledGraphBuilder) -> CoreGraph:
+    """Fold a based labeled graph.
+
+    Identifies exactly the vertex pairs forced by label-determinism; the
+    language of closed base paths is unchanged.  Every vertex class keeps
+    one out-slot and one in-slot per label.  Placing the builder's edges in
+    the slots seeds a worklist with one pair per edge that finds its slot
+    taken, and `_merge` identifies them and every pair they force, so
+    folding is near-linear in the number of edges.  The surviving classes'
+    slots then give the spur trimming and the CoreGraph rows directly.  The
+    folded partition is unique, and classes are numbered by their smallest
+    vertex, so the result does not depend on the order of the builder's
+    edges.
+    """
+    k = builder.alphabet.size
+    n = builder.n_vertices
+    slots = [[-1] * n for _ in range(2 * k)]
+    pending = []
+    for u, lab, v in builder.edges:
+        col = slots[lab]
+        if col[u] < 0:
+            col[u] = v
+        elif col[u] != v:
+            pending.append((col[u], v))
+        col = slots[k + lab]
+        if col[v] < 0:
+            col[v] = u
+        elif col[v] != u:
+            pending.append((col[v], u))
+    uf = UnionFind(n)
+    _merge(uf, slots, pending)
+    return _core_graph(builder.alphabet, builder.base, uf.parent, slots)
+
+
+def _read_prefix(syllables: tuple, uf: UnionFind, slots: list[list[int]], k: int) -> tuple[int, int, tuple]:
+    """Read a word from the base (vertex 0) along folded slots, as far as
+    they spell it: (the root reached, the letters read, the syllables of the
+    unread rest)."""
+    find = uf.find
+    cur = read = 0
+    for s, (idx, exp) in enumerate(syllables):
+        col = slots[idx] if exp > 0 else slots[k + idx]
+        for r in range(abs(exp)):
+            t = col[cur]
+            if t < 0:
+                left = exp - r if exp > 0 else exp + r
+                return cur, read + r, ((idx, left),) + syllables[s + 1 :]
+            cur = find(t)
+        read += abs(exp)
+    return cur, read, ()
 
 
 def from_generators(gens: Iterable[Word], alphabet: Alphabet | None = None) -> CoreGraph:
-    """Folded based graph whose closed base paths spell exactly <gens>."""
+    """Folded based graph whose closed base paths spell exactly <gens>.
+
+    The words are read in one at a time, and the graph is folded after
+    each.  A word is read from the base as far as the folded graph already
+    spells it; only the rest is added, as a path of fresh vertices back to
+    the base.  The slot where reading stopped is empty and the inner
+    vertices are new, so only the base's slot of the last edge can already
+    be taken, or, when the whole word was read, its end is a second vertex
+    for the base; that one pair goes to `_merge`.  Fresh vertices are
+    numbered in creation order, which is `fold`'s order on the loops of
+    `LabeledGraphBuilder.add_word_loop` with the read letters left out, and
+    each read letter lands on an older vertex.  So numbering the classes by
+    their least vertex gives exactly `fold`'s CoreGraph of those loops.
+    """
     nonempty = [g for g in gens if not g.is_identity()]
     if alphabet is None:
         if not nonempty:
@@ -413,15 +470,54 @@ def from_generators(gens: Iterable[Word], alphabet: Alphabet | None = None) -> C
     letters = sum(g.length() for g in nonempty)
     if letters > MAX_FOLD_LETTERS:
         raise InputError(f"generators have {letters} letters; at most {MAX_FOLD_LETTERS} can be folded")
-    # the builder and the fold make no reference cycles, only millions of
-    # tuples and ints, which would set off the cyclic collector again and again
+    # the fold makes no reference cycles, only millions of ints, which would
+    # set off the cyclic collector again and again
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        builder = LabeledGraphBuilder(alphabet)
+        k = alphabet.size
+        slots = [[-1] for _ in range(2 * k)]  # the base's
+        # (the column an edge of a syllable leaves from, the one it enters by)
+        forward = [(slots[i], slots[k + i]) for i in range(k)]
+        backward = [(slots[k + i], slots[i]) for i in range(k)]
+        uf = UnionFind(1)
+        parent = uf.parent
         for g in nonempty:
-            builder.add_word_loop(g)
-        return fold(builder)
+            cur, read, rest = _read_prefix(g.syllables, uf, slots, k)
+            if not rest:
+                if cur:
+                    _merge(uf, slots, [(cur, 0)])
+                continue
+            # the rest is the path cur, n, n+1, ..., m-1, 0; it is written
+            # as if the last edge entered a vertex m, which is then cut off
+            n = len(parent)
+            m = n + g.length() - read - 1
+            parent.extend(range(n, m))
+            for col in slots:
+                col.extend(repeat(-1, m + 1 - n))
+            u, v = cur, n  # the vertex the next edge leaves, and the next fresh one
+            for idx, exp in rest:
+                fwd, bwd = (forward if exp > 0 else backward)[idx]
+                fwd[u] = v
+                bwd[v] = u
+                if exp > 1 or exp < -1:
+                    e = abs(exp)
+                    fwd[v : v + e - 1] = range(v + 1, v + e)
+                    bwd[v + 1 : v + e] = range(v, v + e - 1)
+                    v += e - 1
+                u = v
+                v += 1
+            for col in slots:
+                del col[m:]
+            # the last edge enters the base, whose slot may be taken
+            src = m - 1 if m > n else cur
+            fwd[src] = 0
+            t = bwd[0]
+            if t < 0:
+                bwd[0] = src
+            else:
+                _merge(uf, slots, [(t, src)])
+        return _core_graph(alphabet, 0, parent, slots)
     finally:
         if gc_was_enabled:
             gc.enable()

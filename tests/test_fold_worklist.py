@@ -1,16 +1,22 @@
-"""The worklist `fold`, the queue trimming, `core_vertices` and the power
-reads' runs against the scan-all-edges oracles in `fold_oracle.py`, on
-seeded random inputs and on hand-made edge cases."""
+"""The worklist `fold`, `from_generators`' reading fold, the queue trimming,
+`core_vertices` and the power reads' runs against the scan-all-edges oracles
+in `fold_oracle.py`, on seeded random inputs and on hand-made edge cases;
+and the fold's work contract."""
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
 import fold_oracle
 import words_oracle
+from gtrees import stallings
+from gtrees.errors import InternalCheckError
 from gtrees.stallings import LabeledGraphBuilder, fold, from_generators
+from gtrees.unionfind import UnionFind
 from gtrees.words import XY, Alphabet, Word, parse_word
+from test_verify_lock import log_log_slope
 
 XYZ = Alphabet.of("x", "y", "z")
 
@@ -134,6 +140,23 @@ def test_fold_edge_cases_match_oracle(name, builder, n_vertices, core):
     assert got.core_vertices() == core
 
 
+@pytest.mark.parametrize(
+    "slots",
+    [
+        # two x-edges enter 0, and the x in-slots name the loop at 0 and one
+        # at 1: as many in-entries as out-entries, but not their inverse
+        [[0, 0], [-1, 1], [0, 1], [-1, 1]],
+        # an x in-slot at 0 whose out-slot at 1 is empty
+        [[-1, -1], [1, 0], [1, -1], [1, 0]],
+    ],
+    ids=["an in-column that does not invert", "an in-edge with no out-edge"],
+)
+def test_core_graph_refuses_slots_that_are_not_folded(slots):
+    # neither vertex has degree below two, so both survive the trimming
+    with pytest.raises(InternalCheckError, match="not folded"):
+        stallings._core_graph(XY, 0, [0, 1], slots)
+
+
 def random_core(rng):
     """A folded graph made directly: per label, a random permutation with some
     edges removed, so that its runs are cycles, paths, self-loops and
@@ -194,3 +217,108 @@ def test_power_fold_scales_near_linearly():
     elapsed = time.perf_counter() - start
     assert core.n_vertices == 2 * a - 1
     assert elapsed < 1.0, f"folding 4a = {4 * a} letters took {elapsed:.2f} s"
+
+
+def words_of(alphabet, text):
+    return [parse_word(alphabet, t) for t in text.split(",")] if text else []
+
+
+# (name, alphabet, generators): sets where reading the folded graph stops
+# early, late or never, against the oracle fold of all their loops
+READING_CASES = [
+    ("a word equal to an earlier one", XY, "xyXy^2,xy^2x,xyXy^2"),
+    ("the inverse of an earlier word", XY, "xyXy^2,y^-2xYX"),
+    ("a prefix of an earlier word", XY, "x^3y^2x,x^3"),
+    ("a power of an earlier word", XY, "xy^-1x^2,xy^-1x^2xy^-1x^2"),
+    ("a power and then its root", XY, "xyxyxyxyxy,xy"),
+    ("a word that reads to its last letter", XY, "x^2yx,x^2y^2"),
+    ("a word that reads to its last letter, backwards", XY, "x^2Y^3,x^2Y^2x"),
+    ("the last edge finds the base's slot taken", XY, "yx,x^2"),
+    ("a one-letter rest finds the base's slot taken", XY, "y^2x,yx"),
+    ("a base tail", XY, "xyX"),
+    ("base tails sharing a stem", XYZ, "xyX,xzX,xy^2zyX"),
+    ("a conjugate of a later word", XY, "yx^3Y,x^3"),
+    ("single letters", XYZ, "x,Y,z"),
+    ("single letters, one read and one repeated", XY, "x^2,x,X,y"),
+    ("identity words among the generators", XY, "xX,x^3,yY,x^3y"),
+    ("only identity words", XY, "xX"),
+    ("no generators", XY, ""),
+    ("a loop at the base read in both directions", XY, "x,x^-5,yxY"),
+]
+
+
+@pytest.mark.parametrize("name, alphabet, text", READING_CASES, ids=[c[0] for c in READING_CASES])
+def test_reading_edge_cases_match_oracle(name, alphabet, text):
+    words = words_of(alphabet, text)
+    want = fold_oracle.fold(loop_builder(alphabet, words))
+    assert_same_core(from_generators(words, alphabet), want)
+    assert_same_core(from_generators(words[::-1], alphabet).canonical_form(), want.canonical_form())
+
+
+def test_reading_matches_oracle_on_words_sharing_prefixes():
+    # words that share long prefixes with earlier words, or with their
+    # inverses, so that reading goes far before it stops
+    rng = random.Random("prefixes")
+    for _ in range(150):
+        alphabet = rng.choice((XY, XYZ))
+        stem = random_word(rng, alphabet, rng.randint(0, 12))
+        words = []
+        for _ in range(rng.randint(1, 5)):
+            w = stem * random_word(rng, alphabet, rng.randint(0, 6))
+            words.append(rng.choice((w, ~w, w ** rng.randint(2, 3), stem)))
+        want = fold_oracle.fold(loop_builder(alphabet, words))
+        assert_same_core(from_generators(words, alphabet), want)
+
+
+def fold_work(monkeypatch, gens) -> Counter:
+    """The fold's work on gens: the vertices it creates, the pairs it takes
+    off the worklist and its union-find lookups."""
+    work = Counter()
+    real_merge, real_core_graph, real_find = stallings._merge, stallings._core_graph, UnionFind.find
+
+    class Worklist(list):
+        def pop(self):
+            work["pairs"] += 1
+            return super().pop()
+
+    def merge(uf, slots, pending):
+        real_merge(uf, slots, Worklist(pending))
+
+    def core_graph(alphabet, base, parent, slots):
+        work["vertices"] += len(parent)
+        return real_core_graph(alphabet, base, parent, slots)
+
+    def find(self, a):
+        work["finds"] += 1
+        return real_find(self, a)
+
+    with monkeypatch.context() as m:
+        m.setattr(stallings, "_merge", merge)
+        m.setattr(stallings, "_core_graph", core_graph)
+        m.setattr(UnionFind, "find", find)
+        from_generators(gens)
+    return work
+
+
+def test_fold_work_grows_linearly_with_the_letters(monkeypatch):
+    # work contract: each letter is read once or written once, and each
+    # identification costs O(k), so the vertices created, the worklist pairs
+    # and the union-find lookups grow linearly in the letters (slopes 0.98 to
+    # 1.00 here); a fold that rescans every slot after each identification,
+    # as fold_oracle.fold rescans every edge, makes the lookups quadratic
+    start = time.perf_counter()
+    ladders = {
+        "power": [[parse_word(XY, f"x^{a}y^{a}x^{a}"), parse_word(XY, f"x^{a}")] for a in (2**k for k in range(5, 13))],
+        "proper power": [[parse_word(XY, "xyXy^2") ** p, parse_word(XY, "xyXy^2") ** (p - 1)] for p in (2**k for k in range(3, 11))],
+    }
+    for family, ladder in ladders.items():
+        letters, works = [], []
+        for gens in ladder:
+            letters.append(sum(g.length() for g in gens))
+            works.append(fold_work(monkeypatch, gens))
+            if family == "proper power":
+                # the second word reads to its end on the first one's loop
+                assert works[-1]["vertices"] == gens[0].length(), works[-1]
+        for key in ("vertices", "pairs", "finds"):
+            assert log_log_slope(letters, [w[key] for w in works]) <= 1.05, (family, key, [w[key] for w in works])
+    assert time.perf_counter() - start < 0.5

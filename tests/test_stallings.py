@@ -187,25 +187,25 @@ def test_coset_labels_and_text():
 
 
 def test_from_generators_folds_with_gc_paused_and_restores_it(monkeypatch):
-    real_fold = stallings.fold
+    real_core_graph = stallings._core_graph
     during = []
 
-    def spy(builder):
+    def spy(*args):
         during.append(gc.isenabled())
-        return real_fold(builder)
+        return real_core_graph(*args)
 
-    def broken(builder):
+    def broken(*args):
         raise InternalCheckError("edge set is not folded")
 
     was_enabled = gc.isenabled()
     try:
-        monkeypatch.setattr(stallings, "fold", spy)
+        monkeypatch.setattr(stallings, "_core_graph", spy)
         for enabled in (True, False, True):
             gc.enable() if enabled else gc.disable()
             assert from_generators(gens("x^2, y^2")).n_vertices == 3
             assert gc.isenabled() == enabled
         assert during == [False] * 3
-        monkeypatch.setattr(stallings, "fold", broken)
+        monkeypatch.setattr(stallings, "_core_graph", broken)
         gc.enable()
         with pytest.raises(InternalCheckError):
             from_generators(gens("x^2, y^2"))
