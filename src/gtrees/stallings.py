@@ -454,10 +454,11 @@ def from_generators(gens: Iterable[Word], alphabet: Alphabet | None = None) -> C
     vertices are new, so only the base's slot of the last edge can already
     be taken, or, when the whole word was read, its end is a second vertex
     for the base; that one pair goes to `_merge`.  Fresh vertices are
-    numbered in creation order, which is `fold`'s order on the loops of
-    `LabeledGraphBuilder.add_word_loop` with the read letters left out, and
-    each read letter lands on an older vertex.  So numbering the classes by
-    their least vertex gives exactly `fold`'s CoreGraph of those loops.
+    numbered in creation order: the order in which
+    `LabeledGraphBuilder.add_word_loop` numbers the words' letters, with the
+    read letters left out, and each read letter lands on an older vertex.
+    So numbering the classes by their least vertex gives exactly the
+    CoreGraph that `fold` makes of those loops.
     """
     nonempty = [g for g in gens if not g.is_identity()]
     if alphabet is None:
@@ -476,10 +477,9 @@ def from_generators(gens: Iterable[Word], alphabet: Alphabet | None = None) -> C
     gc.disable()
     try:
         k = alphabet.size
-        slots = [[-1] for _ in range(2 * k)]  # the base's
-        # (the column an edge of a syllable leaves from, the one it enters by)
-        forward = [(slots[i], slots[k + i]) for i in range(k)]
-        backward = [(slots[k + i], slots[i]) for i in range(k)]
+        # room for a vertex per letter and for the vertex m below; the
+        # columns are cut to the vertices made at the end
+        slots = [[-1] * (letters + 1) for _ in range(2 * k)]
         uf = UnionFind(1)
         parent = uf.parent
         for g in nonempty:
@@ -489,15 +489,16 @@ def from_generators(gens: Iterable[Word], alphabet: Alphabet | None = None) -> C
                     _merge(uf, slots, [(cur, 0)])
                 continue
             # the rest is the path cur, n, n+1, ..., m-1, 0; it is written
-            # as if the last edge entered a vertex m, which is then cut off
+            # as if the last edge entered a vertex m, and then re-aimed
             n = len(parent)
             m = n + g.length() - read - 1
             parent.extend(range(n, m))
-            for col in slots:
-                col.extend(repeat(-1, m + 1 - n))
             u, v = cur, n  # the vertex the next edge leaves, and the next fresh one
             for idx, exp in rest:
-                fwd, bwd = (forward if exp > 0 else backward)[idx]
+                if exp > 0:
+                    fwd, bwd = slots[idx], slots[k + idx]
+                else:
+                    fwd, bwd = slots[k + idx], slots[idx]
                 fwd[u] = v
                 bwd[v] = u
                 if exp > 1 or exp < -1:
@@ -507,9 +508,9 @@ def from_generators(gens: Iterable[Word], alphabet: Alphabet | None = None) -> C
                     v += e - 1
                 u = v
                 v += 1
-            for col in slots:
-                del col[m:]
-            # the last edge enters the base, whose slot may be taken
+            # the last edge enters the base, whose slot may be taken; of m's
+            # slots only this in-slot was written
+            bwd[m] = -1
             src = m - 1 if m > n else cur
             fwd[src] = 0
             t = bwd[0]
@@ -517,6 +518,8 @@ def from_generators(gens: Iterable[Word], alphabet: Alphabet | None = None) -> C
                 bwd[0] = src
             else:
                 _merge(uf, slots, [(t, src)])
+        for col in slots:
+            del col[len(parent) :]
         return _core_graph(alphabet, 0, parent, slots)
     finally:
         if gc_was_enabled:
