@@ -353,7 +353,8 @@ def _core_graph(alphabet: Alphabet, base: int, parent: list[int], slots: list[li
     """The CoreGraph of merged slots: trim the spurs, number the surviving
     classes by their least vertex, and read the rows off the roots' slots.
     `parent` is the union-find's parent list, each root its class's least
-    vertex.
+    vertex.  Both `parent` and `slots` are emptied once the columns are
+    read.
 
     An edge into a dropped class, like an empty slot (index -1), reads None.
     Each in-column must invert its out-column; otherwise the slots were not
@@ -384,12 +385,18 @@ def _core_graph(alphabet: Alphabet, base: int, parent: list[int], slots: list[li
     ids = list(map(num.__getitem__, parent))
     ids.append(None)
     cols = [list(map(ids.__getitem__, compress(col, alive))) for col in slots]
+    base_id = ids[base]
+    # the rows are the largest allocation here, so free the slots, the
+    # union-find and the per-vertex lists before they are built
+    slots.clear()
+    parent.clear()
+    del alive, deg, num, ids
     out_cols, in_cols = cols[:k], cols[k:]
     for oc, ic in zip(out_cols, in_cols):
         back = [ic[j] for j in oc if j is not None]
         if back != [i for i, j in enumerate(oc) if j is not None] or len(back) != len(ic) - ic.count(None):
             raise InternalCheckError("edge set is not folded")
-    return CoreGraph(alphabet, ids[base], tuple(zip(*out_cols)), tuple(zip(*in_cols)))
+    return CoreGraph(alphabet, base_id, tuple(zip(*out_cols)), tuple(zip(*in_cols)))
 
 
 def fold(builder: LabeledGraphBuilder) -> CoreGraph:
