@@ -26,7 +26,7 @@ seeded random reduced words of 250,000 letters each over x, y.  At a = 2^18
 the family has 1,048,576 letters, so that rung checks that the cap refuses
 it with `InputError`.  Each rung runs in a child process of its own, so
 that its peak RSS is its own; it is the child's high-water RSS (VmHWM, or
-`ru_maxrss` where /proc is missing) after its runs, and includes the
+`ru_maxrss` where /proc is missing) after its first run, and includes the
 interpreter and the input words.  Per rung it records `time_s`, the best of
 `--repeats` runs of `from_generators`, the core's vertex count, the peak
 RSS, and for the power family the time exponent against the rung below,
@@ -204,17 +204,19 @@ def fold_child(name: str, repeats: int) -> dict:
         except InputError:
             pass
         return {"refused": True, "time_s": time.perf_counter() - t0, "peak_rss_mb": peak_rss_mb(), "wrong": wrong}
-    best = math.inf
+    best, peak = math.inf, None
     for _ in range(repeats):
         core = None  # so that a run's core is not alive during the next one
         t0 = time.perf_counter()
         core = st.from_generators(gens)
         best = min(best, time.perf_counter() - t0)
+        # later runs start from a heap the first one left fragmented
+        peak = peak or peak_rss_mb()
     if rung["family"] == "power" and core.n_vertices != 2 * rung["a"] - 1:
         wrong.append(f"{name}: the core has {core.n_vertices} vertices, not 2a - 1 = {2 * rung['a'] - 1}")
     if not all(core.contains(g) for g in gens):
         wrong.append(f"{name}: the core does not contain every generator")
-    return {"time_s": best, "vertices": core.n_vertices, "peak_rss_mb": peak_rss_mb(), "wrong": wrong}
+    return {"time_s": best, "vertices": core.n_vertices, "peak_rss_mb": peak, "wrong": wrong}
 
 
 def fold_ladder(a_max: int, repeats: int) -> tuple[dict, list[str]]:

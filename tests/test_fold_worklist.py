@@ -303,9 +303,10 @@ def fold_work(monkeypatch, gens) -> Counter:
 def test_fold_work_grows_linearly_with_the_letters(monkeypatch):
     # work contract: each letter is read once or written once, and each
     # identification costs O(k), so the vertices created, the worklist pairs
-    # and the union-find lookups grow linearly in the letters (slopes 0.98 to
-    # 1.00 here); a fold that rescans every slot after each identification,
+    # and the union-find lookups grow linearly in the letters (slopes 0.99 to
+    # 1.01 here); a fold that rescans every slot after each identification,
     # as fold_oracle.fold rescans every edge, makes the lookups quadratic
+    # (slope 1.99)
     start = time.perf_counter()
     ladders = {
         "power": [[parse_word(XY, f"x^{a}y^{a}x^{a}"), parse_word(XY, f"x^{a}")] for a in (2**k for k in range(5, 13))],
