@@ -327,9 +327,9 @@ def _merge(uf: UnionFind, slots: list[list[int]], pending: list[tuple[int, int]]
     For a label lab < k, `slots[lab][v]` holds a vertex of the class that
     the lab-edge from v's class enters, or -1, and `slots[k + lab][v]`
     likewise for the entering edge; a class keeps its edges in its root's
-    slots.  Merging two classes
-    moves the absorbed class's slots into the survivor, the smaller root,
-    and queues one pair per slot both fill, so each merge costs O(k).
+    slots.  Merging two classes moves the absorbed class's slots into the
+    survivor, the smaller root, and queues one pair per slot both fill, so
+    each merge costs O(k).
     """
     find, parent = uf.find, uf.parent
     while pending:
