@@ -1,10 +1,10 @@
 """Scaling ladders for gtrees, outside the benchmark: how cost grows with size.
 
-    python3 ladders/run.py [--ladder verify|fold ...] [--n-max 256]
-                           [--fold-a-max 262144] [--repeats 3] [--tag TAG]
+    python3 ladders/run.py [--n-max 256] [--fold-a-max 262144] [--repeats 3]
+                           [--tag TAG]
 
 Run from any directory; the runner imports `gtrees` from the `src` of the
-checkout it sits in.  `--ladder` picks the ladders to run (both by default).
+checkout it sits in, and runs the `verify` ladder and then the `fold` ladder.
 
 The `verify` ladder runs `verify_all` at n_max 32, 64, 128 and 256 (the
 rungs up to `--n-max`) on the documented example data and on each of its
@@ -22,7 +22,8 @@ The `fold` ladder runs `from_generators` on the power family
 [x^a y^a x^a, x^a] at a = 2^10 ... 2^18 (the rungs up to `--fold-a-max`)
 and, once `--fold-a-max` reaches 250,000, on two rungs at the 1,000,000
 letter cap (`MAX_FOLD_LETTERS`): the power family at a = 250,000 and four
-seeded random reduced words of 250,000 letters each over x, y.  At a = 2^18
+seeded random reduced words of 250,000 letters each over x, y, drawn by
+the benchmark's `random_reduced_word` (bench/run.py).  At a = 2^18
 the family has 1,048,576 letters, so that rung checks that the cap refuses
 it with `InputError`.  Each rung runs in a child process of its own, so
 that its peak RSS is its own; it is the child's high-water RSS (VmHWM, or
@@ -44,6 +45,7 @@ is 1 when a verdict or a core is wrong, after the file is written.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -62,6 +64,13 @@ from gtrees import counterexample as cx  # noqa: E402
 from gtrees import stallings as st  # noqa: E402
 from gtrees.errors import InputError  # noqa: E402
 from gtrees.words import XY, Word, parse_word  # noqa: E402
+
+# bench/run.py, loaded under its own name (this file is `run` too); it
+# imports hostclock from its directory
+sys.path.insert(0, str(ROOT / "bench"))
+_spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+bench_run = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_run)
 
 VERIFY_RUNGS = (32, 64, 128, 256)
 FOLD_POWER_A = tuple(2**k for k in range(10, 19))
@@ -157,25 +166,12 @@ def fold_rungs(a_max: int) -> list[dict]:
     return sorted(rungs, key=lambda r: r["letters"])
 
 
-def random_reduced_word(rng: random.Random, length: int) -> Word:
-    """A uniformly random reduced word over x, y; each letter is one of the
-    three that do not cancel the one before."""
-    letters = [(0, 1), (0, -1), (1, 1), (1, -1)]
-    out = [rng.choice(letters)]
-    while len(out) < length:
-        idx, sign = out[-1]
-        nxt = rng.choice(letters)
-        if nxt != (idx, -sign):
-            out.append(nxt)
-    return Word(XY, out)
-
-
 def fold_generators(rung: dict) -> list[Word]:
     if rung["family"] == "power":
         a = rung["a"]
         return [parse_word(XY, f"x^{a}y^{a}x^{a}"), parse_word(XY, f"x^{a}")]
     length = rung["letters"] // rung["words"]
-    return [random_reduced_word(random.Random(f"fold-cap:{i}"), length) for i in range(rung["words"])]
+    return [Word(XY, bench_run.random_reduced_word(random.Random(f"fold-cap:{i}"), 2, length)) for i in range(rung["words"])]
 
 
 def peak_rss_mb() -> float:
@@ -275,7 +271,6 @@ def environment() -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--ladder", action="append", choices=("verify", "fold"), help="a ladder to run (repeatable); both by default")
     ap.add_argument("--n-max", type=int, default=VERIFY_RUNGS[-1], help="the deepest verify rung to run")
     ap.add_argument("--fold-a-max", type=int, default=FOLD_POWER_A[-1], help="the largest power-family a to run; the cap rungs run from 250000 on")
     ap.add_argument("--repeats", type=int, default=3, help="timed runs per rung; the best one counts")
@@ -291,29 +286,26 @@ def main(argv: list[str] | None = None) -> int:
     if args.fold_child:
         print(json.dumps(fold_child(args.fold_child, args.repeats)))
         return 0
-    ladders = args.ladder or ["verify", "fold"]
     env = environment()
     tag = args.tag or (env["git_sha"][:12] if env["git_sha"] != "unknown" else "local")
     doc = {"tag": tag, **env, "ladders": {}}
     wrong: list[str] = []
-    if "verify" in ladders:
-        verify, bad = verify_ladder(args.n_max, args.repeats)
-        doc["ladders"]["verify"] = verify
-        wrong += bad
-        for rung in verify["rungs"]:
-            print(
-                f"verify n_max={rung['n_max']:>3}: {rung['time_s'] * 1e3:8.2f} ms, mutants {rung['mutants_time_s'] * 1e3:8.2f} ms, "
-                f"{rung['substitute_calls']:>6} substitute calls"
-            )
-        print(f"verify fitted exponents: {verify['fit']}")
-    if "fold" in ladders:
-        fold, bad = fold_ladder(args.fold_a_max, args.repeats)
-        doc["ladders"]["fold"] = fold
-        wrong += bad
-        for rung in fold["rungs"]:
-            what = "refused by the cap" if rung.get("refused") else f"{rung['time_s'] * 1e3:9.2f} ms, {rung['vertices']:>7} vertices"
-            print(f"fold {rung['name']:>14}: {rung['letters']:>8} letters, {what}, peak RSS {rung['peak_rss_mb']:6.1f} MB")
-        print(f"fold fitted exponents: {fold['fit']}")
+    verify, bad = verify_ladder(args.n_max, args.repeats)
+    doc["ladders"]["verify"] = verify
+    wrong += bad
+    for rung in verify["rungs"]:
+        print(
+            f"verify n_max={rung['n_max']:>3}: {rung['time_s'] * 1e3:8.2f} ms, mutants {rung['mutants_time_s'] * 1e3:8.2f} ms, "
+            f"{rung['substitute_calls']:>6} substitute calls"
+        )
+    print(f"verify fitted exponents: {verify['fit']}")
+    fold, bad = fold_ladder(args.fold_a_max, args.repeats)
+    doc["ladders"]["fold"] = fold
+    wrong += bad
+    for rung in fold["rungs"]:
+        what = "refused by the cap" if rung.get("refused") else f"{rung['time_s'] * 1e3:9.2f} ms, {rung['vertices']:>7} vertices"
+        print(f"fold {rung['name']:>14}: {rung['letters']:>8} letters, {what}, peak RSS {rung['peak_rss_mb']:6.1f} MB")
+    print(f"fold fitted exponents: {fold['fit']}")
     out = ROOT / f"BENCH_{tag}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {out.name}")

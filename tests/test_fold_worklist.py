@@ -307,7 +307,6 @@ def test_fold_work_grows_linearly_with_the_letters(monkeypatch):
     # 1.01 here); a fold that rescans every slot after each identification,
     # as fold_oracle.fold rescans every edge, makes the lookups quadratic
     # (slope 1.99)
-    start = time.perf_counter()
     ladders = {
         "power": [[parse_word(XY, f"x^{a}y^{a}x^{a}"), parse_word(XY, f"x^{a}")] for a in (2**k for k in range(5, 13))],
         "proper power": [[parse_word(XY, "xyXy^2") ** p, parse_word(XY, "xyXy^2") ** (p - 1)] for p in (2**k for k in range(3, 11))],
@@ -322,4 +321,3 @@ def test_fold_work_grows_linearly_with_the_letters(monkeypatch):
                 assert works[-1]["vertices"] == gens[0].length(), works[-1]
         for key in ("vertices", "pairs", "finds"):
             assert log_log_slope(letters, [w[key] for w in works]) <= 1.05, (family, key, [w[key] for w in works])
-    assert time.perf_counter() - start < 0.5
