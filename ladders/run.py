@@ -45,13 +45,13 @@ is 1 when a verdict or a core is wrong, after the file is written.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import math
 import os
 import platform
 import random
 import resource
+import runpy
 import subprocess
 import sys
 import time
@@ -64,13 +64,6 @@ from gtrees import counterexample as cx  # noqa: E402
 from gtrees import stallings as st  # noqa: E402
 from gtrees.errors import InputError  # noqa: E402
 from gtrees.words import XY, Word, parse_word  # noqa: E402
-
-# bench/run.py, loaded under its own name (this file is `run` too); it
-# imports hostclock from its directory
-sys.path.insert(0, str(ROOT / "bench"))
-_spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
-bench_run = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_run)
 
 VERIFY_RUNGS = (32, 64, 128, 256)
 FOLD_POWER_A = tuple(2**k for k in range(10, 19))
@@ -170,8 +163,13 @@ def fold_generators(rung: dict) -> list[Word]:
     if rung["family"] == "power":
         a = rung["a"]
         return [parse_word(XY, f"x^{a}y^{a}x^{a}"), parse_word(XY, f"x^{a}")]
+    # loaded here, in the random rung's child only, so that the benchmark's
+    # imports add nothing to the other rungs' peak RSS; bench/run.py imports
+    # hostclock from its directory
+    sys.path.insert(0, str(ROOT / "bench"))
+    random_reduced_word = runpy.run_path(str(ROOT / "bench" / "run.py"))["random_reduced_word"]
     length = rung["letters"] // rung["words"]
-    return [Word(XY, bench_run.random_reduced_word(random.Random(f"fold-cap:{i}"), 2, length)) for i in range(rung["words"])]
+    return [Word(XY, random_reduced_word(random.Random(f"fold-cap:{i}"), 2, length)) for i in range(rung["words"])]
 
 
 def peak_rss_mb() -> float:
