@@ -356,10 +356,10 @@ def express_in_generators(
     cur = h.base
     for idx, sg in w.letters:
         if sg > 0:
-            nxt = h.out[cur][idx]
+            nxt = h.out[idx][cur]
             trip = (cur, idx, nxt)
         else:
-            nxt = h.inn[cur][idx]
+            nxt = h.inn[idx][cur]
             trip = (nxt, idx, cur)
         if trip in petal_of:
             j, orient = petal_of[trip]

@@ -60,25 +60,15 @@ class FiniteGroup(Frozen):
         """The group of a table from outside: checks the range, the identity,
         inverses, that the generators generate and, on the generators only,
         associativity."""
-        mult = tuple(tuple(row) for row in table)
-        n = len(mult)
-        if any(len(row) != n for row in mult):
-            raise InputError("multiplication table must be square")
-        if any(not 0 <= x < n for row in mult for x in row):
-            raise InputError("multiplication table entry out of range")
-        identity = None
-        for e in range(n):
-            if all(mult[e][g] == g and mult[g][e] == g for g in range(n)):
-                identity = e
-                break
-        if identity is None:
-            raise InputError("multiplication table has no identity")
-        # in a finite associative table with an identity, a right inverse is
-        # two-sided, so a row holding the identity suffices
-        if any(identity not in row for row in mult):
-            raise InputError("some element has no inverse")
+        return cls._generated(*_table_identity(table), generators)
+
+    @classmethod
+    def _generated(cls, mult: tuple[tuple[int, ...], ...], identity: int, generators: Iterable[int]) -> "FiniteGroup":
+        """The group of a table whose range, identity and inverses are
+        checked: checks that the generators generate and, on them only,
+        associativity."""
         gens = list(generators)
-        if any(not 0 <= g < n for g in gens):
+        if any(not 0 <= g < len(mult) for g in gens):
             raise InputError("generator index out of range")
         group = cls._from_group_table(mult, identity, gens)
         # Light's test, now that every element is a product of generators
@@ -189,6 +179,59 @@ class FiniteGroup(Frozen):
     def conj(self, h: int, g: int) -> int:
         """g^-1 h g."""
         return self.mult[self.mult[self.inverse[g]][h]][g]
+
+
+def _table_identity(table: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The rows of a table from outside as tuples, and its identity: checks
+    that the table is square, its range, the identity and inverses."""
+    mult = tuple(tuple(row) for row in table)
+    n = len(mult)
+    if any(len(row) != n for row in mult):
+        raise InputError("multiplication table must be square")
+    if any(not 0 <= x < n for row in mult for x in row):
+        raise InputError("multiplication table entry out of range")
+    identity = None
+    for e in range(n):
+        if all(mult[e][g] == g and mult[g][e] == g for g in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise InputError("multiplication table has no identity")
+    # in a finite associative table with an identity, a right inverse is
+    # two-sided, so a row holding the identity suffices
+    if any(identity not in row for row in mult):
+        raise InputError("some element has no inverse")
+    return mult, identity
+
+
+def _closure_generators(mult: Sequence[Sequence[int]], identity: int) -> list[int]:
+    """A generating set of a table with an identity, by one closure walk.
+
+    The elements are taken in order, and each one the generators before it
+    do not reach from the identity by right multiplication becomes a
+    generator.  Each generator multiplies every reached element once, so the
+    walk reads |A|·|S| entries, and the reached elements, every element in
+    the end, are closed under right multiplication by every generator.
+    """
+    gens: list[int] = []
+    reached = [identity]
+    seen = [False] * len(mult)
+    seen[identity] = True
+    for a in range(len(mult)):
+        if seen[a]:
+            continue
+        # the elements reached so far are closed under the earlier
+        # generators: a multiplies them, and every generator the new ones
+        closed = len(reached)
+        gens.append(a)
+        for i, b in enumerate(reached):
+            row = mult[b]
+            for g in gens if i >= closed else (a,):
+                c = row[g]
+                if not seen[c]:
+                    seen[c] = True
+                    reached.append(c)
+    return gens
 
 
 def _check_composes(group: FiniteGroup, rows: Sequence[tuple[int, ...]], message: str) -> None:

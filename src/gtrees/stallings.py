@@ -9,11 +9,13 @@ base into the core.
 
 `from_generators` folds by reading: it reads each generator from the base
 along the graph folded so far and adds only the rest that graph cannot
-spell, as a path of fresh vertices.  `fold` folds any `LabeledGraphBuilder`.
-Both keep one out-slot and one in-slot per label and vertex, identify
-vertices through one worklist (`_merge`) and turn the slots into a
-`CoreGraph` in one tail (`_core_graph`), so on the same loops they give the
-same rows.
+spell, as a path of fresh vertices.  `fold` folds any `LabeledGraphBuilder`
+and trims its spurs.  Both keep one out-slot and one in-slot per label and
+vertex, identify vertices through one worklist (`_merge`) and hand the slots
+to one tail (`_core_graph`), which numbers the classes and reads each
+label's out- and in-column off them, so on the same loops they give the
+same columns.  A `CoreGraph` keeps those columns: one tuple per label and
+side, indexed by vertex.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from __future__ import annotations
 import gc
 import operator
 from collections import deque
-from itertools import compress, repeat
-from typing import Callable, Iterable, Iterator, Optional
+from itertools import accumulate, compress, repeat
+from typing import Iterable, Iterator, Optional
 
 from .errors import AlphabetMismatch, InputError, InternalCheckError, PreconditionError
 from .unionfind import UnionFind
@@ -81,9 +83,11 @@ class LabeledGraphBuilder:
 class CoreGraph:
     """Folded based graph of a subgroup; immutable after construction.
 
-    The rows are spur-trimmed except for the base's tail: no vertex off that
-    simple path has degree at most one.  `fold` leaves its graphs so, and
-    `canonical_form`, which only renumbers, keeps it.
+    The edges are kept as columns, one tuple per label and side, each with
+    an entry per vertex: `out[lab][v]` and `inn[lab][v]`.  The graph is
+    spur-trimmed except for the base's tail: no vertex off that simple path
+    has degree at most one.  `fold` trims its graphs so, `from_generators`
+    makes no spurs, and `canonical_form`, which only renumbers, keeps it.
     """
 
     __slots__ = ("alphabet", "n_vertices", "base", "out", "inn", "_core", "_runs")
@@ -95,11 +99,11 @@ class CoreGraph:
         out: tuple[tuple[Optional[int], ...], ...],
         inn: tuple[tuple[Optional[int], ...], ...],
     ):
-        """`out[v][lab]` is the far end of the lab-edge leaving v and
-        `inn[v][lab]` that of the lab-edge entering it, None when there is
+        """`out[lab][v]` is the far end of the lab-edge leaving v and
+        `inn[lab][v]` that of the lab-edge entering it, None when there is
         none; the two tables describe the same folded edge set."""
         self.alphabet = alphabet
-        self.n_vertices = len(out)
+        self.n_vertices = len(out[0])
         self.base = base
         self.out = out
         self.inn = inn
@@ -110,33 +114,32 @@ class CoreGraph:
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         for u in range(self.n_vertices):
-            for lab in range(self.alphabet.size):
-                v = self.out[u][lab]
+            for lab, col in enumerate(self.out):
+                v = col[u]
                 if v is not None:
                     yield (u, lab, v)
 
     @property
     def n_edges(self) -> int:
-        k = self.alphabet.size
-        return sum(k - row.count(None) for row in self.out)
+        return sum(self.n_vertices - col.count(None) for col in self.out)
 
     def degree(self, v: int) -> int:
-        return 2 * self.alphabet.size - self.out[v].count(None) - self.inn[v].count(None)
+        return sum(col[v] is not None for col in self.out + self.inn)
 
     def core_vertices(self) -> frozenset[int]:
         """Vertices on some cyclically reduced closed path.
 
-        The rows are trimmed but for the base's tail, so this is every vertex
+        The graph is trimmed but for the base's tail, so this is every vertex
         off that tail, or the base alone when the tail is every vertex (no
         edges).  The tail is walked from the base: each of its vertices has
         at most one edge end besides the one it was entered by.
         """
         if self._core is None:
-            out, inn = self.out, self.inn
+            cols = self.out + self.inn
             tail = []
             prev, v = None, self.base
             while True:
-                nbrs = [w for w in out[v] + inn[v] if w is not None]
+                nbrs = [col[v] for col in cols if col[v] is not None]
                 if prev is not None:
                     nbrs.remove(prev)
                 if len(nbrs) > 1:
@@ -156,12 +159,12 @@ class CoreGraph:
         vertex is a path of one.  Split on first entry and cached for every
         vertex of the run.
         """
-        out, inn = self.out, self.inn
+        out, inn = self.out[lab], self.inn[lab]
         seq = []  # the vertices before v, nearest first
-        u = inn[v][lab]
+        u = inn[v]
         while u is not None and u != v:
             seq.append(u)
-            u = inn[u][lab]
+            u = inn[u]
         seq.reverse()
         seq.append(v)
         cyclic = u is not None
@@ -169,10 +172,10 @@ class CoreGraph:
             i = seq.index(min(seq))
             seq = seq[i:] + seq[:i]
         else:
-            u = out[v][lab]
+            u = out[v]
             while u is not None:
                 seq.append(u)
-                u = out[u][lab]
+                u = out[u]
         run = tuple(seq)
         place = self._runs[lab]
         if place is None:
@@ -188,19 +191,24 @@ class CoreGraph:
 
         A syllable x^k moves in one step along the cycle or path of x-edges
         through the current vertex, so the cost is per syllable, not per
-        letter; the first read that enters a run also splits it.
+        letter; the first read that enters a run also splits it, and a read
+        whose first letter has no edge at the current vertex splits none.
         """
         out, inn, runs = self.out, self.inn, self._runs
         cur = start
         for idx, exp in w.syllables:
             if exp == 1:
-                cur = out[cur][idx]
+                cur = out[idx][cur]
             elif exp == -1:
-                cur = inn[cur][idx]
+                cur = inn[idx][cur]
             else:
                 place = runs[idx]
                 entry = place[cur] if place else None
-                run, i, cyclic = entry or self._run_through(idx, cur)
+                if entry is None:
+                    if (out if exp > 0 else inn)[idx][cur] is None:
+                        return None
+                    entry = self._run_through(idx, cur)
+                run, i, cyclic = entry
                 i += exp
                 if cyclic:
                     cur = run[i % len(run)]
@@ -237,10 +245,11 @@ class CoreGraph:
         """
         parent = {self.base: (-1, -1, 0)}
         queue = deque((self.base,))
+        labels = list(enumerate(zip(self.out, self.inn)))
         while queue:
             v = queue.popleft()
-            for lab in range(self.alphabet.size):
-                for nxt, sg in ((self.out[v][lab], 1), (self.inn[v][lab], -1)):
+            for lab, (out, inn) in labels:
+                for nxt, sg in ((out[v], 1), (inn[v], -1)):
                     if nxt is not None and nxt not in parent:
                         parent[nxt] = (v, lab, sg)
                         queue.append(nxt)
@@ -253,10 +262,11 @@ class CoreGraph:
         order = list(self.bfs_parents())
         if len(order) != self.n_vertices:
             raise InternalCheckError("based graph is not connected")
-        pos = {v: i for i, v in enumerate(order)}
+        pos = dict(zip(order, range(self.n_vertices)))
+        pos[None] = None
 
-        def relabel(rows):
-            return tuple(tuple([None if w is None else pos[w] for w in rows[v]]) for v in order)
+        def relabel(cols):
+            return tuple(tuple(map(pos.__getitem__, map(col.__getitem__, order))) for col in cols)
 
         return CoreGraph(self.alphabet, 0, relabel(self.out), relabel(self.inn))
 
@@ -302,23 +312,30 @@ class CoreGraph:
         return "\n".join(lines)
 
 
-def _peel(deg: list[int], alive: list[bool], ends: Callable[[int], Iterable[int]], keep: int = -1) -> None:
-    """Repeatedly drop the alive vertices of degree at most one, in place.
+def _peel(alive: list[bool], parent: list[int], slots: list[list[int]], keep: int) -> None:
+    """Drop the spurs of merged slots, in place: repeatedly the alive
+    classes with at most one edge end (a loop counts twice), other than
+    keep's, clearing the slot that leads into each dropped class.
 
-    `deg[v]` counts the edge ends at v (a loop twice) and `ends(v)` lists
-    their far ends; the vertex `keep` is never dropped.  A degree-1 queue
-    visits each dropped vertex once, and the survivors do not depend on the
-    order of removal.
+    `parent` points every vertex at its class's root and `alive` marks the
+    roots.  A degree-1 queue visits each dropped class once, and the
+    survivors do not depend on the order of removal.
     """
-    queue = [v for v, d in enumerate(deg) if d <= 1 and alive[v] and v != keep]
+    k = len(slots) // 2
+    deg = [2 * k - row.count(-1) for row in zip(*slots)]
+    queue = [v for v in compress(range(len(deg)), alive) if deg[v] <= 1 and v != keep]
     while queue:
         v = queue.pop()
         alive[v] = False
-        for w in ends(v):
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1 and w != keep:
-                    queue.append(w)
+        for c, col in enumerate(slots):
+            if col[v] >= 0:
+                # the far class's slot of the same label and the other side
+                w = parent[col[v]]
+                slots[c - k][w] = -1
+                if alive[w]:
+                    deg[w] -= 1
+                    if deg[w] == 1 and w != keep:
+                        queue.append(w)
 
 
 def _merge(uf: UnionFind, slots: list[list[int]], pending: list[tuple[int, int]]) -> None:
@@ -349,54 +366,46 @@ def _merge(uf: UnionFind, slots: list[list[int]], pending: list[tuple[int, int]]
                     pending.append((s, t))
 
 
-def _core_graph(alphabet: Alphabet, base: int, parent: list[int], slots: list[list[int]]) -> CoreGraph:
-    """The CoreGraph of merged slots: trim the spurs, number the surviving
-    classes by their least vertex, and read the rows off the roots' slots.
-    `parent` is the union-find's parent list, each root its class's least
-    vertex.  Both `parent` and `slots` are emptied once the columns are
-    read.
+def _roots(parent: list[int]) -> list[bool]:
+    """Point every vertex at its class's root, in place, and mark the roots.
 
-    An edge into a dropped class, like an empty slot (index -1), reads None.
-    Each in-column must invert its out-column; otherwise the slots were not
-    folded.
+    Each root is its class's least vertex, so parent[v] < v off the roots,
+    and one ascending pass suffices.
+    """
+    roots = list(map(operator.eq, parent, range(len(parent))))
+    for v in compress(range(len(parent)), map(operator.not_, roots)):
+        parent[v] = parent[parent[v]]
+    return roots
+
+
+def _core_graph(alphabet: Alphabet, base: int, parent: list[int], slots: list[list[int]], alive: list[bool]) -> CoreGraph:
+    """The CoreGraph of merged slots: number the kept classes in order of
+    their roots and read each label's out- and in-column off the roots'
+    slots.  `parent` points every vertex at its class's root (`_roots`),
+    `alive` marks the kept roots, and no kept root's slot leads into a class
+    that is not kept.  Both `parent` and `slots` are emptied as the columns
+    are read.
+
+    An empty slot (index -1) reads None.  Each in-column must invert its
+    out-column; otherwise the slots were not folded.
     """
     k = alphabet.size
-    n = len(parent)
-    # only the roots start alive; parent[v] < v off them, so one ascending
-    # pass points every other vertex at its root
-    alive = list(map(operator.eq, parent, range(n)))
-    for v in compress(range(n), map(operator.not_, alive)):
-        parent[v] = parent[parent[v]]
-
-    # a class's edges sit in its root's slots: count their ends there (a loop
-    # twice) and trim the spurs
-    deg = [2 * k - row.count(-1) for row in zip(*slots)]
-
-    def ends(v: int) -> list[int]:
-        return [parent[col[v]] for col in slots if col[v] >= 0]
-
-    _peel(deg, alive, ends, parent[base])
-
-    # number the surviving classes in order of their roots; ids[v] is the
-    # number of v's class, and ids[-1] (an empty slot) is None
-    num: list[Optional[int]] = [None] * n
-    for i, r in enumerate(compress(range(n), alive)):
-        num[r] = i
+    # ids[v] is the number of v's class, the count of kept roots before its
+    # root, and ids[-1] (an empty slot) is None
+    num = list(accumulate(alive, initial=0))
     ids = list(map(num.__getitem__, parent))
     ids.append(None)
-    cols = [list(map(ids.__getitem__, compress(col, alive))) for col in slots]
-    base_id = ids[base]
-    # the rows are the largest allocation here, so free the slots, the
-    # union-find and the per-vertex lists before they are built
-    slots.clear()
+    del num
     parent.clear()
-    del alive, deg, num, ids
-    out_cols, in_cols = cols[:k], cols[k:]
-    for oc, ic in zip(out_cols, in_cols):
+    # free each slot column as soon as its tuple is read off it
+    slots.reverse()
+    cols = [tuple(map(ids.__getitem__, compress(slots.pop(), alive))) for _ in range(2 * k)]
+    out, inn = tuple(cols[:k]), tuple(cols[k:])
+    for oc, ic in zip(out, inn):
         back = [ic[j] for j in oc if j is not None]
         if back != [i for i, j in enumerate(oc) if j is not None] or len(back) != len(ic) - ic.count(None):
             raise InternalCheckError("edge set is not folded")
-    return CoreGraph(alphabet, base_id, tuple(zip(*out_cols)), tuple(zip(*in_cols)))
+    return CoreGraph(alphabet, ids[base], out, inn)
 
 
 def fold(builder: LabeledGraphBuilder) -> CoreGraph:
@@ -407,11 +416,11 @@ def fold(builder: LabeledGraphBuilder) -> CoreGraph:
     one out-slot and one in-slot per label.  Placing the builder's edges in
     the slots seeds a worklist with one pair per edge that finds its slot
     taken, and `_merge` identifies them and every pair they force, so
-    folding is near-linear in the number of edges.  The surviving classes'
-    slots then give the spur trimming and the CoreGraph rows directly.  The
-    folded partition is unique, and classes are numbered by their smallest
-    vertex, so the result does not depend on the order of the builder's
-    edges.
+    folding is near-linear in the number of edges.  The spurs are peeled off
+    the classes' slots (`_peel`), and the surviving classes' slots give the
+    CoreGraph columns directly.  The folded partition is unique, and classes
+    are numbered by their smallest vertex, so the result does not depend on
+    the order of the builder's edges.
     """
     k = builder.alphabet.size
     n = builder.n_vertices
@@ -430,7 +439,10 @@ def fold(builder: LabeledGraphBuilder) -> CoreGraph:
             pending.append((col[v], u))
     uf = UnionFind(n)
     _merge(uf, slots, pending)
-    return _core_graph(builder.alphabet, builder.base, uf.parent, slots)
+    parent = uf.parent
+    alive = _roots(parent)
+    _peel(alive, parent, slots, parent[builder.base])
+    return _core_graph(builder.alphabet, builder.base, parent, slots, alive)
 
 
 def _read_prefix(syllables: tuple, uf: UnionFind, slots: list[list[int]], k: int) -> tuple[int, int, tuple]:
@@ -465,7 +477,9 @@ def from_generators(gens: Iterable[Word], alphabet: Alphabet | None = None) -> C
     `LabeledGraphBuilder.add_word_loop` numbers the words' letters, with the
     read letters left out, and each read letter lands on an older vertex.
     So numbering the classes by their least vertex gives exactly the
-    CoreGraph that `fold` makes of those loops.
+    CoreGraph that `fold` makes of those loops.  A reduced word read in a
+    folded graph never backtracks, so every vertex but the base keeps two
+    edge ends and there is no spur to trim.
     """
     nonempty = [g for g in gens if not g.is_identity()]
     if alphabet is None:
@@ -527,7 +541,7 @@ def from_generators(gens: Iterable[Word], alphabet: Alphabet | None = None) -> C
                 _merge(uf, slots, [(t, src)])
         for col in slots:
             del col[len(parent) :]
-        return _core_graph(alphabet, 0, parent, slots)
+        return _core_graph(alphabet, 0, parent, slots, _roots(parent))
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -86,14 +86,15 @@ def fold(builder: LabeledGraphBuilder) -> CoreGraph:
 
 
 def core_from_edges(alphabet, n: int, base: int, edges) -> CoreGraph:
-    """The CoreGraph with these (source, label, target) edges."""
+    """The CoreGraph with these (source, label, target) edges: one column
+    per label and side, `out[lab][u] = v` and `inn[lab][v] = u`."""
     k = alphabet.size
-    out = [[None] * k for _ in range(n)]
-    inn = [[None] * k for _ in range(n)]
+    out = [[None] * n for _ in range(k)]
+    inn = [[None] * n for _ in range(k)]
     for u, lab, v in edges:
-        assert out[u][lab] is None and inn[v][lab] is None, "edge set is not folded"
-        out[u][lab] = v
-        inn[v][lab] = u
+        assert out[lab][u] is None and inn[lab][v] is None, "edge set is not folded"
+        out[lab][u] = v
+        inn[lab][v] = u
     return CoreGraph(alphabet, base, tuple(map(tuple, out)), tuple(map(tuple, inn)))
 
 
@@ -111,10 +112,10 @@ def core_vertices(core: CoreGraph) -> frozenset[int]:
                 alive.discard(v)
                 changed = True
                 for lab in range(core.alphabet.size):
-                    w = core.out[v][lab]
+                    w = core.out[lab][v]
                     if w is not None and w in alive:
                         deg[w] -= 1
-                    w = core.inn[v][lab]
+                    w = core.inn[lab][v]
                     if w is not None and w in alive:
                         deg[w] -= 1
     return frozenset(alive)
@@ -131,15 +132,15 @@ def letter_runs(core: CoreGraph) -> tuple:
     for lab in range(core.alphabet.size):
         place: list = [None] * core.n_vertices
         # paths start where no lab-edge comes in; what is left lies on cycles
-        starts = [v for v in range(core.n_vertices) if core.inn[v][lab] is None]
+        starts = [v for v in range(core.n_vertices) if core.inn[lab][v] is None]
         for first in starts + list(range(core.n_vertices)):
             if place[first] is not None:
                 continue
             seq = [first]
-            nxt = core.out[first][lab]
+            nxt = core.out[lab][first]
             while nxt is not None and nxt != first:
                 seq.append(nxt)
-                nxt = core.out[nxt][lab]
+                nxt = core.out[lab][nxt]
             run = tuple(seq)
             for i, v in enumerate(run):
                 place[v] = (run, i, nxt is not None)

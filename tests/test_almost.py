@@ -14,7 +14,7 @@ from gaction_oracle import (
 
 import gtrees.almost as almost
 from gtrees.errors import InputError, PreconditionError
-from gtrees.gaction import FiniteGroup, GSet
+from gtrees.gaction import FiniteGroup, GSet, _closure_generators
 from gtrees.almost import (
     AbelianGroup,
     GModule,
@@ -87,6 +87,69 @@ def test_abelian_group_table_checks():
     s3 = FiniteGroup.symmetric(3)
     with pytest.raises(InputError, match="not commutative"):
         AbelianGroup.from_table(s3.mult)
+
+
+def all_elements_from_table(table):
+    """AbelianGroup.from_table as it was: every element a generator, so
+    Light's test reads |A|³ entries, and commutativity checked on all pairs."""
+    group = FiniteGroup.from_mult_table(table, range(len(table)))
+    add = group.mult
+    if any(add[a][b] != add[b][a] for a in group.elements for b in range(a)):
+        raise InputError("addition table is not commutative")
+    return AbelianGroup(add, group.inverse, group.identity)
+
+
+def relabeled(table, perm):
+    """The same table with element i renamed perm[i]."""
+    out = [[None] * len(table) for _ in table]
+    for i, row in enumerate(table):
+        for j, x in enumerate(row):
+            out[perm[i]][perm[j]] = perm[x]
+    return out
+
+
+def test_from_table_matches_the_all_elements_form():
+    rng = random.Random("from_table")
+    tables = [[[(i + j) % n for j in range(n)] for i in range(n)] for n in range(1, 13)]
+    tables.append([list(row) for row in AbelianGroup.from_factors([2, 4]).add])
+    for table in tables:
+        n = len(table)
+        for _ in range(6):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            t = relabeled(table, perm)
+            got = AbelianGroup.from_table(t)
+            assert got == all_elements_from_table(t)
+            assert got.zero == perm[0] and got.size == n
+            # each generator the walk adds at least doubles the subgroup reached
+            assert 2 ** len(_closure_generators(t, perm[0])) <= n
+            # one entry changed: both forms refuse it alike, or accept it alike
+            t[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            assert outcome(AbelianGroup.from_table, t) == outcome(all_elements_from_table, t)
+
+
+def test_closure_generators_walk_the_elements_in_order():
+    z256 = [[(i + j) % 256 for j in range(256)] for i in range(256)]
+    assert _closure_generators(z256, 0) == [1]
+    # Z/2 x Z/4 in mixed radix: 1 = (0, 1) reaches 0..3, and 4 = (1, 0) the rest
+    assert _closure_generators(AbelianGroup.from_factors([2, 4]).add, 0) == [1, 4]
+    assert _closure_generators([[0]], 0) == []
+
+
+def test_from_table_refuses_non_groups_and_non_abelian_groups():
+    # commutative, with an identity and inverses, but (1 + 1) + 2 = 2 and
+    # 1 + (1 + 2) = 1
+    loop = [[0, 1, 2], [1, 0, 0], [2, 0, 0]]
+    for table, message in (
+        (loop, "not associative"),
+        (FiniteGroup.symmetric(3).mult, "not commutative"),
+        (FiniteGroup.dihedral(4).mult, "not commutative"),
+        (FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.symmetric(3)).mult, "not commutative"),
+    ):
+        with pytest.raises(InputError, match=message):
+            AbelianGroup.from_table(table)
+        with pytest.raises(InputError, match=message):
+            all_elements_from_table(table)
 
 
 def test_check_derivation_values_are_module_elements():

@@ -190,11 +190,11 @@ def test_from_generators_folds_with_gc_paused_and_restores_it(monkeypatch):
     real_core_graph = stallings._core_graph
     during = []
 
-    def spy(*args):
+    def spy(alphabet, base, parent, slots, alive):
         during.append(gc.isenabled())
-        return real_core_graph(*args)
+        return real_core_graph(alphabet, base, parent, slots, alive)
 
-    def broken(*args):
+    def broken(alphabet, base, parent, slots, alive):
         raise InternalCheckError("edge set is not folded")
 
     was_enabled = gc.isenabled()

@@ -111,7 +111,7 @@ def read(core: CoreGraph, w: LetterWord, start: int) -> Optional[int]:
     """Walk w from a vertex one edge per letter; None when the walk leaves the graph."""
     cur = start
     for idx, sg in w.letters:
-        cur = core.out[cur][idx] if sg > 0 else core.inn[cur][idx]
+        cur = core.out[idx][cur] if sg > 0 else core.inn[idx][cur]
         if cur is None:
             return None
     return cur
