@@ -1,10 +1,11 @@
 """Scaling ladders for gtrees, outside the benchmark: how cost grows with size.
 
-    python3 ladders/run.py [--n-max 256] [--fold-a-max 262144] [--repeats 3]
-                           [--tag TAG]
+    python3 ladders/run.py [--n-max 256] [--fold-a-max 262144]
+                           [--retract-n-max 16000] [--repeats 3] [--tag TAG]
 
 Run from any directory; the runner imports `gtrees` from the `src` of the
-checkout it sits in, and runs the `verify` ladder and then the `fold` ladder.
+checkout it sits in, and runs the `verify` ladder, the `fold` ladder and
+then the `retract` ladder.
 
 The `verify` ladder runs `verify_all` at n_max 32, 64, 128 and 256 (the
 rungs up to `--n-max`) on the documented example data and on each of its
@@ -34,12 +35,26 @@ RSS, and for the power family the time exponent against the rung below,
 over the letters.  Each core must have 2a - 1 vertices on the power family
 and contain every generator.
 
+The `retract` ladder runs `retract_tree` on three shape families of
+`tests/instgen.py`, all with the trivial group, at 1000, 2000, 4000, 8000
+and 16,000 vertices (the rungs up to `--retract-n-max`): the star with U a
+leaf, the broom with U at its handle's far end, and the path with U at the
+end far from vertex 0, which slides n - 3 times and so stays quadratic.  A
+family stops after the first rung whose time passes `RETRACT_STOP_S`
+seconds, and its larger rungs are recorded as not reached.  Each timed run
+gets a freshly built tree, so no table that a tree keeps is warm.  Per rung
+it records `time_s`, the best of `--repeats` runs, the slides per tree, and
+the exponent per doubling against the rung below; each result must be a
+G-tree whose vertices are U.
+
 The least-squares log-log slopes over all rungs (of the fold ladder, over
-the power rungs that the cap admits) are the fitted exponents.
+the power rungs that the cap admits; of each retract family, over the rungs
+it reaches) are the fitted exponents.
 The results, with the git sha of the checkout (and whether `src` differs
 from it), the Python version and the machine, go to BENCH_<tag>.json at the
 root of the checkout; the tag defaults to the short git sha.  The exit code
-is 1 when a verdict or a core is wrong, after the file is written.
+is 1 when a verdict, a core or a retract result is wrong, after the file is
+written.
 """
 
 from __future__ import annotations
@@ -58,7 +73,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from gtrees import counterexample as cx  # noqa: E402
 from gtrees import stallings as st  # noqa: E402
@@ -69,6 +84,8 @@ VERIFY_RUNGS = (32, 64, 128, 256)
 FOLD_POWER_A = tuple(2**k for k in range(10, 19))
 FOLD_CAP_A = st.MAX_FOLD_LETTERS // 4
 FOLD_CAP_WORDS = 4
+RETRACT_RUNGS = (1000, 2000, 4000, 8000, 16000)
+RETRACT_STOP_S = 10.0
 
 
 def slope(xs: list[float], ys: list[float]) -> float | None:
@@ -243,6 +260,53 @@ def fold_ladder(a_max: int, repeats: int) -> tuple[dict, list[str]]:
     return ladder, wrong
 
 
+def retract_ladder(n_max: int, repeats: int) -> tuple[dict, list[str]]:
+    """Each retract family's rungs up to n_max, up to its first rung past
+    RETRACT_STOP_S, and every wrong result."""
+    # imported here, so that the fold rungs' children do not load them
+    import instgen
+    from gtrees.ggraph import validate
+    from gtrees.retract import retract_tree
+
+    shapes = {
+        "star": instgen.star_instance,
+        "broom-handle": lambda n: instgen.broom_instance(n, "handle"),
+        "path-far": lambda n: instgen.path_instance(n, n - 1),
+    }
+    wrong: list[str] = []
+    families = {}
+    for name, make in shapes.items():
+        rungs: list[dict] = []
+        for n in [n for n in RETRACT_RUNGS if n <= n_max]:
+            if rungs and (not rungs[-1]["reached"] or rungs[-1]["time_s"] > RETRACT_STOP_S):
+                rungs.append({"vertices": n, "reached": False})
+                continue
+            best = math.inf
+            for _ in range(repeats):
+                res = None  # so that a run's result is not alive during the next one
+                t, u = make(n)
+                t0 = time.perf_counter()
+                res = retract_tree(t, u)
+                best = min(best, time.perf_counter() - t0)
+            if not validate(res.tree).is_tree or res.tree.vertices.labels != tuple(sorted(t.vertices.labels[v] for v in u)):
+                wrong.append(f"retract {name} at {n} vertices: the result is not a G-tree on U")
+            rung = {"vertices": n, "reached": True, "time_s": round(best, 6), "slides": sum(m.kind == "slide" for m in res.move_log)}
+            if rungs:
+                rung["time_exponent"] = round(math.log(best / rungs[-1]["time_s"]) / math.log(n / rungs[-1]["vertices"]), 3)
+            rungs.append(rung)
+        reached = [r for r in rungs if r["reached"]]
+        fit = slope([r["vertices"] for r in reached], [r["time_s"] for r in reached])
+        families[name] = {"rungs": rungs, "fit": {"time_exponent": None if fit is None else round(fit, 3)}}
+    ladder = {
+        "what": "retract_tree on instgen's star (U a leaf), broom (U at the handle's end) and path (U = {n-1}), trivial group, a fresh tree per run",
+        "repeats": repeats,
+        "stop_s": RETRACT_STOP_S,
+        "families": families,
+        "results_ok": not wrong,
+    }
+    return ladder, wrong
+
+
 def git(*args: str) -> str:
     try:
         proc = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True, timeout=30)
@@ -271,6 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--n-max", type=int, default=VERIFY_RUNGS[-1], help="the deepest verify rung to run")
     ap.add_argument("--fold-a-max", type=int, default=FOLD_POWER_A[-1], help="the largest power-family a to run; the cap rungs run from 250000 on")
+    ap.add_argument("--retract-n-max", type=int, default=RETRACT_RUNGS[-1], help="the largest retract rung to run, in vertices")
     ap.add_argument("--repeats", type=int, default=3, help="timed runs per rung; the best one counts")
     ap.add_argument("--tag", default=None, help="BENCH_<tag>.json; defaults to the short git sha")
     ap.add_argument("--fold-child", default=None, help=argparse.SUPPRESS)
@@ -279,6 +344,8 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"--n-max must lie between {VERIFY_RUNGS[0]} and {cx.N_MAX_CAP}")
     if args.fold_a_max < FOLD_POWER_A[0]:
         ap.error(f"--fold-a-max must be at least {FOLD_POWER_A[0]}")
+    if args.retract_n_max < RETRACT_RUNGS[0]:
+        ap.error(f"--retract-n-max must be at least {RETRACT_RUNGS[0]}")
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
     if args.fold_child:
@@ -304,6 +371,14 @@ def main(argv: list[str] | None = None) -> int:
         what = "refused by the cap" if rung.get("refused") else f"{rung['time_s'] * 1e3:9.2f} ms, {rung['vertices']:>7} vertices"
         print(f"fold {rung['name']:>14}: {rung['letters']:>8} letters, {what}, peak RSS {rung['peak_rss_mb']:6.1f} MB")
     print(f"fold fitted exponents: {fold['fit']}")
+    retract, bad = retract_ladder(args.retract_n_max, args.repeats)
+    doc["ladders"]["retract"] = retract
+    wrong += bad
+    for name, family in retract["families"].items():
+        for rung in family["rungs"]:
+            what = f"{rung['time_s'] * 1e3:9.2f} ms, {rung['slides']:>6} slides" if rung["reached"] else "not reached"
+            print(f"retract {name:>12}: {rung['vertices']:>6} vertices, {what}")
+        print(f"retract {name} fitted exponent: {family['fit']['time_exponent']}")
     out = ROOT / f"BENCH_{tag}.json"
     out.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {out.name}")

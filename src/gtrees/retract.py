@@ -49,9 +49,10 @@ class Move(NamedTuple):
 class RetractState(Frozen):
     """Immutable snapshot of the pipeline: tree + filtration + move history.
 
-    Each snapshot builds the outside set w_set once, keeps the descent
-    paths of each outside vertex once paths_P has searched them, and keeps
-    the problematic sets once problematic has swept them.  A slide changes
+    Each snapshot builds the outside set w_set once, keeps what the
+    shortest-only search (_descent) found for each outside vertex, the
+    descent paths of each vertex that paths_P has searched, and the
+    problematic sets once problematic has swept them.  A slide changes
     which paths exist, so eliminate_problematic makes a new snapshot
     (with_tree) after each slide step.  A reorientation changes only the
     signs of the flipped edges on those paths, so compress_to_U reads the
@@ -59,11 +60,11 @@ class RetractState(Frozen):
     shares the input's vertex G-set, so its stabilizer table is read from
     the tree; so is the adjacency, which each tree version builds once
     (GGraph.adjacency).  Equality and hashing ignore w_set and the kept
-    paths and problematic sets.
+    searches and problematic sets.
     """
 
     _fields = ("tree", "filtration", "u_set", "move_log")
-    __slots__ = _fields + ("w_set", "_paths", "_problematic")
+    __slots__ = _fields + ("w_set", "_descents", "_paths", "_problematic")
 
     def __init__(
         self, tree: GGraph, filtration: Filtration, u_set: frozenset[int], move_log: tuple[Move, ...] = ()
@@ -71,6 +72,7 @@ class RetractState(Frozen):
         super().__init__(tree, filtration, u_set, move_log)
         set_field = object.__setattr__
         set_field(self, "w_set", frozenset(range(tree.n_vertices)) - u_set)
+        set_field(self, "_descents", {})
         set_field(self, "_paths", {})
         set_field(self, "_problematic", None)
 
@@ -116,8 +118,10 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
     rescans the tree.  The target of w is the lowest candidate (a vertex
     below alpha) whose stabilizer holds stab(w), so it depends on stab(w)
     alone; one dict keeps it per stabilizer.  Candidates only ever join, a
-    bucket per stage, so each entry is lowered as a bucket joins, and a
-    stabilizer met for the first time scans the candidates once.  Orbits are
+    bucket at a time on the stages that walk, so each entry is lowered as a
+    bucket joins, and a stabilizer met for the first time scans the
+    candidates once.  A stage with an empty bucket walks nothing, and a walk
+    keeps only the orbits still unplaced.  Orbits are
     read from the G-sets' orbit numbers.  The tree is rooted once at vertex
     0, keeping each vertex's depth and (parent, edge), and each geodesic is
     walked only up to its cut, its first vertex below alpha (_cut_orbits).
@@ -141,64 +145,58 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
     for v in u:
         vertex_level[v] = 0
     buckets: list[list[int]] = [sorted(u)]  # level -> vertices first placed there
-    candidates: list[int] = []  # the vertices below the current alpha
+    candidates: list[int] = []  # the vertices of the first `joined` buckets
+    joined = 0
     target_of: dict[frozenset[int], int] = {}  # stab(w) -> lowest candidate holding it
     n_placed = 0
     lowest_unplaced = 0  # every edge below it has a level
-
-    def place_edges(es: Iterable[int], gamma: int) -> None:
-        nonlocal n_placed
-        bucket = []
-        for e in es:
-            edge_level[e] = gamma
-            n_placed += 1
-            for v in (tree.iota[e], tree.tau[e]):
-                if vertex_level[v] < 0:
-                    vertex_level[v] = gamma
-                    bucket.append(v)
-        buckets.append(bucket)
-
-    def lowest_fresh_orbit() -> list[int]:
-        nonlocal lowest_unplaced
-        while edge_level[lowest_unplaced] >= 0:
-            lowest_unplaced += 1
-        return edge_members[eorb[lowest_unplaced]]
 
     gamma = 0
     while n_placed < ne:
         gamma += 1
         if gamma > ne + 1:
             raise InternalCheckError("filtration construction failed to terminate")
-        if gamma == 1:
-            place_edges(lowest_fresh_orbit(), gamma)
-            continue
         alpha = gamma - 1
-        joining = buckets[alpha - 1]
-        candidates += joining
-        for v in joining:
-            for sw, target in target_of.items():
-                if v < target and sw <= vstab[v]:
-                    target_of[sw] = v
-        collected: set[int] = set()  # edge orbit numbers
-        seen_orbit: set[int] = set()  # vertex orbit numbers
-        for w in sorted(buckets[alpha]):
-            if vorb[w] in seen_orbit:
-                continue
-            seen_orbit.add(vorb[w])
-            sw = vstab[w]
-            target = target_of.get(sw)
-            if target is None:
-                target = min((v for v in candidates if sw <= vstab[v]), default=None)
+        fresh: set[int] = set()  # the unplaced edge orbits on this stage's geodesics
+        if alpha and buckets[alpha]:  # a stage with an empty bucket walks nothing
+            for joining in buckets[joined:alpha]:
+                candidates += joining
+                for v in joining:
+                    for sw, target in target_of.items():
+                        if v < target and sw <= vstab[v]:
+                            target_of[sw] = v
+            joined = alpha
+            seen_orbit: set[int] = set()  # vertex orbit numbers
+            for w in sorted(buckets[alpha]):
+                if vorb[w] in seen_orbit:
+                    continue
+                seen_orbit.add(vorb[w])
+                sw = vstab[w]
+                target = target_of.get(sw)
                 if target is None:
-                    raise InternalCheckError("no placed vertex absorbs the stabilizer of a placed vertex")
-                target_of[sw] = target
-            collected.update(_cut_orbits(up, depth, vertex_level, alpha, eorb, w, target))
-        # an orbit is placed whole, so its first member tells whether it is fresh
-        fresh = sorted(e for k in collected if edge_level[edge_members[k][0]] < 0 for e in edge_members[k])
+                    target = min((v for v in candidates if sw <= vstab[v]), default=None)
+                    if target is None:
+                        raise InternalCheckError("no placed vertex absorbs the stabilizer of a placed vertex")
+                    target_of[sw] = target
+                # an orbit is placed whole, so its first member tells whether it is unplaced
+                fresh.update(
+                    k for k in _cut_orbits(up, depth, vertex_level, alpha, eorb, w, target) if edge_level[edge_members[k][0]] < 0
+                )
         if fresh:
-            place_edges(fresh, gamma)
-        else:
-            place_edges(lowest_fresh_orbit(), gamma)
+            placing = sorted(e for k in fresh for e in edge_members[k])
+        else:  # stage 1, and every stage whose geodesics hold no unplaced orbit
+            while edge_level[lowest_unplaced] >= 0:
+                lowest_unplaced += 1
+            placing = edge_members[eorb[lowest_unplaced]]
+        bucket = []
+        for e in placing:
+            edge_level[e] = gamma
+            for v in (tree.iota[e], tree.tau[e]):
+                if vertex_level[v] < 0:
+                    vertex_level[v] = gamma
+                    bucket.append(v)
+        n_placed += len(placing)
+        buckets.append(bucket)
 
     kappa = 1 + max(edge_level, default=0)
     return Filtration(tuple(vertex_level), tuple(edge_level), kappa)
@@ -237,10 +235,12 @@ def check_filtration(state: RetractState) -> list[str]:
     The caller's state is checked as it stands (make_state builds one from a
     tree, a retract and a filtration), so its stabilizers and adjacency are
     not derived again, and a tree that carries the G-tree verdict (see
-    gtrees.ggraph) is not searched for cycles.  The conditions are stated
-    for a tree.  On a graph with a cycle, (1) reports the cycle, and (4)
-    asks whether paths_P finds some window path (see there), not whether
-    the BFS tree of the whole graph holds one.
+    gtrees.ggraph) is not searched for cycles.  (4) is read from the
+    shortest-only search (_descent), which finds a path exactly when
+    paths_P does.  The conditions are stated for a tree.  On a graph with a
+    cycle, (1) reports the cycle, and (4) asks whether the search finds
+    some window path (see paths_P), not whether the BFS tree of the whole
+    graph holds one.
     """
     tree, u, filt = state.tree, state.u_set, state.filtration
     problems: list[str] = []
@@ -282,7 +282,7 @@ def check_filtration(state: RetractState) -> list[str]:
 
     # (4) every outside vertex has a descent path
     for w in sorted(state.w_set):
-        if not paths_P(state, w):
+        if _descent(state, w) is None:
             problems.append(f"(4) no descent path from vertex {w}")
     return problems
 
@@ -321,8 +321,11 @@ def paths_P(state: RetractState, w: int) -> list[GPath]:
     the windowed search reaches gets one path, its first shortest path
     inside the window; the rest of the graph plays no part.
 
-    The search runs once per snapshot and vertex: the list is kept on the
-    state, and every caller gets that same list, so none may change it.
+    The pipeline reads the shortest-only form (_descent), which builds no
+    path; this full form is its oracle, and eliminate_problematic reads the
+    path it slides along from it.  The search runs once per snapshot and
+    vertex: the list is kept on the state, and every caller gets that same
+    list, so none may change it.
     """
     memo = state._paths
     if w in memo:
@@ -338,11 +341,55 @@ def paths_P(state: RetractState, w: int) -> list[GPath]:
     return out
 
 
+def _descent(state: RetractState, w: int) -> Optional[tuple[int, int, int, tuple[int, ...]]]:
+    """The shortest descent paths of w as the pipeline reads them: (their
+    length, the first edge of the least one, that edge's far vertex, the
+    first edges of those whose second vertex is one level above w), or None
+    when paths_P(state, w) is empty.
+
+    The search is _window_search's, run layer by layer in the same order,
+    so each vertex gets the same path; it stops after the first layer that
+    holds an endpoint, and keeps only each reached vertex's first edge.  A
+    layer lists its vertices in the order of their first edges, so its first
+    endpoint's is the least.  The result is kept on the state, once per
+    snapshot and vertex.
+    """
+    memo = state._descents
+    if w in memo:
+        return memo[w]
+    if w in state.u_set:
+        raise PreconditionError("descent paths are defined for outside vertices only")
+    tree, filt, vstab = state.tree, state.filtration, state.tree.vertices.stabilizers()
+    adj, edeg, vdeg = tree.adjacency(), filt.edeg, filt.vdeg
+    lo, sw = vdeg[w], vstab[w]
+    for e, _, z in adj[w]:  # most searches end in the first layer, at its first endpoint
+        if vdeg[z] < lo and lo <= edeg[e] <= lo + 1 and sw <= vstab[z]:
+            memo[w] = out = (1, e, z, ())
+            return out
+    first, layer, d, ends = {w: -1}, [w], 0, []  # first: reached vertex -> first edge of its path
+    while layer and not ends:
+        d, grown = d + 1, []
+        for v in layer:
+            f = first[v]
+            for e, _, z in adj[v]:
+                if z not in first and lo <= edeg[e] <= lo + 1 and sw <= vstab[z]:
+                    first[z] = g = e if f < 0 else f
+                    grown.append(z)
+                    if vdeg[z] < lo:
+                        ends.append(g)
+        layer = grown
+    # a first edge is no loop, so its far vertex is its end other than w
+    far = [tree.iota[e] + tree.tau[e] - w for e in ends]
+    out = (d, ends[0], far[0], tuple(sorted({e for e, z in zip(ends, far) if vdeg[z] == lo + 1}))) if ends else None
+    memo[w] = out
+    return out
+
+
 def d_T(state: RetractState, w: int) -> int:
-    ps = paths_P(state, w)
-    if not ps:
+    desc = _descent(state, w)
+    if desc is None:
         raise InternalCheckError(f"no descent path from vertex {w}: filtration invalid")
-    return len(ps[0].steps)
+    return desc[0]
 
 
 def is_lower(state: RetractState, v1: int, v0: int) -> bool:
@@ -373,21 +420,15 @@ def problematic(state: RetractState) -> tuple[frozenset[int], frozenset[int]]:
     """
     if state._problematic is not None:
         return state._problematic
-    filt = state.filtration
     bad_edges = set()
     bad_vertices = set()
     for w in state.w_set:
-        ps = paths_P(state, w)
-        if not ps:
+        desc = _descent(state, w)
+        if desc is None:
             raise InternalCheckError(f"no descent path from vertex {w}: filtration invalid")
-        d = len(ps[0].steps)
-        dw = filt.vdeg[w]
-        for p in ps:
-            if len(p.steps) != d:
-                break
-            if filt.vdeg[p.vertices[1]] == dw + 1:
-                bad_vertices.add(w)
-                bad_edges.add(p.steps[0][0])
+        if desc[3]:
+            bad_vertices.add(w)
+            bad_edges.update(desc[3])
     out = frozenset(bad_edges), frozenset(bad_vertices)
     object.__setattr__(state, "_problematic", out)
     return out
@@ -527,13 +568,12 @@ def _distinguished_edges(state: RetractState, tree: GGraph) -> dict[int, int]:
     for v0 in sorted(state.w_set):
         if v0 in distinguished:
             continue
-        chosen = paths_P(state, v0)[0]
-        e1 = chosen.steps[0][0]
+        _, e1, far, _ = _descent(state, v0)
         if tree.iota[e1] != v0:
             raise InternalCheckError("distinguished edge does not leave its vertex")
         if tree.edges.stabilizer(e1) != state.vstab(v0):
             raise InternalCheckError("distinguished edge stabilizer differs from its vertex")
-        if not is_lower(state, chosen.vertices[1], v0):
+        if not is_lower(state, far, v0):
             raise InternalCheckError("distinguished neighbour is not lower")
         distinguished[v0] = e1
         reached = [v0]

@@ -10,7 +10,7 @@ import random
 from collections import defaultdict
 
 from gtrees.gaction import FiniteGroup, GSet, is_retract
-from gtrees.ggraph import GGraph
+from gtrees.ggraph import GGraph, tree_with_trivial_group
 
 
 def random_tree_edges(rng, n):
@@ -278,3 +278,35 @@ def equivariant_sink_orientation(rng, t: GGraph, removed: set[int]):
         if dist[t.iota[e]] < dist[t.tau[e]]:
             flips.add(e)
     return flips
+
+
+# Shape families: trees with the trivial group on n vertices, each with a
+# one-point retract.  Each returns (tree, U); edges point away from vertex 0.
+
+
+def path_instance(n, u_end):
+    """The path 0 - 1 - ... - n-1, with U = {u_end}, u_end 0 or n - 1."""
+    return tree_with_trivial_group([(i, i + 1) for i in range(n - 1)]), frozenset({u_end})
+
+
+def star_instance(n):
+    """The star with centre 0 and leaves 1..n-1, with U = {n - 1}."""
+    return tree_with_trivial_group([(0, i) for i in range(1, n)]), frozenset({n - 1})
+
+
+def broom_instance(n, u_at):
+    """A broom: the handle 0 - 1 - ... - h-1 (h = n // 2), and the bristles
+    h..n-1 joined to h - 1.  U is the handle's far end {0} when u_at is
+    "handle", and the last bristle {n - 1} when it is "bristle"."""
+    h = n // 2
+    edges = [(i, i + 1) for i in range(h - 1)] + [(h - 1, b) for b in range(h, n)]
+    return tree_with_trivial_group(edges), frozenset({0 if u_at == "handle" else n - 1})
+
+
+def caterpillar_instance(n):
+    """A caterpillar: the spine 0 - 1 - ... - k-1 (k = n // 2), a leg k + i
+    on each spine vertex i (and one more on spine vertex 0 when n is odd),
+    with U = {k - 1}, the spine's far end."""
+    k = n // 2
+    edges = [(i, i + 1) for i in range(k - 1)] + [((v - k) % k, v) for v in range(k, n)]
+    return tree_with_trivial_group(edges), frozenset({k - 1})

@@ -14,7 +14,16 @@ from collections import Counter
 import pytest
 
 from gaction_oracle import oracle_is_equivariant
-from instgen import instance_with_vertices, random_instance, random_slide_candidates, sibling_swap_generators
+from instgen import (
+    broom_instance,
+    caterpillar_instance,
+    instance_with_vertices,
+    path_instance,
+    random_instance,
+    random_slide_candidates,
+    sibling_swap_generators,
+    star_instance,
+)
 from retract_oracle import (
     oracle_build_filtration,
     oracle_distinguished_edges,
@@ -49,6 +58,9 @@ from gtrees.retract import (
 # sha256 of the corpus outputs below, recorded before descent paths were
 # limited to their window; any change to a move, its order or a result shows
 GOLDEN_SHA256 = "a03311ed73450fe56b0f1dc40977999eafc59592dd1e9b2bbeea2b3d2cfe806c"
+# sha256 of the shape families' outputs (_shape_instances), recorded before
+# the pipeline read the shortest-only search
+SHAPES_SHA256 = "f633cd69220c43415be7c9436b750484a93fae73d07a958a70b5d3b4121bda8b"
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +89,37 @@ def test_retract_corpus_matches_golden_digest(corpus):
     assert h.hexdigest() == GOLDEN_SHA256
 
 
+def _shape_instances():
+    """instgen's shape families at 12 and 41 vertices: the path with U at
+    either end, the star, the broom with U at its handle's end or at a
+    bristle, and the caterpillar."""
+    out = []
+    for n in (12, 41):
+        out += [
+            path_instance(n, 0),
+            path_instance(n, n - 1),
+            star_instance(n),
+            broom_instance(n, "handle"),
+            broom_instance(n, "bristle"),
+            caterpillar_instance(n),
+        ]
+    return out
+
+
+def test_shape_families_match_recorded_digest():
+    # the path with U = {n - 1} slides n - 3 times, the broom with U at a
+    # bristle and the caterpillar about n / 2 times, the rest never
+    h = hashlib.sha256()
+    slides = []
+    for t, u in _shape_instances():
+        res = retract_tree(t, u)
+        assert validate(res.tree).is_tree and res.tree.vertices.labels == tuple(sorted(u))
+        slides.append(sum(m.kind == "slide" for m in res.move_log))
+        h.update(_result_text(res).encode() + b"\n")
+    assert slides == [0, 9, 0, 0, 4, 3, 0, 38, 0, 0, 18, 17]
+    assert h.hexdigest() == SHAPES_SHA256
+
+
 def _fresh(t):
     """The same tree over new G-set objects, which hold no stabilizer table yet."""
     vs, es = t.vertices, t.edges
@@ -94,7 +137,9 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     # criterion with is_retract and builds no retraction map.
     # build_filtration roots the tree with one unwindowed search, and
     # compress_to_U's reorientation makes no new snapshot, so a tree with no
-    # slide runs one windowed search per outside vertex.  Each graph builds
+    # slide runs one shortest-only search (_descent) per outside vertex and
+    # no full one (_window_search, under paths_P), which only a slide step
+    # runs, once for the vertex whose path it slides along.  Each graph builds
     # its adjacency once: the input's serves the filtration and the first
     # snapshot, and the tree of each slide step's snapshot builds its own
     calls = Counter()
@@ -120,15 +165,22 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
 
     # keyed by id; `alive` keeps every keyed object alive, so no id is reused
     alive = []
-    searches = Counter()
-    window_search = rt._window_search
+    searches, full_searches = Counter(), Counter()
+    descent, window_search = rt._descent, rt._window_search
 
-    def counted_search(state, w):
+    def counted_descent(state, w):
+        # a search runs only when the state keeps no result for w
         alive.append(state)
-        searches[id(state), w] += 1
+        searches[id(state), w] += w not in state._descents
+        return descent(state, w)
+
+    def counted_window_search(state, w):
+        alive.append(state)
+        full_searches[id(state), w] += 1
         return window_search(state, w)
 
-    monkeypatch.setattr(rt, "_window_search", counted_search)
+    monkeypatch.setattr(rt, "_descent", counted_descent)
+    monkeypatch.setattr(rt, "_window_search", counted_window_search)
     # per G-set: whether its stabilizers were asked for, and how often it
     # built its table; a G-set with no table fails the builds assertion
     queried, builds = set(), Counter()
@@ -167,6 +219,7 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
         t = _fresh(t)
         calls.clear()
         searches.clear()
+        full_searches.clear()
         queried.clear()
         builds.clear()
         orbit_builds.clear()
@@ -186,6 +239,8 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
             slide_steps=steps,
         )
         assert max(searches.values(), default=0) <= 1
+        assert max(full_searches.values(), default=0) <= 1
+        assert sum(full_searches.values()) == steps
         n_outside = t.n_vertices - len(u)
         windowed = sum(searches.values())
         assert windowed <= n_outside * (1 + slides)
@@ -205,13 +260,25 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
 
 def test_retract_work_grows_linearly_with_the_vertices(monkeypatch):
     # work contract on a seeded ladder of 125 to 1000 vertices, three trees
-    # a rung: build_filtration walks each geodesic only up to its cut (the
-    # whole geodesic gives slope 1.2 here), and retract_tree runs one
-    # unwindowed search and one windowed search per outside vertex and
-    # snapshot (slopes 1.00 and 1.03 on this ladder)
+    # a rung, and on the star and the broom with U at its handle's end at
+    # 250 to 2000 vertices.  build_filtration walks each geodesic only up to
+    # its cut (the whole geodesic gives slope 1.2 on the random ladder), and
+    # retract_tree runs one unwindowed search and one shortest-only search
+    # (_descent) per outside vertex and snapshot (slopes 1.00 and 1.03 on
+    # the random ladder).  A shortest-only search stops after the first
+    # layer that holds an endpoint; its work is the adjacency rows it reads
+    # (the vertices it expands) and the entries of those rows it scans, and
+    # every vertex it reaches but its start is the far end of a scanned
+    # entry.  A search that runs on past that layer reads the centre's row
+    # of n - 1 entries from every leaf of the star (entries slope 2.0)
     rng = random.Random("retract-ladder")
     rungs = (125, 250, 500, 1000)
     ladder = [[instance_with_vertices(rng, n, n) for _ in range(3)] for n in rungs]
+    shape_rungs = (250, 500, 1000, 2000)
+    shapes = {
+        "star": [[star_instance(n)] for n in shape_rungs],
+        "broom-handle": [[broom_instance(n, "handle")] for n in shape_rungs],
+    }
     work = Counter()
 
     def counting(f, key, amount):
@@ -222,18 +289,48 @@ def test_retract_work_grows_linearly_with_the_vertices(monkeypatch):
 
         return counted
 
+    class CountedRows:
+        def __init__(self, rows):
+            self.rows = rows
+
+        def __getitem__(self, v):
+            work["rows"] += 1
+            work["entries"] += len(self.rows[v])
+            return self.rows[v]
+
+    searching = []
+    adjacency, descent = GGraph.adjacency, rt._descent
+
+    def counted_descent(state, w):
+        work["search"] += w not in state._descents
+        searching.append(w)
+        try:
+            return descent(state, w)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(GGraph, "adjacency", lambda self: CountedRows(adjacency(self)) if searching else adjacency(self))
+    monkeypatch.setattr(rt, "_descent", counted_descent)
     monkeypatch.setattr(rt, "_cut_orbits", counting(rt._cut_orbits, "cut", len))
-    monkeypatch.setattr(rt, "_window_search", counting(rt._window_search, "search", lambda out: 1))
     monkeypatch.setattr(rt, "bfs_parents", counting(rt.bfs_parents, "search", lambda out: 1))
-    cut, searches = [], []
-    for trees in ladder:
-        work.clear()
-        for t, u in trees:
-            retract_tree(t, u)
-        cut.append(work["cut"])
-        searches.append(work["search"])
-    assert log_log_slope(rungs, cut) <= 1.05, cut
-    assert log_log_slope(rungs, searches) <= 1.1, searches
+
+    def measure(family):
+        per_rung = []
+        for trees in family:
+            work.clear()
+            for t, u in trees:
+                retract_tree(t, u)
+            per_rung.append(dict(work))
+        return {key: [rung.get(key, 0) for rung in per_rung] for key in ("cut", "search", "rows", "entries")}
+
+    random_work = measure(ladder)
+    assert log_log_slope(rungs, random_work["cut"]) <= 1.05, random_work
+    for key in ("search", "rows", "entries"):
+        assert log_log_slope(rungs, random_work[key]) <= 1.1, (key, random_work)
+    for name, family in shapes.items():
+        shape_work = measure(family)
+        for key in ("search", "rows", "entries"):
+            assert log_log_slope(shape_rungs, shape_work[key]) <= 1.1, (name, key, shape_work)
 
 
 def test_every_tree_the_pipeline_builds_is_a_g_tree(corpus, monkeypatch):
@@ -671,6 +768,75 @@ def test_windowed_paths_match_full_bfs_oracle(corpus, monkeypatch):
         _assert_matches_oracle(state)
         _assert_matches_oracle(eliminate_problematic(state))
     assert len(seen) >= len(corpus)
+
+
+def _assert_descent_matches_paths_P(state):
+    """_descent against the full list of paths_P, for every outside vertex;
+    counts the vertices with a descent path, and those whose shortest one
+    may climb."""
+    vdeg = state.filtration.vdeg
+    found = Counter()
+    for w in sorted(state.w_set):
+        ps = paths_P(state, w)
+        if not ps:
+            assert rt._descent(state, w) is None, w
+            continue
+        d = len(ps[0].steps)
+        climbing = {p.steps[0][0] for p in ps if len(p.steps) == d and vdeg[p.vertices[1]] == vdeg[w] + 1}
+        assert rt._descent(state, w) == (d, ps[0].steps[0][0], ps[0].vertices[1], tuple(sorted(climbing))), w
+        found["paths"] += 1
+        found["climbing"] += bool(climbing)
+    return found
+
+
+def _random_filtration(t, u, rng):
+    """Degrees drawn at random, 0 on U: most outside vertices have no
+    descent path, or one that another window would not allow."""
+    vdeg = tuple(0 if v in u else rng.randrange(1, 4) for v in range(t.n_vertices))
+    edeg = tuple(rng.randrange(1, 5) for _ in range(t.n_edges))
+    return Filtration(vdeg, edeg, 5)
+
+
+def test_shortest_only_search_matches_paths_P(corpus, monkeypatch):
+    # on the corpus, renumbered and as drawn, on the shape families, on
+    # every state that eliminate_problematic passes through, on random
+    # filtrations (where paths_P is often empty) and on two graphs with a
+    # cycle, where each vertex gets the first shortest path of the search
+    states = []
+
+    def checked(state):
+        states.append(state)
+        return problematic(state)
+
+    monkeypatch.setattr(rt, "problematic", checked)
+    rng = random.Random(29)
+    instances = corpus + [_renumbered(t, u, rng) for t, u in corpus] + _shape_instances()
+    found, drawn = Counter(), Counter()
+    for t, u in instances:
+        states.clear()
+        final = eliminate_problematic(make_state(t, u))
+        for state in states + [final]:
+            found += _assert_descent_matches_paths_P(state)
+        state = make_state(t, u, _random_filtration(t, u, rng))
+        drawn += _assert_descent_matches_paths_P(state)
+        drawn["outside"] += len(state.w_set)
+    assert found["paths"] > 10_000 and found["climbing"] > 100, found
+    assert drawn["outside"] - drawn["paths"] > 1000 and drawn["climbing"] > 100, drawn
+
+    def trivial(nv, iota, tau):
+        group = FiniteGroup.trivial()
+        return GGraph(GSet.trivial_action(group, nv), GSet.trivial_action(group, len(iota)), iota, tau)
+
+    # a triangle with a tail, a square, and a vertex 0 whose two shortest
+    # descent paths both climb, through 1 and through 2, to 3 and to 4
+    two_climbs = make_state(trivial(5, (0, 0, 1, 2), (1, 2, 3, 4)), {3, 4}, Filtration((1, 2, 2, 0, 0), (2, 2, 2, 2), 3))
+    for state in (
+        make_state(trivial(5, (0, 1, 2, 2, 4), (1, 2, 0, 3, 3)), {0}, Filtration((0, 1, 1, 2, 3), (1, 1, 1, 2, 5), 6)),
+        make_state(trivial(4, (1, 2, 1, 3), (2, 0, 3, 0)), {0}, Filtration((0, 1, 3, 1), (3, 3, 1, 1), 4)),
+        two_climbs,
+    ):
+        _assert_descent_matches_paths_P(state)
+    assert rt._descent(two_climbs, 0) == (2, 0, 1, (0, 1))
 
 
 def test_compress_to_U_reorientation_leaves_no_edge_uphill(corpus):
