@@ -362,10 +362,6 @@ def _descent(state: RetractState, w: int) -> Optional[tuple[int, int, int, tuple
     tree, filt, vstab = state.tree, state.filtration, state.tree.vertices.stabilizers()
     adj, edeg, vdeg = tree.adjacency(), filt.edeg, filt.vdeg
     lo, sw = vdeg[w], vstab[w]
-    for e, _, z in adj[w]:  # most searches end in the first layer, at its first endpoint
-        if vdeg[z] < lo and lo <= edeg[e] <= lo + 1 and sw <= vstab[z]:
-            memo[w] = out = (1, e, z, ())
-            return out
     first, layer, d, ends = {w: -1}, [w], 0, []  # first: reached vertex -> first edge of its path
     while layer and not ends:
         d, grown = d + 1, []
