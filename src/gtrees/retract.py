@@ -349,8 +349,9 @@ def _descent(state: RetractState, w: int) -> Optional[tuple[int, int, int, tuple
 
     The search is _window_search's, run layer by layer in the same order,
     so each vertex gets the same path; it stops after the first layer that
-    holds an endpoint, and keeps only each reached vertex's first edge.  A
-    layer lists its vertices in the order of their first edges, so its first
+    holds an endpoint (at the first one if that is w's own edges, where no
+    path climbs), and keeps only each reached vertex's first edge.  A layer
+    lists its vertices in the order of their first edges, so its first
     endpoint's is the least.  The result is kept on the state, once per
     snapshot and vertex.
     """
@@ -372,6 +373,8 @@ def _descent(state: RetractState, w: int) -> Optional[tuple[int, int, int, tuple
                     first[z] = g = e if f < 0 else f
                     grown.append(z)
                     if vdeg[z] < lo:
+                        if d == 1:  # the least one-edge path, which cannot climb
+                            return memo.setdefault(w, (1, e, z, ()))
                         ends.append(g)
         layer = grown
     # a first edge is no loop, so its far vertex is its end other than w
