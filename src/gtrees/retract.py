@@ -349,9 +349,8 @@ def _descent(state: RetractState, w: int) -> Optional[tuple[int, int, int, tuple
 
     The search is _window_search's, run layer by layer in the same order,
     so each vertex gets the same path; it stops after the first layer that
-    holds an endpoint (at the first one if that is w's own edges, where no
-    path climbs), and keeps only each reached vertex's first edge.  A layer
-    lists its vertices in the order of their first edges, so its first
+    holds an endpoint, and keeps only each reached vertex's first edge.  A
+    layer lists its vertices in the order of their first edges, so its first
     endpoint's is the least.  The result is kept on the state, once per
     snapshot and vertex.
     """
@@ -363,6 +362,10 @@ def _descent(state: RetractState, w: int) -> Optional[tuple[int, int, int, tuple
     tree, filt, vstab = state.tree, state.filtration, state.tree.vertices.stabilizers()
     adj, edeg, vdeg = tree.adjacency(), filt.edeg, filt.vdeg
     lo, sw = vdeg[w], vstab[w]
+    for e, _, z in adj[w]:  # most searches end in the first layer, at its first endpoint
+        if vdeg[z] < lo and lo <= edeg[e] <= lo + 1 and sw <= vstab[z]:
+            memo[w] = out = (1, e, z, ())
+            return out
     first, layer, d, ends = {w: -1}, [w], 0, []  # first: reached vertex -> first edge of its path
     while layer and not ends:
         d, grown = d + 1, []
@@ -373,8 +376,6 @@ def _descent(state: RetractState, w: int) -> Optional[tuple[int, int, int, tuple
                     first[z] = g = e if f < 0 else f
                     grown.append(z)
                     if vdeg[z] < lo:
-                        if d == 1:  # the least one-edge path, which cannot climb
-                            return memo.setdefault(w, (1, e, z, ()))
                         ends.append(g)
         layer = grown
     # a first edge is no loop, so its far vertex is its end other than w
