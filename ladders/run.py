@@ -35,14 +35,18 @@ RSS, and for the power family the time exponent against the rung below,
 over the letters.  Each core must have 2a - 1 vertices on the power family
 and contain every generator.
 
-The `retract` ladder runs `retract_tree` on three shape families of
-`tests/instgen.py`, all with the trivial group, at 1000, 2000, 4000, 8000
-and 16,000 vertices (the rungs up to `--retract-n-max`): the star with U a
-leaf, the broom with U at its handle's far end, and the path with U at the
-end far from vertex 0, which slides n - 3 times and so stays quadratic.  A
+The `retract` ladder runs `retract_tree` on four families of
+`tests/instgen.py` at 1000, 2000, 4000, 8000 and 16,000 vertices (the rungs
+up to `--retract-n-max`): random trees, drawn as the tier-1 retract
+contract draws them (`instance_with_vertices(random.Random(
+"retract-ladder:<n>"), n, n)`, groups of order up to 24), and three shapes
+with the trivial group: the star with U a leaf, the broom with U at its
+handle's far end, and the path with U at the end far from vertex 0, which
+slides n - 3 times and so stays quadratic.  A
 family stops after the first rung whose time passes `RETRACT_STOP_S`
 seconds, and its larger rungs are recorded as not reached.  Each timed run
-gets a freshly built tree, so no table that a tree keeps is warm.  Per rung
+gets a freshly built tree (the random family draws the same tree again from
+its seed), so no table that a tree keeps is warm.  Per rung
 it records `time_s`, the best of `--repeats` runs, the slides per tree, and
 the exponent per doubling against the rung below; each result must be a
 G-tree whose vertices are U.
@@ -268,14 +272,15 @@ def retract_ladder(n_max: int, repeats: int) -> tuple[dict, list[str]]:
     from gtrees.ggraph import validate
     from gtrees.retract import retract_tree
 
-    shapes = {
+    makers = {
+        "random": lambda n: instgen.instance_with_vertices(random.Random(f"retract-ladder:{n}"), n, n),
         "star": instgen.star_instance,
         "broom-handle": lambda n: instgen.broom_instance(n, "handle"),
         "path-far": lambda n: instgen.path_instance(n, n - 1),
     }
     wrong: list[str] = []
     families = {}
-    for name, make in shapes.items():
+    for name, make in makers.items():
         rungs: list[dict] = []
         for n in [n for n in RETRACT_RUNGS if n <= n_max]:
             if rungs and (not rungs[-1]["reached"] or rungs[-1]["time_s"] > RETRACT_STOP_S):
@@ -288,7 +293,7 @@ def retract_ladder(n_max: int, repeats: int) -> tuple[dict, list[str]]:
                 t0 = time.perf_counter()
                 res = retract_tree(t, u)
                 best = min(best, time.perf_counter() - t0)
-            if not validate(res.tree).is_tree or res.tree.vertices.labels != tuple(sorted(t.vertices.labels[v] for v in u)):
+            if not validate(res.tree).is_tree or res.tree.vertices.labels != tuple(t.vertices.labels[v] for v in sorted(u)):
                 wrong.append(f"retract {name} at {n} vertices: the result is not a G-tree on U")
             rung = {"vertices": n, "reached": True, "time_s": round(best, 6), "slides": sum(m.kind == "slide" for m in res.move_log)}
             if rungs:
@@ -298,7 +303,10 @@ def retract_ladder(n_max: int, repeats: int) -> tuple[dict, list[str]]:
         fit = slope([r["vertices"] for r in reached], [r["time_s"] for r in reached])
         families[name] = {"rungs": rungs, "fit": {"time_exponent": None if fit is None else round(fit, 3)}}
     ladder = {
-        "what": "retract_tree on instgen's star (U a leaf), broom (U at the handle's end) and path (U = {n-1}), trivial group, a fresh tree per run",
+        "what": (
+            "retract_tree on instgen's random trees (instance_with_vertices, groups of order up to 24) and, with the trivial group, "
+            "its star (U a leaf), broom (U at the handle's end) and path (U = {n-1}); a fresh tree per run"
+        ),
         "repeats": repeats,
         "stop_s": RETRACT_STOP_S,
         "families": families,

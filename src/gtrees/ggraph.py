@@ -9,8 +9,9 @@ builds: the G-tree it returns, and compress's retraction and pairing of
 removed edges with removed vertices, hold by construction and are checked by
 the tests.
 
-A graph keeps a private G-tree verdict, set once validate has passed on it
-(by a move's input check or the retract precheck).  A legal move takes a
+A graph keeps a private G-tree verdict, set once a G-tree check has passed
+on it (validate, in a move's input check, or the retract precheck's rooting
+search, which validate is the oracle of).  A legal move takes a
 G-tree to a G-tree (Forester 2002), so the graph a move returns from a tree
 carries the verdict, and a chain of moves checks its tree once, at its
 start.  The public validate recomputes on every call.
@@ -184,7 +185,10 @@ def compress(t: GGraph, eprime: Iterable[int]) -> CompressResult:
 
     Every removed component must be oriented entirely towards a single sink;
     the sinks become the new vertex set and the retraction phi sends each
-    vertex to the sink of its component.  The output is a G-tree because
+    vertex to the sink of its component.  In a tree, a component of k
+    vertices has k - 1 edges, so it has one sink exactly when no vertex
+    leaves two removed edges; that is the check, and phi follows the
+    out-edges, which cannot close a cycle.  The output is a G-tree because
     collapsing each subtree of a tree to a point, equivariantly, leaves a tree.
     The removed edge set is action-closed, so G permutes its components and
     phi is equivariant; and since every non-sink leaves exactly one removed
@@ -200,29 +204,24 @@ def compress(t: GGraph, eprime: Iterable[int]) -> CompressResult:
     keep_set = set(keep)
     removed = [e for e in range(ne) if e not in keep_set]
 
-    uf = UnionFind(nv)
+    # phi starts at each vertex's one step along its removed out-edge
+    phi = list(range(nv))
+    twice = []
     for e in removed:
-        uf.union(t.iota[e], t.tau[e])
-    comp_of = [uf.find(v) for v in range(nv)]
-    out_deg = [0] * nv
-    for e in removed:
-        out_deg[t.iota[e]] += 1
-
-    sink_of: dict[int, int] = {}
+        a = t.iota[e]
+        if phi[a] != a:
+            twice.append(a)
+        phi[a] = t.tau[e]
+    if twice:
+        raise PreconditionError(f"vertex {min(twice)} is not oriented towards a unique sink")
     for v in range(nv):
-        c = comp_of[v]
-        if out_deg[v] == 0:
-            if c in sink_of:
-                raise PreconditionError(f"component of vertex {v} has two sinks")
-            sink_of[c] = v
-    for v in range(nv):
-        if comp_of[v] not in sink_of:
-            raise PreconditionError(f"component of vertex {v} has no sink")
-        if v != sink_of[comp_of[v]] and out_deg[v] != 1:
-            raise PreconditionError(f"vertex {v} is not oriented towards a unique sink")
-
-    phi = tuple([sink_of[comp_of[v]] for v in range(nv)])
-    sinks = sorted(set(phi))
+        sink = phi[v]
+        while phi[sink] != sink:
+            sink = phi[sink]
+        w = v
+        while phi[w] != sink:  # point the path at its sink
+            phi[w], w = sink, phi[w]
+    sinks = [v for v in range(nv) if phi[v] == v]
     # keep was checked above, and the sinks are phi's image, closed because
     # phi is equivariant
     new_vertices = t.vertices._restricted(sinks)
@@ -230,7 +229,7 @@ def compress(t: GGraph, eprime: Iterable[int]) -> CompressResult:
     vidx = {v: i for i, v in enumerate(sinks)}
     iota = tuple([vidx[phi[t.iota[e]]] for e in keep])
     tau = tuple([vidx[phi[t.tau[e]]] for e in keep])
-    return CompressResult(_mark_tree(GGraph(new_vertices, new_edges, iota, tau)), phi, tuple(sinks), tuple(keep))
+    return CompressResult(_mark_tree(GGraph(new_vertices, new_edges, iota, tau)), tuple(phi), tuple(sinks), tuple(keep))
 
 
 def slide(t: GGraph, e: int, f: int) -> GGraph:

@@ -17,17 +17,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from ._frozen import Frozen
 from .errors import InternalCheckError, PreconditionError
-from .ggraph import (
-    GGraph,
-    GPath,
-    _mark_tree,
-    bfs_parents,
-    compress,
-    path_to,
-    reorient,
-    slide,
-    validate,
-)
+from .ggraph import GGraph, GPath, _mark_tree, compress, path_to, reorient, slide
 from .unionfind import UnionFind
 
 
@@ -95,15 +85,34 @@ def make_state(tree: GGraph, u_set: Iterable[int], filtration: Optional[Filtrati
 # ---------------------------------------------------------------------------
 
 
-def _retract_precheck(tree: GGraph, u: frozenset[int]) -> None:
+def _retract_precheck(tree: GGraph, u: frozenset[int]) -> tuple[list[int], list[tuple[int, int]]]:
+    """Check that tree is a G-tree and u a G-retract, and return the tree
+    rooted at vertex 0: each vertex's depth and (parent, edge to it).
+
+    The rooting search is the G-tree check: an equivariant graph is a G-tree
+    exactly when it has one edge fewer than vertices and a breadth-first
+    search reaches every vertex (validate, its oracle, says the same).
+    """
     from .gaction import is_retract
 
-    rep = validate(tree)
-    if not rep.is_tree:
+    nv, adj = tree.n_vertices, tree.adjacency()
+    depth, up, reached = [-1] * nv, [(-1, -1)] * nv, []
+    if nv and tree.n_edges == nv - 1:
+        depth[0] = 0
+        reached.append(0)
+    for v in reached:
+        d = depth[v] + 1
+        for e, _, z in adj[v]:
+            if depth[z] < 0:
+                depth[z] = d
+                up[z] = (v, e)
+                reached.append(z)
+    if not nv or len(reached) < nv or tree.equivariance_failures():
         raise PreconditionError("input graph is not a G-tree")
     _mark_tree(tree)  # so the moves that follow skip their input check
     if not is_retract(tree.vertices, u):
         raise PreconditionError("the given vertex subset is not a G-retract")
+    return depth, up
 
 
 def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
@@ -122,24 +131,19 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
     bucket joins, and a stabilizer met for the first time scans the
     candidates once.  A stage with an empty bucket walks nothing, and a walk
     keeps only the orbits still unplaced.  Orbits are
-    read from the G-sets' orbit numbers.  The tree is rooted once at vertex
-    0, keeping each vertex's depth and (parent, edge), and each geodesic is
-    walked only up to its cut, its first vertex below alpha (_cut_orbits).
+    read from the G-sets' orbit numbers.  The precheck's search roots the
+    tree at vertex 0, keeping each vertex's depth and (parent, edge), and
+    each geodesic is walked only up to its cut, its first vertex below alpha
+    (_cut_orbits).
     """
     u = frozenset(u_set)
-    _retract_precheck(tree, u)
-    nv, ne = tree.n_vertices, tree.n_edges
+    depth, up = _retract_precheck(tree, u)
+    nv, ne, iota, tau = tree.n_vertices, tree.n_edges, tree.iota, tree.tau
     vstab = tree.vertices.stabilizers()
     vorb, eorb = tree.vertices.orbit_ids(), tree.edges.orbit_ids()
     edge_members: list[list[int]] = [[] for _ in range(max(eorb, default=-1) + 1)]
     for e, k in enumerate(eorb):
         edge_members[k].append(e)
-    depth = [0] * nv
-    up = [(-1, -1)] * nv  # vertex -> (parent, edge to it) in the rooted tree
-    for v, (prev, _, e) in bfs_parents(tree.adjacency(), 0).items():
-        if prev != -1:
-            depth[v] = depth[prev] + 1
-            up[v] = (prev, e)
     edge_level = [-1] * ne
     vertex_level = [-1] * nv
     for v in u:
@@ -166,11 +170,10 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
                         if v < target and sw <= vstab[v]:
                             target_of[sw] = v
             joined = alpha
-            seen_orbit: set[int] = set()  # vertex orbit numbers
-            for w in sorted(buckets[alpha]):
-                if vorb[w] in seen_orbit:
-                    continue
-                seen_orbit.add(vorb[w])
+            walking = buckets[alpha]
+            if len(walking) > 1:  # one walk per vertex orbit, from its least member
+                walking = {vorb[w]: w for w in sorted(walking, reverse=True)}.values()
+            for w in walking:
                 sw = vstab[w]
                 target = target_of.get(sw)
                 if target is None:
@@ -191,10 +194,13 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
         bucket = []
         for e in placing:
             edge_level[e] = gamma
-            for v in (tree.iota[e], tree.tau[e]):
-                if vertex_level[v] < 0:
-                    vertex_level[v] = gamma
-                    bucket.append(v)
+            a, b = iota[e], tau[e]
+            if vertex_level[a] < 0:
+                vertex_level[a] = gamma
+                bucket.append(a)
+            if vertex_level[b] < 0:
+                vertex_level[b] = gamma
+                bucket.append(b)
         n_placed += len(placing)
         buckets.append(bucket)
 
@@ -564,14 +570,17 @@ def _distinguished_edges(state: RetractState, tree: GGraph) -> dict[int, int]:
     exactly a vertex stabilizer that moves its edge.
     """
     distinguished: dict[int, int] = {}
+    if not state.w_set:
+        return distinguished
+    iota, vstab, estab = tree.iota, tree.vertices.stabilizers(), tree.edges.stabilizers()
     rows = [(tree.vertices.act[g], tree.edges.act[g]) for g in tree.group.generators]
     for v0 in sorted(state.w_set):
         if v0 in distinguished:
             continue
         _, e1, far, _ = _descent(state, v0)
-        if tree.iota[e1] != v0:
+        if iota[e1] != v0:
             raise InternalCheckError("distinguished edge does not leave its vertex")
-        if tree.edges.stabilizer(e1) != state.vstab(v0):
+        if estab[e1] != vstab[v0]:
             raise InternalCheckError("distinguished edge stabilizer differs from its vertex")
         if not is_lower(state, far, v0):
             raise InternalCheckError("distinguished neighbour is not lower")

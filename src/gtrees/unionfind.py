@@ -1,6 +1,8 @@
-"""The one union-find of the package: ggraph's tree check and compress,
-retract's filtration check and stallings' fold.  It has a module of its own
-so that the fold loads no G-graph code."""
+"""The one union-find of the package: ggraph's validate, retract's filtration
+check on a graph that carries no G-tree verdict, and stallings' fold.  It
+has a module of its own so that the fold loads no G-graph code.  compress
+follows each vertex's removed out-edge instead, and the retract input's
+G-tree check is the search that roots it."""
 
 
 class UnionFind:

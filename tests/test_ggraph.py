@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from instgen import random_instance
+from ggraph_oracle import oracle_compress
+from instgen import equivariant_sink_orientation, random_instance
 from retract_oracle import rooted_path
 
 import gtrees.ggraph as gg
@@ -91,9 +92,10 @@ def test_compress_sink_violation():
     t = tree_with_trivial_group([(0, 1), (1, 2)])  # 0->1->2, keep nothing: sink is 2
     res = compress(t, [])
     assert res.tree.vertices.labels == (2,)
-    # a component whose edges point apart has no sink
+    # edges that point apart give their component two sinks, 0 and 2, and
+    # vertex 1 leaves both removed edges
     bad = tree_with_trivial_group([(1, 0), (1, 2)])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^vertex 1 is not oriented towards a unique sink$"):
         compress(bad, [])
 
 
@@ -111,6 +113,39 @@ def test_compress_two_sink_component_rejected():
     bad = tree_with_trivial_group([(1, 0), (1, 2)])
     with pytest.raises(PreconditionError):
         compress(bad, [])
+
+
+def _compress_outcome(compress_fn, t, keep):
+    """What compress_fn gives, as comparable values, or None when it refuses."""
+    try:
+        res = compress_fn(t, keep)
+    except PreconditionError:
+        return None
+    return res.phi, res.kept_vertices, res.kept_edges, res.tree.state_digest()
+
+
+def test_compress_matches_union_find_oracle():
+    # instgen G-trees and action-closed keep sets.  Oriented towards one sink
+    # per removed component (equivariant_sink_orientation), both accept with
+    # the same retraction and tree; oriented by a random action-closed flip
+    # set, both refuse, or both accept alike
+    rng = random.Random(28)
+    accepted = refused = 0
+    for _ in range(150):
+        t, _ = random_instance(rng, max_vertices=30, max_group=12)
+        orbits = t.edges.orbits()
+        for _ in range(3):
+            removed = set().union(*[o for o in orbits if rng.random() < 0.5])
+            keep = [e for e in range(t.n_edges) if e not in removed]
+            sunk = reorient(t, equivariant_sink_orientation(rng, t, removed))
+            want = _compress_outcome(oracle_compress, sunk, keep)
+            assert want is not None and _compress_outcome(compress, sunk, keep) == want
+            mixed = reorient(t, set().union(*[o for o in orbits if rng.random() < 0.5]))
+            want = _compress_outcome(oracle_compress, mixed, keep)
+            assert _compress_outcome(compress, mixed, keep) == want
+            accepted += want is not None
+            refused += want is None
+    assert accepted > 50 and refused > 50, (accepted, refused)
 
 
 def test_slide_trivial_path():

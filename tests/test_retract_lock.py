@@ -40,7 +40,7 @@ import gtrees.ggraph as gg
 import gtrees.retract as rt
 from gtrees.errors import PreconditionError
 from gtrees.gaction import FiniteGroup, GSet
-from gtrees.ggraph import GGraph, ggraph_to_json, reorient, validate
+from gtrees.ggraph import GGraph, ggraph_to_json, reorient, tree_with_trivial_group, validate
 from gtrees.retract import (
     Filtration,
     RetractState,
@@ -127,15 +127,15 @@ def _fresh(t):
 
 
 def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
-    # the input is checked once, by build_filtration, which leaves the
-    # G-tree verdict on it; every move after it receives a tree that carries
+    # the input is checked once, by build_filtration's precheck, whose
+    # rooting search is the G-tree check and which leaves the verdict on it; every move after it receives a tree that carries
     # the verdict, so no move runs a G-tree check.  Each tree the pipeline
     # passes through is digested once: before a move, the digest is the one
     # the previous move left.  Each snapshot searches the descent paths of a
     # vertex at most once, and each G-set builds its stabilizer table once
     # and its orbit numbers at most once.  The retract precheck tests the
     # criterion with is_retract and builds no retraction map.
-    # build_filtration roots the tree with one unwindowed search, and
+    # build_filtration roots the tree with that one unwindowed search, and
     # compress_to_U's reorientation makes no new snapshot, so a tree with no
     # slide runs one shortest-only search (_descent) per outside vertex and
     # no full one (_window_search, under paths_P), which only a slide step
@@ -155,11 +155,10 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
 
     count(ga, "is_retract")
     count(ga, "retraction_map")
-    count(rt, "validate")
+    count(rt, "_retract_precheck", "precheck")
     count(gg, "validate", "move_validate")
     count(GGraph, "state_digest")
     count(rt, "build_filtration")
-    count(rt, "bfs_parents", "unwindowed_bfs")
     count(GGraph, "_adjacency_table", "adjacency")
     count(RetractState, "with_tree", "slide_steps")
 
@@ -230,11 +229,10 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
         assert (steps > 0) == (slides > 0) and steps <= slides
         assert calls == Counter(
             is_retract=1,
-            validate=1,
+            precheck=1,
             move_validate=0,
             state_digest=len(res.move_log) + 1,
             build_filtration=1,
-            unwindowed_bfs=1,
             adjacency=1 + steps,
             slide_steps=steps,
         )
@@ -263,7 +261,8 @@ def test_retract_work_grows_linearly_with_the_vertices(monkeypatch):
     # a rung, and on the star and the broom with U at its handle's end at
     # 250 to 2000 vertices.  build_filtration walks each geodesic only up to
     # its cut (the whole geodesic gives slope 1.2 on the random ladder), and
-    # retract_tree runs one unwindowed search and one shortest-only search
+    # retract_tree runs one unwindowed search (the precheck's rooting
+    # search, counted per precheck) and one shortest-only search
     # (_descent) per outside vertex and snapshot (slopes 1.00 and 1.03 on
     # the random ladder).  A shortest-only search stops after the first
     # layer that holds an endpoint; its work is the adjacency rows it reads
@@ -312,7 +311,7 @@ def test_retract_work_grows_linearly_with_the_vertices(monkeypatch):
     monkeypatch.setattr(GGraph, "adjacency", lambda self: CountedRows(adjacency(self)) if searching else adjacency(self))
     monkeypatch.setattr(rt, "_descent", counted_descent)
     monkeypatch.setattr(rt, "_cut_orbits", counting(rt._cut_orbits, "cut", len))
-    monkeypatch.setattr(rt, "bfs_parents", counting(rt.bfs_parents, "search", lambda out: 1))
+    monkeypatch.setattr(rt, "_retract_precheck", counting(rt._retract_precheck, "search", lambda out: 1))
 
     def measure(family):
         per_rung = []
@@ -418,6 +417,56 @@ def test_a_graph_that_is_no_tree_never_carries_the_verdict():
     with pytest.raises(PreconditionError, match="slide needs a G-tree input"):
         gg.slide(flipped, 0, 1)
     assert not flipped._is_tree
+
+
+def _precheck_verdict(t, u):
+    """Whether _retract_precheck accepts (t, u), on a copy that carries no
+    G-tree verdict."""
+    try:
+        rt._retract_precheck(copy.copy(t), frozenset(u))
+    except PreconditionError:
+        return False
+    return True
+
+
+def test_precheck_verdict_matches_validate_and_is_retract(corpus):
+    # the rooting search is the G-tree check: an equivariant graph with one
+    # edge fewer than vertices is a tree exactly when the search reaches
+    # every vertex, so each of these fails one of the three tests
+    c2 = FiniteGroup.cyclic(2)
+    swap3, swap2 = GSet.from_generator_images(c2, 3, [[2, 1, 0]]), GSet.from_generator_images(c2, 2, [[1, 0]])
+    graphs = [
+        tree_with_trivial_group([(0, 1), (1, 2), (2, 0)], n_vertices=4),  # a cycle and an isolated vertex
+        tree_with_trivial_group([(0, 1), (2, 3)], n_vertices=5),  # a forest
+        tree_with_trivial_group([(0, 1), (2, 3)], n_vertices=4),
+        tree_with_trivial_group([(0, 0), (0, 1)], n_vertices=3),  # a loop edge
+        GGraph(swap3, swap2, (0, 1), (1, 2)),  # a path whose iota is not equivariant
+        GGraph(swap3, swap2, (0, 2), (1, 1)),  # the same path, equivariant
+        tree_with_trivial_group([], n_vertices=0),
+        tree_with_trivial_group([], n_vertices=1),
+        tree_with_trivial_group([], n_vertices=2),
+    ]
+    graphs += [t for t, _ in corpus[:40]]
+    checked = Counter()
+    for t in graphs:
+        everything = frozenset(range(t.n_vertices))
+        first = t.vertices.orbits()[0] if t.n_vertices else everything
+        for u in {frozenset(), everything, first, everything - first}:
+            want = validate(t).is_tree and ga.is_retract(t.vertices, u)
+            assert _precheck_verdict(t, u) == want, (t, u)
+            checked[want] += 1
+    assert checked[True] > 40 and checked[False] > 40, checked
+
+
+def test_precheck_roots_the_tree_as_bfs_parents_does(corpus):
+    for t, u in corpus:
+        depth, up = rt._retract_precheck(copy.copy(t), frozenset(u))
+        want_depth, want_up = [0] * t.n_vertices, [(-1, -1)] * t.n_vertices
+        for v, (prev, _, e) in gg.bfs_parents(t.adjacency(), 0).items():
+            if prev != -1:
+                want_depth[v] = want_depth[prev] + 1
+                want_up[v] = (prev, e)
+        assert (depth, up) == (want_depth, want_up)
 
 
 def _least_choice_not_equivariant():
