@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from ._frozen import Frozen
 from .errors import InternalCheckError, PreconditionError
-from .ggraph import GGraph, GPath, _mark_tree, compress, path_to, reorient, slide
+from .ggraph import GGraph, GPath, _mark_tree, bfs_parents, compress, path_to, reorient, slide
 from .unionfind import UnionFind
 
 
@@ -91,24 +91,21 @@ def _retract_precheck(tree: GGraph, u: frozenset[int]) -> tuple[list[int], list[
 
     The rooting search is the G-tree check: an equivariant graph is a G-tree
     exactly when it has one edge fewer than vertices and a breadth-first
-    search reaches every vertex (validate, its oracle, says the same).
+    search (bfs_parents) reaches every vertex (validate, its oracle, says the
+    same).
     """
     from .gaction import is_retract
 
-    nv, adj = tree.n_vertices, tree.adjacency()
-    depth, up, reached = [-1] * nv, [(-1, -1)] * nv, []
-    if nv and tree.n_edges == nv - 1:
-        depth[0] = 0
-        reached.append(0)
-    for v in reached:
-        d = depth[v] + 1
-        for e, _, z in adj[v]:
-            if depth[z] < 0:
-                depth[z] = d
-                up[z] = (v, e)
-                reached.append(z)
-    if not nv or len(reached) < nv or tree.equivariance_failures():
+    nv = tree.n_vertices
+    parents = bfs_parents(tree.adjacency(), 0) if nv and tree.n_edges == nv - 1 else {}
+    if not nv or len(parents) < nv or tree.equivariance_failures():
         raise PreconditionError("input graph is not a G-tree")
+    depth = [0] * nv
+    up = [(-1, -1)] * nv  # vertex -> (parent, edge to it) in the rooted tree
+    for v, (prev, _, e) in parents.items():
+        if prev != -1:
+            depth[v] = depth[prev] + 1
+            up[v] = (prev, e)
     _mark_tree(tree)  # so the moves that follow skip their input check
     if not is_retract(tree.vertices, u):
         raise PreconditionError("the given vertex subset is not a G-retract")
@@ -170,10 +167,8 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
                         if v < target and sw <= vstab[v]:
                             target_of[sw] = v
             joined = alpha
-            walking = buckets[alpha]
-            if len(walking) > 1:  # one walk per vertex orbit, from its least member
-                walking = {vorb[w]: w for w in sorted(walking, reverse=True)}.values()
-            for w in walking:
+            # one walk per vertex orbit, from its least member
+            for w in {vorb[w]: w for w in sorted(buckets[alpha], reverse=True)}.values():
                 sw = vstab[w]
                 target = target_of.get(sw)
                 if target is None:
@@ -194,13 +189,10 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
         bucket = []
         for e in placing:
             edge_level[e] = gamma
-            a, b = iota[e], tau[e]
-            if vertex_level[a] < 0:
-                vertex_level[a] = gamma
-                bucket.append(a)
-            if vertex_level[b] < 0:
-                vertex_level[b] = gamma
-                bucket.append(b)
+            for v in (iota[e], tau[e]):
+                if vertex_level[v] < 0:
+                    vertex_level[v] = gamma
+                    bucket.append(v)
         n_placed += len(placing)
         buckets.append(bucket)
 

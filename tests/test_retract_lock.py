@@ -159,6 +159,7 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     count(gg, "validate", "move_validate")
     count(GGraph, "state_digest")
     count(rt, "build_filtration")
+    count(rt, "bfs_parents", "unwindowed_bfs")
     count(GGraph, "_adjacency_table", "adjacency")
     count(RetractState, "with_tree", "slide_steps")
 
@@ -233,6 +234,7 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
             move_validate=0,
             state_digest=len(res.move_log) + 1,
             build_filtration=1,
+            unwindowed_bfs=1,
             adjacency=1 + steps,
             slide_steps=steps,
         )
@@ -262,7 +264,7 @@ def test_retract_work_grows_linearly_with_the_vertices(monkeypatch):
     # 250 to 2000 vertices.  build_filtration walks each geodesic only up to
     # its cut (the whole geodesic gives slope 1.2 on the random ladder), and
     # retract_tree runs one unwindowed search (the precheck's rooting
-    # search, counted per precheck) and one shortest-only search
+    # search) and one shortest-only search
     # (_descent) per outside vertex and snapshot (slopes 1.00 and 1.03 on
     # the random ladder).  A shortest-only search stops after the first
     # layer that holds an endpoint; its work is the adjacency rows it reads
@@ -311,7 +313,7 @@ def test_retract_work_grows_linearly_with_the_vertices(monkeypatch):
     monkeypatch.setattr(GGraph, "adjacency", lambda self: CountedRows(adjacency(self)) if searching else adjacency(self))
     monkeypatch.setattr(rt, "_descent", counted_descent)
     monkeypatch.setattr(rt, "_cut_orbits", counting(rt._cut_orbits, "cut", len))
-    monkeypatch.setattr(rt, "_retract_precheck", counting(rt._retract_precheck, "search", lambda out: 1))
+    monkeypatch.setattr(rt, "bfs_parents", counting(rt.bfs_parents, "search", lambda out: 1))
 
     def measure(family):
         per_rung = []
