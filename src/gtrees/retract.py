@@ -167,8 +167,11 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
                         if v < target and sw <= vstab[v]:
                             target_of[sw] = v
             joined = alpha
-            # one walk per vertex orbit, from its least member
-            for w in {vorb[w]: w for w in sorted(buckets[alpha], reverse=True)}.values():
+            seen_orbit: set[int] = set()  # vertex orbit numbers
+            for w in sorted(buckets[alpha]):
+                if vorb[w] in seen_orbit:
+                    continue
+                seen_orbit.add(vorb[w])
                 sw = vstab[w]
                 target = target_of.get(sw)
                 if target is None:
