@@ -7,8 +7,7 @@ one distinguished edge per outside vertex to land on a G-tree whose vertex
 set is exactly the retract.
 
 Degrees are natural numbers here: on finite instances every stage of the
-transfinite construction collapses to a successor step, and the limit-stage
-branches are unreachable (guarded by internal checks).
+transfinite construction is a successor step, so there is no limit stage.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ class RetractState(Frozen):
     """Immutable snapshot of the pipeline: tree + filtration + move history.
 
     Each snapshot builds the outside set w_set once, keeps what the
-    shortest-only search (_descent) found for each outside vertex, the
-    descent paths of each vertex that paths_P has searched, and the
+    shortest-only search (_descent) found for each outside vertex, and the
     problematic sets once problematic has swept them.  A slide changes
     which paths exist, so eliminate_problematic makes a new snapshot
     (with_tree) after each slide step.  A reorientation changes only the
@@ -54,7 +52,7 @@ class RetractState(Frozen):
     """
 
     _fields = ("tree", "filtration", "u_set", "move_log")
-    __slots__ = _fields + ("w_set", "_descents", "_paths", "_problematic")
+    __slots__ = _fields + ("w_set", "_descents", "_problematic")
 
     def __init__(
         self, tree: GGraph, filtration: Filtration, u_set: frozenset[int], move_log: tuple[Move, ...] = ()
@@ -63,7 +61,6 @@ class RetractState(Frozen):
         set_field = object.__setattr__
         set_field(self, "w_set", frozenset(range(tree.n_vertices)) - u_set)
         set_field(self, "_descents", {})
-        set_field(self, "_paths", {})
         set_field(self, "_problematic", None)
 
     def vstab(self, v: int) -> frozenset[int]:
@@ -174,11 +171,8 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
                 seen_orbit.add(vorb[w])
                 sw = vstab[w]
                 target = target_of.get(sw)
-                if target is None:
-                    target = min((v for v in candidates if sw <= vstab[v]), default=None)
-                    if target is None:
-                        raise InternalCheckError("no placed vertex absorbs the stabilizer of a placed vertex")
-                    target_of[sw] = target
+                if target is None:  # bucket 0, the retract, holds one (_retract_precheck's is_retract)
+                    target_of[sw] = target = min(v for v in candidates if sw <= vstab[v])
                 # an orbit is placed whole, so its first member tells whether it is unplaced
                 fresh.update(
                     k for k in _cut_orbits(up, depth, vertex_level, alpha, eorb, w, target) if edge_level[edge_members[k][0]] < 0
@@ -323,14 +317,8 @@ def paths_P(state: RetractState, w: int) -> list[GPath]:
     inside the window; the rest of the graph plays no part.
 
     The pipeline reads the shortest-only form (_descent), which builds no
-    path; this full form is its oracle, and eliminate_problematic reads the
-    path it slides along from it.  The search runs once per snapshot and
-    vertex: the list is kept on the state, and every caller gets that same
-    list, so none may change it.
+    path, and the slide path (_slide_path); this full form is their oracle.
     """
-    memo = state._paths
-    if w in memo:
-        return memo[w]
     if w in state.u_set:
         raise PreconditionError("descent paths are defined for outside vertices only")
     vdeg = state.filtration.vdeg
@@ -338,7 +326,6 @@ def paths_P(state: RetractState, w: int) -> list[GPath]:
     out = [path_to(parent, v) for v in parent if vdeg[v] < dw]
     if len(out) > 1:
         out.sort(key=lambda p: (len(p.steps), p.steps))
-    memo[w] = out
     return out
 
 
@@ -477,25 +464,36 @@ def _problem_orbit_count(state: RetractState, level: int) -> int:
     This is the quantity the sliding procedure strictly decreases; it is the
     termination measure, independent of the vertex-witness report above.
     """
-    tree, filt = state.tree, state.filtration
-    eorb = tree.edges.orbit_ids()
-    counted = set()
-    for e in range(tree.n_edges):
-        if filt.edeg[e] != level:
-            continue
-        a, b = filt.vdeg[tree.iota[e]], filt.vdeg[tree.tau[e]]
-        if (a == level and b == level - 1) or (b == level and a == level - 1):
-            counted.add(eorb[e])
-    return len(counted)
+    tree, (vdeg, edeg, _) = state.tree, state.filtration
+    eorb, ends = tree.edges.orbit_ids(), {level, level - 1}
+    return len({eorb[e] for e in range(tree.n_edges) if edeg[e] == level and {vdeg[tree.iota[e]], vdeg[tree.tau[e]]} == ends})
+
+
+def _slide_path(state: RetractState, v0: int) -> GPath:
+    """The path a slide step at the problematic vertex v0 follows: the least
+    shortest descent path of v0 in paths_P's order whose second vertex is one
+    level above v0.
+
+    _window_search reaches the vertices in that order, (length, steps): a
+    layer lists its vertices by their parents' places in the layer before,
+    then by the sorted adjacency rows.  A problematic vertex has such a path
+    among its shortest ones, so it ends at the first endpoint whose second
+    vertex climbs, and only the paths up to that endpoint are built.
+    """
+    vdeg = state.filtration.vdeg
+    parent, lo = _window_search(state, v0), vdeg[v0]
+    paths = (path_to(parent, v) for v in parent if vdeg[v] < lo)
+    return next(p for p in paths if vdeg[p.vertices[1]] == lo + 1)
 
 
 def eliminate_problematic(state: RetractState) -> RetractState:
-    """Slide away problematic vertices level by level.
+    """Slide away problematic vertices, lowest level first.
 
-    For a problematic vertex v0 with minimal descent path v0, e1, v1, ...,
-    the far endpoint of e1 is slid along the path to the first vertex already
-    placed at or below v0's level; the moved orbit stops being problematic
-    and no other edge's incidence changes.  The degree map never changes.
+    Each step takes the least problematic vertex v0 of the lowest level, and
+    slides the far endpoint of e1 along its slide path v0, e1, v1, ...
+    (_slide_path) to the first vertex placed at or below v0's level; the
+    moved orbit stops being problematic and no other edge's incidence
+    changes.  The degree map never changes.
 
     Nor does the action, and the moved tau lands below its orbit's level in
     a tree that stays a G-tree, so filtration conditions (1)-(3) still hold
@@ -503,49 +501,33 @@ def eliminate_problematic(state: RetractState) -> RetractState:
     descent path.  slide checks its own preconditions, and _slide_endpoint
     reports a failed one as an internal fault.
     """
-    filt = state.filtration
-    # the tree only changes on a slide, so the problematic set is recomputed
-    # exactly then
+    vdeg = state.filtration.vdeg
+    # the tree changes only on a slide, so problematic runs again only then
     _, bad_v = problematic(state)
-    for alpha in range(1, filt.kappa):
-        if not bad_v:
-            break
-        while True:
-            level_bad = sorted(v for v in bad_v if filt.vdeg[v] == alpha)
-            if not level_bad:
-                if bad_v and min(filt.vdeg[v] for v in bad_v) < alpha:
-                    raise InternalCheckError("a lower level became problematic again")
-                break
-            v0 = level_bad[0]
-            before = _problem_orbit_count(state, alpha + 1)
-            ps = paths_P(state, v0)
-            d = len(ps[0].steps)
-            chosen = next(
-                p for p in ps if len(p.steps) == d and filt.vdeg[p.vertices[1]] == alpha + 1
-            )
-            e1, eps1 = chosen.steps[0]
-            i = next(
-                j
-                for j in range(2, d + 1)
-                if filt.vdeg[chosen.vertices[j]] < alpha + 1
-            )
+    level = 0
+    while bad_v:
+        v0 = min(bad_v, key=lambda v: (vdeg[v], v))
+        if vdeg[v0] < level:
+            raise InternalCheckError("a lower level became problematic again")
+        level = vdeg[v0]
+        before = _problem_orbit_count(state, level + 1)
+        path = _slide_path(state, v0)
+        (e1, eps1), vertices = path.steps[0], path.vertices
+        i = next(j for j in range(2, len(vertices)) if vdeg[vertices[j]] <= level)
 
-            log: list[Move] = []
-            tree = state.tree
-            if eps1 == -1:
-                tree = _log_move(state, log, "reorient", {"orbit_of": e1}, reorient(tree, tree.edges.orbit(e1)))
-            for e, eps in chosen.steps[1:i]:
-                tree = _slide_endpoint(state, tree, e1, e, eps, log)
-            if eps1 == -1:
-                tree = _log_move(state, log, "reorient", {"orbit_of": e1}, reorient(tree, tree.edges.orbit(e1)))
-            state = state.with_tree(tree, log)
+        log: list[Move] = []
+        tree = state.tree
+        if eps1 == -1:
+            tree = _log_move(state, log, "reorient", {"orbit_of": e1}, reorient(tree, tree.edges.orbit(e1)))
+        for e, eps in path.steps[1:i]:
+            tree = _slide_endpoint(state, tree, e1, e, eps, log)
+        if eps1 == -1:
+            tree = _log_move(state, log, "reorient", {"orbit_of": e1}, reorient(tree, tree.edges.orbit(e1)))
+        state = state.with_tree(tree, log)
 
-            after = _problem_orbit_count(state, alpha + 1)
-            if after >= before:
-                raise InternalCheckError("problem-reducing step did not reduce problematic orbits")
-            _, bad_v = problematic(state)
-    if bad_v:
-        raise InternalCheckError("problematic vertices survived elimination")
+        if _problem_orbit_count(state, level + 1) >= before:
+            raise InternalCheckError("problem-reducing step did not reduce problematic orbits")
+        _, bad_v = problematic(state)
     return state
 
 
@@ -560,9 +542,9 @@ def _distinguished_edges(state: RetractState, tree: GGraph) -> dict[int, int]:
     least vertex of each orbit, translated along the orbit.
 
     The translation walks the orbit by the generator rows, from each reached
-    vertex and its edge to their images.  A walk on which every generator
-    step agrees defines g v0 -> g e1 for every element g, so a clash is
-    exactly a vertex stabilizer that moves its edge.
+    vertex and its edge to their images, and keeps the first image of each
+    vertex.  Once stab(e1) = stab(v0) is checked no image clashes: g v0 =
+    h v0 puts h^-1 g in stab(v0) = stab(e1), so g e1 = h e1.
     """
     distinguished: dict[int, int] = {}
     if not state.w_set:
@@ -584,12 +566,9 @@ def _distinguished_edges(state: RetractState, tree: GGraph) -> dict[int, int]:
         for w in reached:
             e = distinguished[w]
             for va, ea in rows:
-                gw, ge = va[w], ea[e]
-                if gw not in distinguished:
-                    distinguished[gw] = ge
-                    reached.append(gw)
-                elif distinguished[gw] != ge:
-                    raise InternalCheckError("equivariant distinguished choice clashed")
+                if va[w] not in distinguished:
+                    distinguished[va[w]] = ea[e]
+                    reached.append(va[w])
     return distinguished
 
 

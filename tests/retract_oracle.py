@@ -3,6 +3,8 @@ differential test oracles:
 
 - descent paths by a BFS over the whole tree, then a filter (the unpruned
   form of `gtrees.retract.paths_P` and of `problematic` on top of it);
+- the path a slide step follows, picked from the sorted list of `paths_P`
+  (the form before `_slide_path` took the search's first climbing endpoint);
 - orbits and stabilizers by a scan over the group elements, one point at a
   time (the form before `GSet` kept a stabilizer table and orbit numbers);
 - the filtration by rescanning the placed vertices at every stage and every
@@ -174,6 +176,17 @@ def oracle_paths_P(state, w):
             out.append(GPath(tuple(verts), tuple(steps)))
     out.sort(key=lambda p: (len(p.steps), p.steps))
     return out
+
+
+def oracle_slide_path(state, v0):
+    """The path a slide step at the problematic vertex v0 follows, chosen
+    from the whole sorted list of paths_P (the form before
+    `gtrees.retract._slide_path` read it off the window search): the least
+    shortest path whose second vertex is one level above v0."""
+    vdeg = state.filtration.vdeg
+    ps = paths_P(state, v0)
+    d = len(ps[0].steps)
+    return next(p for p in ps if len(p.steps) == d and vdeg[p.vertices[1]] == vdeg[v0] + 1)
 
 
 def oracle_problematic(state):

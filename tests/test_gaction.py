@@ -11,7 +11,6 @@ from gtrees.errors import InputError, PreconditionError
 from gtrees.gaction import (
     FiniteGroup,
     GSet,
-    conjugate_subgroup,
     group_from_json,
     group_to_json,
     gset_from_json,
@@ -163,8 +162,6 @@ def test_subgroup_helpers():
     assert h == powers(grp, grp.generators[0])
     assert is_subgroup(grp, h)
     assert len(h) == 2
-    g = grp.generators[1]
-    assert len(conjugate_subgroup(grp, h, g)) == 2
 
 
 def test_conjugate_incomparable_always_true_for_finite():
@@ -175,6 +172,15 @@ def test_conjugate_incomparable_always_true_for_finite():
     d4 = FiniteGroup.dihedral(4)
     for g in d4.elements:
         assert is_conjugate_incomparable(d4, powers(d4, g))
+
+
+def test_conjugate_incomparable_refuses_a_non_subgroup():
+    grp = FiniteGroup.symmetric(3)
+    # the two swaps without the identity, then with it but without their product
+    for h in (frozenset(grp.generators), frozenset({grp.identity, *grp.generators})):
+        assert not is_subgroup(grp, h)
+        with pytest.raises(PreconditionError, match="not a subgroup"):
+            is_conjugate_incomparable(grp, iter(h))
 
 
 def test_json_round_trip():

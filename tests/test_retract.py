@@ -184,6 +184,32 @@ def test_eliminate_problematic_on_crooked_path():
     assert out.filtration == state.filtration
 
 
+def test_eliminate_problematic_refuses_a_lower_level_after_a_slide(monkeypatch):
+    # the first slide is at level 2, and vertex 1 sits at level 1: a
+    # problematic that reports it after that slide must stop the worklist
+    t = tree_with_trivial_group([(0, 1), (3, 4), (2, 3), (2, 0)])
+    state = make_state(t, {0})
+    assert state.filtration.vdeg == (0, 1, 3, 2, 2)
+    assert problematic(state)[1] == frozenset({3})
+    swept = []
+
+    def lowered(state):
+        swept.append(state)
+        bad_e, bad_v = problematic(state)
+        return bad_e, bad_v | {1} if len(swept) > 1 else bad_v
+
+    monkeypatch.setattr(rt, "problematic", lowered)
+    with pytest.raises(InternalCheckError, match="a lower level became problematic again"):
+        eliminate_problematic(state)
+    assert len(swept) == 2 and "slide" in [m.kind for m in swept[1].move_log]
+
+
+def test_eliminate_problematic_refuses_a_slide_that_does_not_reduce(monkeypatch):
+    monkeypatch.setattr(rt, "_problem_orbit_count", lambda state, level: 1)
+    with pytest.raises(InternalCheckError, match="did not reduce"):
+        eliminate_problematic(make_state(crooked_path(), {0}))
+
+
 def test_compress_to_U_trivial_when_u_is_everything():
     t = tree_with_trivial_group([(0, 1), (1, 2)])
     state = make_state(t, {0, 1, 2})

@@ -30,6 +30,7 @@ from retract_oracle import (
     oracle_orbit,
     oracle_paths_P,
     oracle_problematic,
+    oracle_slide_path,
     oracle_stabilizer,
     rooted_path,
 )
@@ -888,6 +889,35 @@ def test_shortest_only_search_matches_paths_P(corpus, monkeypatch):
     ):
         _assert_descent_matches_paths_P(state)
     assert rt._descent(two_climbs, 0) == (2, 0, 1, (0, 1))
+
+
+def test_slide_path_matches_the_sorted_paths_P_choice(corpus, monkeypatch):
+    # every problematic vertex of every state that eliminate_problematic
+    # passes through, on the corpus, the shape families and the symmetric
+    # instances, and of four random filtrations of each.  Built filtrations
+    # give no vertex two climbing shortest paths here; random ones give a
+    # few, and longer climbing paths, so a choice of another path shows
+    states = []
+
+    def checked(state):
+        states.append(state)
+        return problematic(state)
+
+    monkeypatch.setattr(rt, "problematic", checked)
+    rng = random.Random(31)
+    compared = Counter()
+    for t, u in corpus + _shape_instances() + _symmetric_instances():
+        states.clear()
+        eliminate_problematic(make_state(t, u))
+        drawn = [make_state(t, u, _random_filtration(t, u, rng)) for _ in range(4)]
+        for kind, state in [("pipeline", s) for s in states] + [("drawn", s) for s in drawn]:
+            for v0 in sorted(state.w_set):
+                desc = rt._descent(state, v0)
+                if desc and desc[3]:
+                    assert rt._slide_path(state, v0) == oracle_slide_path(state, v0), v0
+                    compared[kind] += 1
+                    compared["several"] += len(desc[3]) > 1
+    assert compared["pipeline"] >= 30 and compared["drawn"] > 400 and compared["several"] >= 4, compared
 
 
 def test_compress_to_U_reorientation_leaves_no_edge_uphill(corpus):

@@ -14,7 +14,7 @@ from gtrees._frozen import Frozen
 from gtrees.counterexample import Check, default_data, documented_mutations
 from gtrees.gaction import FiniteGroup, GSet
 from gtrees.ggraph import GPath, GGraph, _mark_tree, tree_with_trivial_group
-from gtrees.retract import Filtration, Move, make_state, paths_P, problematic
+from gtrees.retract import Filtration, Move, make_state, problematic
 from gtrees.words import XY, Alphabet, parse_word
 
 # sha256 of the six mutants' to_json() documents, keyed by mutant name
@@ -99,10 +99,9 @@ def test_ggraph_equality_ignores_the_tree_verdict():
 def test_retract_state_equality_ignores_kept_searches():
     swept = make_state(path_tree(), [0])
     problematic(swept)
-    paths_P(swept, 2)
     fresh = make_state(path_tree(), [0])
-    assert swept._descents and swept._paths and swept._problematic is not None
-    assert not fresh._descents and not fresh._paths and fresh._problematic is None
+    assert swept._descents and swept._problematic is not None
+    assert not fresh._descents and fresh._problematic is None
     assert swept == fresh and hash(swept) == hash(fresh)
 
 
