@@ -464,22 +464,25 @@ def _problem_orbit_count(state: RetractState, level: int) -> int:
     This is the quantity the sliding procedure strictly decreases; it is the
     termination measure, independent of the vertex-witness report above.
     """
-    tree, (vdeg, edeg, _) = state.tree, state.filtration
-    eorb, ends = tree.edges.orbit_ids(), {level, level - 1}
-    return len({eorb[e] for e in range(tree.n_edges) if edeg[e] == level and {vdeg[tree.iota[e]], vdeg[tree.tau[e]]} == ends})
+    tree, filt = state.tree, state.filtration
+    eorb = tree.edges.orbit_ids()
+    counted = set()
+    for e in range(tree.n_edges):
+        if filt.edeg[e] != level:
+            continue
+        a, b = filt.vdeg[tree.iota[e]], filt.vdeg[tree.tau[e]]
+        if (a == level and b == level - 1) or (b == level and a == level - 1):
+            counted.add(eorb[e])
+    return len(counted)
 
 
 def _slide_path(state: RetractState, v0: int) -> GPath:
-    """The path a slide step at the problematic vertex v0 follows: the least
-    shortest descent path of v0 in paths_P's order whose second vertex is one
-    level above v0.
-
-    _window_search reaches the vertices in that order, (length, steps): a
-    layer lists its vertices by their parents' places in the layer before,
-    then by the sorted adjacency rows.  A problematic vertex has such a path
-    among its shortest ones, so it ends at the first endpoint whose second
-    vertex climbs, and only the paths up to that endpoint are built.
-    """
+    """The path a slide step at the problematic vertex v0 follows: the least,
+    in paths_P's (length, steps) order, of v0's shortest descent paths whose
+    second vertex climbs one level, which exist as v0 is problematic.  The
+    window search reaches vertices in that order (a layer lists them by their
+    parents' places, then by the sorted adjacency rows), so it ends at the
+    first endpoint whose second vertex climbs; only paths up to it are built."""
     vdeg = state.filtration.vdeg
     parent, lo = _window_search(state, v0), vdeg[v0]
     paths = (path_to(parent, v) for v in parent if vdeg[v] < lo)
@@ -502,8 +505,7 @@ def eliminate_problematic(state: RetractState) -> RetractState:
     reports a failed one as an internal fault.
     """
     vdeg = state.filtration.vdeg
-    # the tree changes only on a slide, so problematic runs again only then
-    _, bad_v = problematic(state)
+    _, bad_v = problematic(state)  # once per snapshot: again only after a slide
     level = 0
     while bad_v:
         v0 = min(bad_v, key=lambda v: (vdeg[v], v))
@@ -514,7 +516,6 @@ def eliminate_problematic(state: RetractState) -> RetractState:
         path = _slide_path(state, v0)
         (e1, eps1), vertices = path.steps[0], path.vertices
         i = next(j for j in range(2, len(vertices)) if vdeg[vertices[j]] <= level)
-
         log: list[Move] = []
         tree = state.tree
         if eps1 == -1:
@@ -524,7 +525,6 @@ def eliminate_problematic(state: RetractState) -> RetractState:
         if eps1 == -1:
             tree = _log_move(state, log, "reorient", {"orbit_of": e1}, reorient(tree, tree.edges.orbit(e1)))
         state = state.with_tree(tree, log)
-
         if _problem_orbit_count(state, level + 1) >= before:
             raise InternalCheckError("problem-reducing step did not reduce problematic orbits")
         _, bad_v = problematic(state)
