@@ -139,7 +139,7 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     # build_filtration roots the tree with that one unwindowed search, and
     # compress_to_U's reorientation makes no new snapshot, so a tree with no
     # slide runs one shortest-only search (_descent) per outside vertex and
-    # no full one (_window_search, under paths_P), which only a slide step
+    # no full one (_window_search, under _slide_path), which only a slide step
     # runs, once for the vertex whose path it slides along.  Each graph builds
     # its adjacency once: the input's serves the filtration and the first
     # snapshot, and the tree of each slide step's snapshot builds its own
