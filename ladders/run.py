@@ -29,11 +29,17 @@ the family has 1,048,576 letters, so that rung checks that the cap refuses
 it with `InputError`.  Each rung runs in a child process of its own, so
 that its peak RSS is its own; it is the child's high-water RSS (VmHWM, or
 `ru_maxrss` where /proc is missing) after its first run, and includes the
-interpreter and the input words.  Per rung it records `time_s`, the best of
-`--repeats` runs of `from_generators`, the core's vertex count, the peak
-RSS, and for the power family the time exponent against the rung below,
-over the letters.  Each core must have 2a - 1 vertices on the power family
-and contain every generator.
+interpreter and the input words.  After each run the child takes the
+census (`closed_path_vertices`) of the first generator's cyclic reduction
+on the fresh core: x^a y^a x^a on the power family, the first random word's
+cyclic reduction on the random rung.  Per rung it records `time_s`, the best
+of `--repeats` runs of `from_generators`, `census_s`, the best of the
+censuses, the core's vertex count, the peak RSS, which is taken before the
+first census, and for the power family the time exponent against the rung
+below, over the letters.  Each core must have 2a - 1 vertices on the power
+family and contain every generator, every vertex of its census must read
+the census word back to itself, and on the power family the census must
+hold the base.
 
 The `retract` ladder runs `retract_tree` on four families of
 `tests/instgen.py` at 1000, 2000, 4000, 8000 and 16,000 vertices (the rungs
@@ -57,8 +63,8 @@ it reaches) are the fitted exponents.
 The results, with the git sha of the checkout (and whether `src` differs
 from it), the Python version and the machine, go to BENCH_<tag>.json at the
 root of the checkout; the tag defaults to the short git sha.  The exit code
-is 1 when a verdict, a core or a retract result is wrong, after the file is
-written.
+is 1 when a verdict, a core, a census or a retract result is wrong, after
+the file is written.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from gtrees import counterexample as cx  # noqa: E402
 from gtrees import stallings as st  # noqa: E402
 from gtrees.errors import InputError  # noqa: E402
-from gtrees.words import XY, Word, parse_word  # noqa: E402
+from gtrees.words import XY, Word, cyclic_reduce, parse_word  # noqa: E402
 
 VERIFY_RUNGS = (32, 64, 128, 256)
 FOLD_POWER_A = tuple(2**k for k in range(10, 19))
@@ -219,7 +225,8 @@ def fold_child(name: str, repeats: int) -> dict:
         except InputError:
             pass
         return {"refused": True, "time_s": time.perf_counter() - t0, "peak_rss_mb": peak_rss_mb(), "wrong": wrong}
-    best, peak = math.inf, None
+    census_word = cyclic_reduce(gens[0])[0]  # x^a y^a x^a itself on the power family
+    best, best_census, peak = math.inf, math.inf, None
     for _ in range(repeats):
         core = None  # so that a run's core is not alive during the next one
         t0 = time.perf_counter()
@@ -227,11 +234,18 @@ def fold_child(name: str, repeats: int) -> dict:
         best = min(best, time.perf_counter() - t0)
         # later runs start from a heap the first one left fragmented
         peak = peak or peak_rss_mb()
+        t0 = time.perf_counter()
+        census = core.closed_path_vertices(census_word)
+        best_census = min(best_census, time.perf_counter() - t0)
     if rung["family"] == "power" and core.n_vertices != 2 * rung["a"] - 1:
         wrong.append(f"{name}: the core has {core.n_vertices} vertices, not 2a - 1 = {2 * rung['a'] - 1}")
     if not all(core.contains(g) for g in gens):
         wrong.append(f"{name}: the core does not contain every generator")
-    return {"time_s": best, "vertices": core.n_vertices, "peak_rss_mb": peak, "wrong": wrong}
+    if any(core.read(census_word, v) != v for v in census):
+        wrong.append(f"{name}: the census returns a vertex that does not read its word back to itself")
+    if rung["family"] == "power" and core.base not in census:
+        wrong.append(f"{name}: the census of x^a y^a x^a misses the base")
+    return {"time_s": best, "census_s": best_census, "vertices": core.n_vertices, "peak_rss_mb": peak, "wrong": wrong}
 
 
 def fold_ladder(a_max: int, repeats: int) -> tuple[dict, list[str]]:
@@ -247,6 +261,8 @@ def fold_ladder(a_max: int, repeats: int) -> tuple[dict, list[str]]:
         got = json.loads(proc.stdout.splitlines()[-1])
         wrong += got.pop("wrong")
         rung = {**spec, **got, "time_s": round(got["time_s"], 6), "peak_rss_mb": round(got["peak_rss_mb"], 1)}
+        if "census_s" in got:
+            rung["census_s"] = round(got["census_s"], 6)
         below = [r for r in rungs if r["family"] == "power" and not r.get("refused")]
         if spec["family"] == "power" and not rung.get("refused") and below:
             prev = below[-1]
@@ -255,7 +271,10 @@ def fold_ladder(a_max: int, repeats: int) -> tuple[dict, list[str]]:
     power = [r for r in rungs if r["family"] == "power" and not r.get("refused")]
     fit = slope([r["letters"] for r in power], [r["time_s"] for r in power])
     ladder = {
-        "what": "from_generators on [x^a y^a x^a, x^a] by a, and on four random words at the letter cap; each rung in a child process",
+        "what": (
+            "from_generators on [x^a y^a x^a, x^a] by a, and on four random words at the letter cap, then the census of the "
+            "first generator's cyclic reduction; each rung in a child process"
+        ),
         "repeats": repeats,
         "rungs": rungs,
         "fit": {"time_exponent": None if fit is None else round(fit, 3)},
@@ -376,7 +395,11 @@ def main(argv: list[str] | None = None) -> int:
     doc["ladders"]["fold"] = fold
     wrong += bad
     for rung in fold["rungs"]:
-        what = "refused by the cap" if rung.get("refused") else f"{rung['time_s'] * 1e3:9.2f} ms, {rung['vertices']:>7} vertices"
+        what = (
+            "refused by the cap"
+            if rung.get("refused")
+            else f"{rung['time_s'] * 1e3:9.2f} ms, {rung['vertices']:>7} vertices, census {rung['census_s'] * 1e3:8.2f} ms"
+        )
         print(f"fold {rung['name']:>14}: {rung['letters']:>8} letters, {what}, peak RSS {rung['peak_rss_mb']:6.1f} MB")
     print(f"fold fitted exponents: {fold['fit']}")
     retract, bad = retract_ladder(args.retract_n_max, args.repeats)

@@ -226,14 +226,26 @@ class CoreGraph:
         return self.read(w, self.base) == self.base
 
     def closed_path_vertices(self, w: Word) -> frozenset[int]:
-        """Core vertices from which reading w traces a closed path."""
+        """Core vertices from which reading w traces a closed path.
+
+        Only the vertices that both end letters admit are read: w's first
+        letter must leave v and its last letter must enter it.  A closed
+        path at v does both, so the test drops no vertex of the census, and
+        most vertices fail it on one column lookup each.
+        """
         if w.alphabet != self.alphabet:
             raise AlphabetMismatch("census query over a different alphabet")
         if w.is_identity():
             raise PreconditionError("census word must be nonempty")
         if not w.is_cyclically_reduced():
             raise PreconditionError("census word must be cyclically reduced")
-        return frozenset(v for v in self.core_vertices() if self.read(w, v) == v)
+        (i0, e0), (i1, e1) = w.syllables[0], w.syllables[-1]
+        leaves = (self.out if e0 > 0 else self.inn)[i0]
+        enters = (self.inn if e1 > 0 else self.out)[i1]
+        read = self.read
+        return frozenset(
+            v for v in self.core_vertices() if leaves[v] is not None and enters[v] is not None and read(w, v) == v
+        )
 
     def bfs_parents(self) -> dict[int, tuple[int, int, int]]:
         """Breadth-first search from the base, labels ascending, out-edge
