@@ -161,11 +161,6 @@ class Report:
         self.checks = [] if checks is None else checks
         self.runtime_seconds = runtime_seconds
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.title, self.checks, self.runtime_seconds) == (other.title, other.checks, other.runtime_seconds)
-
     def __repr__(self) -> str:
         return f"Report(title={self.title!r}, checks={self.checks!r}, runtime_seconds={self.runtime_seconds!r})"
 

@@ -3,6 +3,7 @@ retract checks, and conjugate-incomparability."""
 
 from __future__ import annotations
 
+from itertools import groupby
 from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -29,11 +30,10 @@ class FiniteGroup(Frozen):
     group laws.  The constructors that compose the table themselves
     (from_generator_permutations, cyclic, dihedral, symmetric,
     direct_product) build a group by construction and only derive its
-    inverses and generator words.  Equality and hashing ignore the derived
-    inverse and gen_words.
+    inverses.  Equality and hashing ignore the derived inverse.
     """
 
-    _fields = ("mult", "identity", "generators", "inverse", "gen_words")
+    _fields = ("mult", "identity", "generators", "inverse")
     _key = ("mult", "identity", "generators")
     __slots__ = _fields
 
@@ -43,9 +43,8 @@ class FiniteGroup(Frozen):
         identity: int,
         generators: tuple[int, ...],
         inverse: tuple[int, ...] = (),
-        gen_words: tuple[tuple[int, ...], ...] = (),
     ) -> None:
-        super().__init__(mult, identity, generators, inverse, gen_words)
+        super().__init__(mult, identity, generators, inverse)
 
     @property
     def order(self) -> int:
@@ -79,24 +78,14 @@ class FiniteGroup(Frozen):
     def _from_group_table(
         cls, mult: tuple[tuple[int, ...], ...], identity: int, generators: Iterable[int]
     ) -> "FiniteGroup":
-        """A group from a table known to be a group table: derives the
-        inverses and each element's word in the generators (breadth first)."""
+        """A group from a table known to be a group table: checks that the
+        generators reach every element from the identity (the rows mult[g]
+        multiply by g on the left), and derives the inverses."""
         gens = tuple(dict.fromkeys(generators))
-        words: dict[int, tuple[int, ...]] = {identity: ()}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = mult[a][g]
-                    if b not in words:
-                        words[b] = words[a] + (g,)
-                        nxt.append(b)
-            frontier = nxt
-        if len(words) != len(mult):
+        if len(_schreier_forest(mult, gens, (identity,))[1]) != len(mult):
             raise InputError("the listed generators do not generate the group")
         inverse = tuple([row.index(identity) for row in mult])
-        return cls(mult, identity, gens, inverse, tuple([words[a] for a in range(len(mult))]))
+        return cls(mult, identity, gens, inverse)
 
     @classmethod
     def from_generator_permutations(cls, perms: Sequence[Sequence[int]]) -> "FiniteGroup":
@@ -246,6 +235,33 @@ def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return itemgetter(*q)(p) if len(q) > 1 else tuple([p[i] for i in q])
 
 
+def _schreier_forest(act: Sequence[Sequence[int]], generators: Iterable[int], roots: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """The generator walk: breadth first over the rows act[g] of the
+    generators g from each root not yet reached, O(|X| * |gens|).  Returns
+    each point's orbit number (-1 if no root reaches it), the points in the
+    order reached, and each point's parent and the generator that reached
+    it (-1 at a root): p = act[via[p]][parent[p]], and parents come first."""
+    rows = [(g, act[g]) for g in generators]
+    size = len(act[0])
+    ids, parent, via = [-1] * size, [-1] * size, [-1] * size
+    order: list[int] = []
+    n_orbits = 0
+    for root in roots:
+        if ids[root] >= 0:
+            continue
+        ids[root] = n_orbits
+        reached = [root]
+        for q in reached:
+            for g, row in rows:
+                p = row[q]
+                if ids[p] < 0:
+                    ids[p], parent[p], via[p] = n_orbits, q, g
+                    reached.append(p)
+        order += reached
+        n_orbits += 1
+    return tuple(ids), tuple(order), tuple(parent), tuple(via)
+
+
 def _point_labels(points: tuple[int, ...], labels: Optional[Sequence[Hashable]]) -> tuple[Hashable, ...]:
     """The given labels as a tuple, one per point, or else the points."""
     labels = points if labels is None else tuple(labels)
@@ -266,14 +282,14 @@ class GSet(Frozen):
     ggraph.subdivide compose it.
 
     Three tables are built on first use and kept: every point's stabilizer
-    (stabilizers), every point's orbit number (orbit_ids) and the JSON text
-    of the labels' reprs (_label_json).  No per-orbit object is kept;
-    orbits() rebuilds the member sets from the numbers.  Equality and
-    hashing ignore the tables.
+    (stabilizers), the generator walk over the points (_forest, which gives
+    orbit_ids) and the JSON text of the labels' reprs (_label_json).  No
+    per-orbit object is kept; orbits() rebuilds the member sets from the
+    walk.  Equality and hashing ignore the tables.
     """
 
     _fields = ("group", "act", "labels")
-    __slots__ = _fields + ("_stabs", "_orbit_ids", "_label_text")
+    __slots__ = _fields + ("_stabs", "_walk", "_label_text")
 
     def __init__(
         self, group: FiniteGroup, act: tuple[tuple[int, ...], ...], labels: tuple[Hashable, ...]
@@ -282,8 +298,8 @@ class GSet(Frozen):
         set_field = object.__setattr__
         # every point's stabilizer, filled on the first stabilizer query
         set_field(self, "_stabs", None)
-        # every point's orbit number, filled on the first orbit_ids query
-        set_field(self, "_orbit_ids", None)
+        # the generator walk, filled on the first _forest query
+        set_field(self, "_walk", None)
         # the labels' JSON text, filled on the first _label_json query
         set_field(self, "_label_text", None)
 
@@ -323,12 +339,13 @@ class GSet(Frozen):
         labels: Optional[Sequence[Hashable]] = None,
     ) -> "GSet":
         """Extend per-generator permutations to the whole group along the
-        Cayley tree of gen_words, one composition per element; this is the one
-        place where generator images become element images, and where the
-        action laws are checked (build comes through here).  A composite of
-        permutations is one, so only (gh)p = g(hp) is checked, and that each
-        given image is the row built for its generator (the identity's row
-        and a generator listed twice read no image or one of two)."""
+        group's generator walk from the identity, one composition per
+        element; this is the one place where generator images become element
+        images, and where the action laws are checked (build comes through
+        here).  A composite of permutations is one, so only (gh)p = g(hp) is
+        checked, and that each given image is the row built for its generator
+        (the identity's row and a generator listed twice read no image or one
+        of two)."""
         if len(gen_images) != len(group.generators):
             raise InputError("need one permutation per group generator")
         points = tuple(range(size))
@@ -339,12 +356,12 @@ class GSet(Frozen):
             if not ints or sorted(img) != list(points):
                 raise InputError("generator image is not a permutation of the points")
             per_gen[g] = tuple(img)
-        words, rows = group.gen_words, [points] * group.order
-        # by word length: a = b s, s the last letter of a's word, comes after
-        # its parent b, and acts by s first
-        for a in sorted(group.elements, key=lambda a: len(words[a]))[1:]:
-            s = words[a][-1]
-            rows[a] = _compose(rows[group.mult[a][group.inverse[s]]], per_gen[s])
+        _, order, parent, via = _schreier_forest(group.mult, group.generators, (group.identity,))
+        rows = [points] * group.order
+        # a = s b for its parent b and the generator s that reaches it: b is
+        # reached first, and a acts by b first
+        for a in order[1:]:
+            rows[a] = _compose(per_gen[via[a]], rows[parent[a]])
         for g, img in zip(group.generators, gen_images):
             if rows[g] != tuple(img):
                 raise InputError(
@@ -372,42 +389,27 @@ class GSet(Frozen):
         return frozenset([row[p] for row in self.act])
 
     def orbits(self) -> list[frozenset[int]]:
-        """Every orbit, in the order of their least points."""
-        ids = self.orbit_ids()
-        members: list[list[int]] = [[] for _ in range(max(ids, default=-1) + 1)]
-        for p, k in enumerate(ids):
-            members[k].append(p)
-        return [frozenset(m) for m in members]
+        """Every orbit, in the order of their least points: the generator
+        walk lists each orbit as one run."""
+        ids, order, _, _ = self._forest()
+        return [frozenset(run) for _, run in groupby(order, ids.__getitem__)]
 
     def orbit_ids(self) -> tuple[int, ...]:
         """Every point's orbit number, orbits numbered in the order of their
-        least points, built once per G-set.
+        least points.
 
         So a point p is the least of its orbit exactly when ids[p] is the
         number of orbits met before p.
         """
-        if self._orbit_ids is None:
-            object.__setattr__(self, "_orbit_ids", self._orbit_id_table())
-        return self._orbit_ids
+        return self._forest()[0]
 
-    def _orbit_id_table(self) -> tuple[int, ...]:
-        # a search over the generator rows, O(|X| * |gens|): in a finite
-        # group the generators reach every element as a product
-        rows = [self.act[g] for g in self.group.generators]
-        ids = [-1] * self.size
-        n_orbits = 0
-        for p in range(self.size):
-            if ids[p] < 0:
-                ids[p] = n_orbits
-                reached = [p]
-                for q in reached:
-                    for row in rows:
-                        r = row[q]
-                        if ids[r] < 0:
-                            ids[r] = n_orbits
-                            reached.append(r)
-                n_orbits += 1
-        return tuple(ids)
+    def _forest(self) -> tuple[tuple[int, ...], ...]:
+        """_schreier_forest over the points from the roots 0, 1, ..., so each
+        orbit is walked from its least point; built once per G-set."""
+        if self._walk is None:
+            walk = _schreier_forest(self.act, self.group.generators, range(self.size))
+            object.__setattr__(self, "_walk", walk)
+        return self._walk
 
     def stabilizer(self, p: int) -> frozenset[int]:
         """The elements fixing p.
@@ -532,31 +534,30 @@ def _closed_subset(s: GSet, u_set: Iterable[int]) -> set[int]:
 def retraction_map(s: GSet, u_set: Iterable[int]) -> Optional[dict[int, int]]:
     """An equivariant retraction onto the subset, or None when none exists.
 
-    Built on orbit representatives: the lowest-index point of each outside
-    orbit is sent to the lowest-index inside point whose stabilizer contains
-    its own, then translated along the action.  Since stab(p) fixes the
-    target, each point of the orbit gets one image, and the map is
-    equivariant by construction.
+    Built on orbit representatives: the lowest-index point p of each outside
+    orbit, the root of its orbit in the G-set's generator walk, is sent to
+    the lowest-index inside point whose stabilizer contains its own, and
+    every other point of the orbit, in walk order, to the image of its
+    parent's image under the generator that reaches it.  So g p goes to
+    g target for the product g along the walk; since stab(p) fixes the
+    target, every g with g p = x gives x that one image, and the map is
+    equivariant.
     """
     u = _closed_subset(s, u_set)
     ret = {p: p for p in u}
-    outside = [p for p in range(s.size) if p not in u]
+    _, order, parent, via = s._forest()
     stabs = s.stabilizers()
     inside = sorted(u)
-    done: set[int] = set()
-    for p in outside:
-        if p in done:
+    for p in order:
+        if p in u:
             continue
-        target = None
-        for q in inside:
-            if stabs[p] <= stabs[q]:
-                target = q
-                break
+        if parent[p] >= 0:
+            ret[p] = s.act[via[p]][ret[parent[p]]]
+            continue
+        target = next((q for q in inside if stabs[p] <= stabs[q]), None)
         if target is None:
             return None
-        for g in s.group.elements:
-            ret[s.act[g][p]] = s.act[g][target]
-            done.add(s.act[g][p])
+        ret[p] = target
     return ret
 
 

@@ -129,6 +129,12 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
     tree at vertex 0, keeping each vertex's depth and (parent, edge), and
     each geodesic is walked only up to its cut, its first vertex below alpha
     (_cut_orbits).
+
+    The loop ends within ne stages: each stage places at least one whole
+    edge orbit that was unplaced, either the orbits of fresh, which holds
+    only orbits whose first member, and so every member, is unplaced, or,
+    when fresh is empty, the orbit of the lowest unplaced edge, which exists
+    while n_placed < ne.  So n_placed grows at every stage.
     """
     u = frozenset(u_set)
     depth, up = _retract_precheck(tree, u)
@@ -152,8 +158,6 @@ def build_filtration(tree: GGraph, u_set: Iterable[int]) -> Filtration:
     gamma = 0
     while n_placed < ne:
         gamma += 1
-        if gamma > ne + 1:
-            raise InternalCheckError("filtration construction failed to terminate")
         alpha = gamma - 1
         fresh: set[int] = set()  # the unplaced edge orbits on this stage's geodesics
         if alpha and buckets[alpha]:  # a stage with an empty bucket walks nothing
@@ -541,18 +545,22 @@ def _distinguished_edges(state: RetractState, tree: GGraph) -> dict[int, int]:
     reoriented downhill: the first edge of the least descent path of the
     least vertex of each orbit, translated along the orbit.
 
-    The translation walks the orbit by the generator rows, from each reached
-    vertex and its edge to their images, and keeps the first image of each
-    vertex.  Once stab(e1) = stab(v0) is checked no image clashes: g v0 =
-    h v0 puts h^-1 g in stab(v0) = stab(e1), so g e1 = h e1.
+    The translation follows the vertex G-set's generator walk, whose roots
+    are the least vertices of their orbits: every other vertex takes the
+    image of its parent's edge under the generator that reaches it.  Once
+    stab(e1) = stab(v0) is checked no image clashes: g v0 = h v0 puts h^-1 g
+    in stab(v0) = stab(e1), so g e1 = h e1.
     """
     distinguished: dict[int, int] = {}
     if not state.w_set:
         return distinguished
-    iota, vstab, estab = tree.iota, tree.vertices.stabilizers(), tree.edges.stabilizers()
-    rows = [(tree.vertices.act[g], tree.edges.act[g]) for g in tree.group.generators]
-    for v0 in sorted(state.w_set):
-        if v0 in distinguished:
+    iota, vstab, estab, eact = tree.iota, tree.vertices.stabilizers(), tree.edges.stabilizers(), tree.edges.act
+    _, order, parent, via = tree.vertices._forest()
+    for v0 in order:
+        if v0 not in state.w_set:
+            continue
+        if parent[v0] >= 0:
+            distinguished[v0] = eact[via[v0]][distinguished[parent[v0]]]
             continue
         _, e1, far, _ = _descent(state, v0)
         if iota[e1] != v0:
@@ -562,13 +570,6 @@ def _distinguished_edges(state: RetractState, tree: GGraph) -> dict[int, int]:
         if not is_lower(state, far, v0):
             raise InternalCheckError("distinguished neighbour is not lower")
         distinguished[v0] = e1
-        reached = [v0]
-        for w in reached:
-            e = distinguished[w]
-            for va, ea in rows:
-                if va[w] not in distinguished:
-                    distinguished[va[w]] = ea[e]
-                    reached.append(va[w])
     return distinguished
 
 

@@ -14,6 +14,9 @@ differential test oracles.  Each is the form a generator-only check in
 - a G-set's rows from generator images, each element's generator word
   replayed over every point and then checked by `oracle_validate` (before
   `GSet.from_generator_images` composed along the Cayley tree);
+- `retraction_map` with each outside orbit's least point and its target
+  translated by every element (before it followed the G-set's generator
+  walk);
 - the derivation rule over the whole group square, into a module and into
   the function module (before `check_derivation` and
   `check_function_derivation` checked generators);
@@ -78,6 +81,28 @@ def oracle_validate(s):
         raise InputError("action is not associative: (gh)p != g(hp)")
 
 
+def oracle_retraction_map(s, u):
+    """retraction_map onto an action-closed subset u of the points: the
+    least point of each outside orbit goes to the least inside point whose
+    stabilizer, found by a scan of the elements, holds its own, and both are
+    translated by every element; None when some orbit has no target."""
+
+    def stab(x):
+        return {g for g in s.group.elements if s.act[g][x] == x}
+
+    ret = {p: p for p in u}
+    for p in range(s.size):
+        if p in ret:
+            continue
+        target = next((q for q in sorted(u) if stab(p) <= stab(q)), None)
+        if target is None:
+            return None
+        for g in s.group.elements:
+            if ret.setdefault(s.act[g][p], s.act[g][target]) != s.act[g][target]:
+                raise InternalCheckError("the translated retraction clashed")
+    return ret
+
+
 def oracle_from_mult_table(table, generators):
     """FiniteGroup.from_mult_table with associativity checked on every
     triple, before the inverses and the generators."""
@@ -112,11 +137,20 @@ def oracle_from_generator_images(group, size, gen_images, labels=None):
         if not ints or sorted(img) != list(range(size)):
             raise InputError("generator image is not a permutation of the points")
         per_gen[g] = tuple(img)
+    # each element's word in the generators, breadth first by right
+    # multiplication: b = a g has the word of a, then g
+    words, reached = {group.identity: ()}, [group.identity]
+    for a in reached:
+        for g in group.generators:
+            b = group.mult[a][g]
+            if b not in words:
+                words[b] = words[a] + (g,)
+                reached.append(b)
     rows = []
     for a in group.elements:
         row = list(range(size))
         # a = g1 g2 ... gk acts by applying gk first
-        for g in reversed(group.gen_words[a]):
+        for g in reversed(words[a]):
             row = [per_gen[g][p] for p in row]
         rows.append(tuple(row))
     for g, img in zip(group.generators, gen_images):

@@ -3,7 +3,9 @@
 Builds a random tree, harvests automorphisms by swapping isomorphic sibling
 subtrees, closes a few of them into a small permutation group (rejecting any
 group that inverts an edge), equips the edges with an equivariant
-orientation, and samples a valid retract of the vertex set.
+orientation, and samples a valid retract of the vertex set.  Also builds
+coset trees (coset_tree), whose orbits and stabilizers come from a chain of
+subgroups rather than from sibling swaps, and the shape families below.
 """
 
 import random
@@ -310,3 +312,100 @@ def caterpillar_instance(n):
     k = n // 2
     edges = [(i, i + 1) for i in range(k - 1)] + [((v - k) % k, v) for v in range(k, n)]
     return tree_with_trivial_group(edges), frozenset({k - 1})
+
+
+# Coset trees: a finite group acting on a tree without inversions fixes a
+# vertex (Serre, Trees, I.4.3), so a finite G-tree with a fixed root is a
+# rooted tree of coset sets.
+
+
+def _subgroup(group, gens):
+    """The elements of the subgroup that the elements gens generate."""
+    elements, reached = {group.identity}, [group.identity]
+    for a in reached:
+        for g in gens:
+            b = group.mult[a][g]
+            if b not in elements:
+                elements.add(b)
+                reached.append(b)
+    return elements
+
+
+def coset_tree(group, chain):
+    """The G-tree of a chain G = K_0 >= K_1 >= ... >= K_k of subgroups, K_i
+    generated by the elements chain[i - 1]: one vertex per left coset g K_i,
+    joined to its parent g K_{i-1} by an edge that the action moves as it
+    moves the coset, so the edge's stabilizer is g K_i g^-1.
+
+    Vertex 0 is the root G/G, fixed by every element; then the cosets level
+    by level, each level in the order of its cosets' least elements.  Edge
+    v - 1 joins vertex v to its parent, and points to the parent on odd
+    levels and away from it on even ones.
+    """
+    subgroups = [set(group.elements)] + [_subgroup(group, gens) for gens in chain]
+    if any(not k <= h for h, k in zip(subgroups, subgroups[1:])):
+        raise ValueError("each subgroup of the chain must contain the next")
+    index, cosets = {}, []  # (level, coset) -> vertex, and back
+    for level, k in enumerate(subgroups):
+        for g in group.elements:
+            key = (level, frozenset(group.mult[g][x] for x in k))
+            if key not in index:
+                index[key] = len(cosets)
+                cosets.append(key)
+
+    def moved(a, v):
+        level, coset = cosets[v]
+        return index[level, frozenset(group.mult[a][x] for x in coset)]
+
+    iota, tau = [], []
+    for level, coset in cosets[1:]:
+        v = index[level, coset]
+        up = index[level - 1, frozenset(group.mult[min(coset)][x] for x in subgroups[level - 1])]
+        iota.append(v if level % 2 else up)
+        tau.append(up if level % 2 else v)
+    n = len(cosets)
+    vertex_rows = [[moved(a, v) for v in range(n)] for a in group.generators]
+    vertices = GSet.from_generator_images(group, n, vertex_rows)
+    edges = GSet.from_generator_images(group, n - 1, [[row[v] - 1 for v in range(1, n)] for row in vertex_rows])
+    return GGraph(vertices, edges, tuple(iota), tuple(tau))
+
+
+def _product(group, *elements):
+    out = group.identity
+    for a in elements:
+        out = group.mult[out][a]
+    return out
+
+
+def every_retract(s):
+    """Every action-closed subset of the G-set s that is_retract accepts."""
+    orbits = s.orbits()
+    subsets = [frozenset().union(*[o for i, o in enumerate(orbits) if mask >> i & 1]) for mask in range(2 ** len(orbits))]
+    return [u for u in subsets if is_retract(s, u)]
+
+
+def small_coset_trees():
+    """Each coset tree of S3, S4 and D4 below with each of its vertex
+    retracts, 44 instances of 8 to 41 vertices.  The chains have stabilizers
+    that are not
+    sibling swaps: S3 >= <s0> >= 1, S3 >= <s0 s1> (order 3) >= 1, S4 >= S3
+    >= <s0> >= 1, S4 >= <s0, s2> (order 4) >= <s0>, S4 >= <s0 s1 s2>
+    (order 4) >= its square, D4 >= <r> >= <r^2> >= 1 and D4 >= D4 >=
+    <t, r^2> >= <t>, for s_i the adjacent transpositions, r the rotation
+    and t the reflection.  The last chain repeats G, so one orbit besides
+    the root is fixed and a retract need not hold the root."""
+    s3, s4, d4 = FiniteGroup.symmetric(3), FiniteGroup.symmetric(4), FiniteGroup.dihedral(4)
+    a0, a1 = s3.generators
+    b0, b1, b2 = s4.generators
+    r, t = d4.generators
+    c4 = _product(s4, b0, b1, b2)
+    chains = [
+        (s3, [[a0], []]),
+        (s3, [[_product(s3, a0, a1)], []]),
+        (s4, [[b0, b1], [b0], []]),
+        (s4, [[b0, b2], [b0]]),
+        (s4, [[c4], [_product(s4, c4, c4)]]),
+        (d4, [[r], [_product(d4, r, r)], []]),
+        (d4, [[r, t], [t, _product(d4, r, r)], [t]]),
+    ]
+    return [(t, u) for t in (coset_tree(group, chain) for group, chain in chains) for u in every_retract(t.vertices)]

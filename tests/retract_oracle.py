@@ -11,8 +11,8 @@ differential test oracles:
   orbit representative (the form before `build_filtration` kept level
   buckets and its lowest target per stabilizer);
 - the distinguished edges of `compress_to_U` by translating each chosen edge
-  by every group element (the form before `_distinguished_edges` walked
-  each orbit by the generator rows);
+  by every group element (the form before `_distinguished_edges` translated
+  it along the generators);
 - the whole geodesic between two vertices of a rooted tree (`rooted_path`,
   the form before `build_filtration` walked each geodesic only up to its cut
   in `_cut_orbits`).

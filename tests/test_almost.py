@@ -458,12 +458,16 @@ def _modules(grp, a):
 
 def _along_words(grp, gen_value, step, zero):
     """The map with d(1) = zero and d(bs) = step(d(b), b, d(s)) along the
-    Cayley tree: a derivation exactly when the relations allow one."""
-    d = [zero] * grp.order
-    for x in sorted(grp.elements, key=lambda x: len(grp.gen_words[x]))[1:]:
-        s = grp.gen_words[x][-1]
-        d[x] = step(d[grp.mult[x][grp.inverse[s]]], grp.mult[x][grp.inverse[s]], gen_value[s])
-    return d
+    breadth-first Cayley tree of right multiplication by the generators: a
+    derivation exactly when the relations allow one."""
+    d, reached = {grp.identity: zero}, [grp.identity]
+    for b in reached:
+        for s in grp.generators:
+            x = grp.mult[b][s]
+            if x not in d:
+                d[x] = step(d[b], b, gen_value[s])
+                reached.append(x)
+    return [d[x] for x in grp.elements]
 
 
 @pytest.mark.parametrize("factors", [[2], [3]])

@@ -98,6 +98,19 @@ def test_check_filtration_reports_degrees_that_vary_on_an_orbit():
     ]
 
 
+def test_check_filtration_reports_levels_out_of_order_and_a_wrong_level_zero():
+    # hand-made filtrations of the single edge 0 -> 1, each breaking one
+    # condition: the edge placed below its far end, which also leaves 1 no
+    # descent path; level zero larger than the retract; an edge at level zero
+    t, F = single_edge(), rt.Filtration
+    assert check_filtration(make_state(t, {0}, F((0, 2), (1,), 3))) == [
+        "(1) edge 0 enters a level before both endpoints",
+        "(4) no descent path from vertex 1",
+    ]
+    assert check_filtration(make_state(t, {0, 1}, F((0, 1), (1,), 2))) == ["(2) vertex level zero differs from the retract"]
+    assert check_filtration(make_state(t, {0, 1}, F((0, 0), (0,), 1))) == ["(2) an edge has degree zero"]
+
+
 def test_paths_P_single_edge():
     t = single_edge()
     state = make_state(t, {0})

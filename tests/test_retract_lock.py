@@ -13,15 +13,17 @@ from collections import Counter
 
 import pytest
 
-from gaction_oracle import oracle_is_equivariant
+from gaction_oracle import oracle_is_equivariant, oracle_retraction_map
 from instgen import (
     broom_instance,
     caterpillar_instance,
+    every_retract,
     instance_with_vertices,
     path_instance,
     random_instance,
     random_slide_candidates,
     sibling_swap_generators,
+    small_coset_trees,
     star_instance,
 )
 from retract_oracle import (
@@ -206,15 +208,17 @@ def test_retract_derives_each_fact_once_per_tree_version(corpus, monkeypatch):
     monkeypatch.setattr(GSet, "stabilizer", queried_one)
     monkeypatch.setattr(GSet, "stabilizers", queried_all, raising=False)
     monkeypatch.setattr(GSet, "_stabilizer_table", built, raising=False)
+    # per G-set: how often it built its generator walk (orbit numbers, and
+    # the translation of the distinguished edges)
     orbit_builds = Counter()
-    orbit_table = GSet._orbit_id_table
+    forest = GSet._forest
 
     def built_orbits(self):
         alive.append(self)
-        orbit_builds[id(self)] += 1
-        return orbit_table(self)
+        orbit_builds[id(self)] += self._walk is None
+        return forest(self)
 
-    monkeypatch.setattr(GSet, "_orbit_id_table", built_orbits)
+    monkeypatch.setattr(GSet, "_forest", built_orbits)
     flipped_without_slides = 0
     for t, u in corpus:
         t = _fresh(t)
@@ -504,7 +508,7 @@ def test_distinguished_edges_walk_matches_all_elements_oracle(corpus):
     assert [paths_P(state, w)[0].steps[0][0] for w in range(4)] == [0, 6, 2, 4]
     assert walked == {0: 0, 1: 6, 2: 3, 3: 5}
     moved_orbits = 0
-    for t, u in corpus + _symmetric_instances() + [(t, u)]:
+    for t, u in corpus + _symmetric_instances() + small_coset_trees() + [(t, u)]:
         state = eliminate_problematic(make_state(t, u))
         res = compress_to_U(state)
         flips = [e for m in res.move_log[len(state.move_log) :] if m.kind == "reorient" for e in m.detail["flips"]]
@@ -555,13 +559,6 @@ def _binary_tree(depth):
     return GGraph(vertices, edges, tuple(a for a, _ in pairs), tuple(b for _, b in pairs))
 
 
-def _retracts(s):
-    """Every action-closed subset of s that is_retract accepts."""
-    orbits = s.orbits()
-    subsets = [frozenset().union(*[o for i, o in enumerate(orbits) if mask >> i & 1]) for mask in range(2 ** len(orbits))]
-    return [u for u in subsets if ga.is_retract(s, u)]
-
-
 def _symmetric_instances():
     """Trees whose outside stabilizers differ, unlike instgen trees (mean orbit
     size 1.05): S_n on a star (n = 3..5) with U = {centre}, and the
@@ -571,14 +568,14 @@ def _symmetric_instances():
     for depth in (2, 3):
         t = _binary_tree(depth)
         assert t.group.order == 2 ** (2**depth - 1)
-        out += [(t, u) for u in _retracts(t.vertices)]
+        out += [(t, u) for u in every_retract(t.vertices)]
     return out
 
 
 def test_filtration_matches_rescanning_oracle(corpus):
     large = _large_instances()
     assert all(700 <= t.n_vertices <= 1000 for t, _ in large)
-    for t, u in corpus + large:
+    for t, u in corpus + large + small_coset_trees():
         assert build_filtration(t, u) == oracle_build_filtration(t, u)
 
 
@@ -659,10 +656,11 @@ def test_filtration_matches_rescanning_oracle_where_stabilizers_differ():
 
 
 def test_stabilizers_and_orbits_match_elementwise_oracle(corpus):
-    # on the input G-sets and on the restricted G-sets that compress returns
-    for t, u in corpus:
+    # on the input G-sets and on the restricted G-sets that compress returns,
+    # of the corpus and of the coset trees, and on their groups' regular G-sets
+    for t, u in corpus + small_coset_trees():
         res = retract_tree(t, u)
-        for s in (t.vertices, t.edges, res.tree.vertices, res.tree.edges):
+        for s in (t.vertices, t.edges, res.tree.vertices, res.tree.edges, GSet.regular(t.group)):
             table = s.stabilizers()
             assert table == tuple(oracle_stabilizer(s, p) for p in range(s.size))
             assert all(s.stabilizer(p) is table[p] for p in range(s.size))
@@ -674,13 +672,24 @@ def test_stabilizers_and_orbits_match_elementwise_oracle(corpus):
 
 def _assert_orbits_match_oracle(s):
     """orbit_ids and orbits against one oracle_orbit per orbit, in the order
-    of the orbits' least points."""
+    of the orbits' least points, and the generator walk they are read from:
+    it lists every point once, its roots are the least points of their
+    orbits, in order, and every other point is its parent's image under a
+    generator, with the parent listed before it and in the same orbit."""
     oracle = []
     for p in range(s.size):
         if not any(p in o for o in oracle):
             oracle.append(oracle_orbit(s, p))
     assert s.orbits() == oracle
-    assert s.orbit_ids() == tuple(next(k for k, o in enumerate(oracle) if p in o) for p in range(s.size))
+    ids, order, parent, via = s._forest()
+    assert ids == s.orbit_ids() == tuple(next(k for k, o in enumerate(oracle) if p in o) for p in range(s.size))
+    assert sorted(order) == list(range(s.size))
+    place = {p: i for i, p in enumerate(order)}
+    assert [p for p in order if parent[p] < 0] == [min(o) for o in oracle]
+    for p in order:
+        if parent[p] >= 0:
+            assert via[p] in s.group.generators and s.act[via[p]][parent[p]] == p
+            assert place[parent[p]] < place[p] and ids[parent[p]] == ids[p]
 
 
 def _needs_several_generators(s):
@@ -728,18 +737,20 @@ def test_orbit_ids_match_oracle_on_several_generators():
 
 
 def test_is_retract_matches_retraction_map(corpus):
-    # random action-closed subsets of every corpus G-set: unions of random
-    # orbits, drawn once from all orbits and once from the moved ones
+    # random action-closed subsets of every corpus and coset-tree G-set:
+    # unions of random orbits, drawn once from all orbits and once from the
+    # moved ones; the map is the element-wise oracle's
     rng = random.Random(13)
     verdicts = Counter()
-    for t, _ in corpus:
+    for t, _ in corpus + small_coset_trees():
         for s in (t.vertices, t.edges):
             orbits = s.orbits()
             moved = [o for o in orbits if len(o) > 1]
             for pool in (orbits, moved):
                 u = frozenset().union(*[o for o in pool if rng.random() < 0.5])
-                verdict = ga.is_retract(s, u)
-                assert verdict == (ga.retraction_map(s, u) is not None)
+                verdict, ret = ga.is_retract(s, u), ga.retraction_map(s, u)
+                assert ret == oracle_retraction_map(s, u)
+                assert verdict == (ret is not None)
                 verdicts[verdict] += 1
             if moved:
                 not_closed = {min(moved[0])}
@@ -815,7 +826,7 @@ def test_windowed_paths_match_full_bfs_oracle(corpus, monkeypatch):
         return problematic(state)
 
     monkeypatch.setattr(rt, "problematic", checked)
-    for t, u in corpus:
+    for t, u in corpus + small_coset_trees():
         state = make_state(t, u)
         _assert_matches_oracle(state)
         _assert_matches_oracle(eliminate_problematic(state))

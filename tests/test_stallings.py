@@ -69,6 +69,13 @@ def test_from_generators_single_loop():
     assert h.n_edges == 1
 
 
+def test_core_graphs_of_one_subgroup_are_equal_and_hash_alike():
+    # <x^2, x^3> = <x>: one subgroup, one core graph
+    h = from_generators(gens("x^2, x^3"))
+    assert h == from_generators(gens("x")) and hash(h) == hash(from_generators(gens("x")))
+    assert h != from_generators(gens("x^2")) and h != "x"
+
+
 def test_fold_wedge_of_duplicate_loops():
     builder = LabeledGraphBuilder(XY)
     builder.add_word_loop(w("x"))

@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 from gtrees._frozen import Frozen
-from gtrees.counterexample import Check, default_data, documented_mutations
+from gtrees.counterexample import Check, Report, default_data, documented_mutations
 from gtrees.gaction import FiniteGroup, GSet
 from gtrees.ggraph import GPath, GGraph, _mark_tree, tree_with_trivial_group
 from gtrees.retract import Filtration, Move, make_state, problematic
@@ -71,10 +71,10 @@ def test_a_word_pickles_with_its_alphabet():
     assert pickle.loads(pickle.dumps(word)) == word
 
 
-def test_finite_group_equality_ignores_inverse_and_gen_words():
+def test_finite_group_equality_ignores_inverse():
     g = FiniteGroup.cyclic(4)
     bare = FiniteGroup(g.mult, g.identity, g.generators)
-    assert bare.inverse == () and bare.gen_words == ()
+    assert bare.inverse == ()
     assert bare == g and hash(bare) == hash(g)
     assert FiniteGroup(g.mult, g.identity, (3,)) != g
 
@@ -124,7 +124,7 @@ def test_record_reprs_name_their_fields():
 
 
 def test_read_only_value_reprs_name_their_fields():
-    trivial = "FiniteGroup(mult=((0,),), identity=0, generators=(0,), inverse=(0,), gen_words=((),))"
+    trivial = "FiniteGroup(mult=((0,),), identity=0, generators=(0,), inverse=(0,))"
     vertices = f"GSet(group={trivial}, act=((0, 1),), labels=(0, 1))"
     edges = f"GSet(group={trivial}, act=((0,),), labels=(0,))"
     tree = f"GGraph(vertices={vertices}, edges={edges}, iota=(0,), tau=(1,))"
@@ -143,6 +143,7 @@ def test_a_check_equals_the_tuple_of_its_fields():
     check = Check("wordlength", 0, 3, 3, True)
     assert check == ("wordlength", 0, 3, 3, True, "")
     assert repr(check) == "Check(name='wordlength', n=0, expected=3, computed=3, passed=True, note='')"
+    assert repr(Report("t", [check])) == f"Report(title='t', checks=[{check!r}], runtime_seconds=0.0)"
 
 
 def test_documented_mutations_are_pinned():
